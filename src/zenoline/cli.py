@@ -232,7 +232,6 @@ def build_parser():
 
     p = sub.add_parser("partition")
     p.add_argument("--n", default=None)
-    p.add_argument("--table", action="store_true")
 
     p = sub.add_parser("threshold")
     p.add_argument("--n", default=None)
@@ -282,7 +281,7 @@ def merge_config(args):
     for key, value in vars(args).items():
         if key in ("config",):
             continue
-        if value is not None and value is not False:
+        if value is not None:
             cfg[key] = value
     return cfg
 
@@ -299,7 +298,7 @@ def main(argv=None):
     except ResourceError as exc:
         print(f"zenoline {args.command}: resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (DomainError, ZenolineError) as exc:
+    except ZenolineError as exc:
         code = EXIT_CONFIG if isinstance(exc, DomainError) else EXIT_NUMERIC
         print(f"zenoline {args.command}: {exc}", file=sys.stderr)
         return code

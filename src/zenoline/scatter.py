@@ -13,9 +13,7 @@ Z = 1 - E_min/E_max, from which the critical-point summary is read off.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,25 +38,45 @@ __all__ = [
     "critical_summary",
 ]
 
-_FAMILIES = ("lennard_jones", "generalized_lj", "morse", "buckingham")
+
+def _exp(x):
+    # math.exp on scalars keeps the scalar path bit-for-bit unchanged
+    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
 
 
-def _thread_count():
-    env = os.environ.get("ZENOLINE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+def _generalized_lj(r, p):
+    m = p.get("m", 6.0)
+    irm = r**-m
+    return (4.0 * (irm * irm - irm),
+            4.0 * (-2.0 * m * r ** (-2 * m - 1) + m * r ** (-m - 1)),
+            4.0 * (2.0 * m * (2 * m + 1) * r ** (-2 * m - 2)
+                   - m * (m + 1) * r ** (-m - 2)))
 
 
-def _parallel_map(fn, items):
-    n = min(_thread_count(), len(items))
-    if n <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
+def _morse(r, p):
+    a, r0 = p.get("a", 6.0), p.get("r0", 2.0 ** (1.0 / 6.0))
+    e = _exp(-a * (r - r0))
+    return (e * e - 2.0 * e,
+            -2.0 * a * e * e + 2.0 * a * e,
+            4.0 * a * a * e * e - 2.0 * a * a * e)
+
+
+def _buckingham(r, p):
+    a_, b_, c_ = p.get("A", 5e5), p.get("B", 12.0), p.get("C", 2.0)
+    e = _exp(-b_ * r)
+    return (a_ * e - c_ * r**-6,
+            -a_ * b_ * e + 6.0 * c_ * r**-7,
+            a_ * b_ * b_ * e - 42.0 * c_ * r**-8)
+
+
+# family -> (r, params) -> (U, U', U''); plain Lennard-Jones is the
+# generalized member at its default m = 6 and takes no params
+_DERIVATIVES = {
+    "lennard_jones": lambda r, p: _generalized_lj(r, {}),
+    "generalized_lj": _generalized_lj,
+    "morse": _morse,
+    "buckingham": _buckingham,
+}
 
 
 @dataclass(frozen=True)
@@ -80,7 +98,7 @@ class PotentialSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in _DERIVATIVES:
             raise DomainError(f"unknown potential family {self.family!r}")
 
     @property
@@ -89,56 +107,20 @@ class PotentialSpec:
         # stationary point can occur
         return 0.5
 
-    def u(self, r):
-        if r <= 0:
+    def derivatives(self, r):
+        """(U, U', U'') at r > 0, a float or elementwise on an array."""
+        if np.any(r <= 0) if isinstance(r, np.ndarray) else r <= 0:
             raise DomainError(f"r must be positive, got {r}")
-        f, p = self.family, self.params
-        if f == "lennard_jones":
-            ir6 = r**-6
-            return 4.0 * (ir6 * ir6 - ir6)
-        if f == "generalized_lj":
-            m = p.get("m", 6.0)
-            irm = r**-m
-            return 4.0 * (irm * irm - irm)
-        if f == "morse":
-            a, r0 = p.get("a", 6.0), p.get("r0", 2.0 ** (1.0 / 6.0))
-            e = math.exp(-a * (r - r0))
-            return e * e - 2.0 * e
-        a_, b_, c_ = p.get("A", 5e5), p.get("B", 12.0), p.get("C", 2.0)
-        return a_ * math.exp(-b_ * r) - c_ * r**-6
+        return _DERIVATIVES[self.family](r, self.params)
+
+    def u(self, r):
+        return self.derivatives(r)[0]
 
     def du(self, r):
-        if r <= 0:
-            raise DomainError(f"r must be positive, got {r}")
-        f, p = self.family, self.params
-        if f == "lennard_jones":
-            return 4.0 * (-12.0 * r**-13 + 6.0 * r**-7)
-        if f == "generalized_lj":
-            m = p.get("m", 6.0)
-            return 4.0 * (-2.0 * m * r ** (-2 * m - 1) + m * r ** (-m - 1))
-        if f == "morse":
-            a, r0 = p.get("a", 6.0), p.get("r0", 2.0 ** (1.0 / 6.0))
-            e = math.exp(-a * (r - r0))
-            return -2.0 * a * e * e + 2.0 * a * e
-        a_, b_, c_ = p.get("A", 5e5), p.get("B", 12.0), p.get("C", 2.0)
-        return -a_ * b_ * math.exp(-b_ * r) + 6.0 * c_ * r**-7
+        return self.derivatives(r)[1]
 
     def d2u(self, r):
-        if r <= 0:
-            raise DomainError(f"r must be positive, got {r}")
-        f, p = self.family, self.params
-        if f == "lennard_jones":
-            return 4.0 * (156.0 * r**-14 - 42.0 * r**-8)
-        if f == "generalized_lj":
-            m = p.get("m", 6.0)
-            return 4.0 * (2.0 * m * (2 * m + 1) * r ** (-2 * m - 2)
-                          - m * (m + 1) * r ** (-m - 2))
-        if f == "morse":
-            a, r0 = p.get("a", 6.0), p.get("r0", 2.0 ** (1.0 / 6.0))
-            e = math.exp(-a * (r - r0))
-            return 4.0 * a * a * e * e - 2.0 * a * a * e
-        a_, b_, c_ = p.get("A", 5e5), p.get("B", 12.0), p.get("C", 2.0)
-        return a_ * b_ * b_ * math.exp(-b_ * r) - 42.0 * c_ * r**-8
+        return self.derivatives(r)[2]
 
 
 @dataclass(frozen=True)
@@ -209,8 +191,7 @@ def effective_energy(problem, r):
 def _dE_numerator(problem, r):
     """Numerator of E'(r) over the common factor (B^2 - r^2)^2."""
     B2 = problem.B * problem.B
-    pot = problem.potential
-    u, up = pot.u(r), pot.du(r)
+    u, up, _ = problem.potential.derivatives(r)
     return (2.0 * B2 * r * u
             + 2.0 * problem.alpha * r**3 * (r * r - 2.0 * B2)
             + r * r * (B2 - r * r) * up)
@@ -235,7 +216,7 @@ def alpha_from_first_derivative(potential, B, r):
     den = 2.0 * r * r * (r * r - 2.0 * B2)
     if den == 0.0:
         raise DomainError(f"singular configuration r^2 = 2 B^2 at r = {r}")
-    u, up = potential.u(r), potential.du(r)
+    u, up, _ = potential.derivatives(r)
     return (-2.0 * B2 * u - B2 * r * up + r**3 * up) / den
 
 
@@ -249,7 +230,7 @@ def alpha_from_second_derivative(potential, B, r):
     den = 2.0 * r2 * (6.0 * B2 * B2 - 3.0 * B2 * r2 + r2 * r2)
     if den == 0.0:
         raise DomainError(f"singular configuration at r = {r}")
-    u, up, upp = potential.u(r), potential.du(r), potential.d2u(r)
+    u, up, upp = potential.derivatives(r)
     num = (2.0 * (B2 * B2 + 3.0 * B2 * r2) * u
            + 4.0 * r * (B2 * B2 - B2 * r2) * up
            + r2 * (B2 - r2) ** 2 * upp)
@@ -260,9 +241,38 @@ def _zeno_residual(potential, B, r):
     """Eliminant of the two alpha expressions: vanishes where the well
     and barrier merge (E' = E'' = 0 at the same r)."""
     B2 = B * B
-    u, up, upp = potential.u(r), potential.du(r), potential.d2u(r)
+    u, up, upp = potential.derivatives(r)
     return (-8.0 * B2 * u + 2.0 * B2 * r * up + r**3 * up
             + 2.0 * B2 * r * r * upp - r**4 * upp)
+
+
+def _scan_roots(f, grid):
+    """Roots of f on an increasing grid, in increasing order.
+
+    f takes a float or an array.  It is evaluated on the whole grid at
+    once; a grid point where f is exactly 0 counts as a root (the last
+    point excepted) and each sign-change cell is polished by brentq.
+    """
+    vals = f(grid)
+    roots = []
+    for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)):
+        if vals[i] == 0.0:
+            roots.append(grid[i])
+        else:
+            roots.append(brentq(f, grid[i], grid[i + 1], xtol=1e-14, rtol=8.9e-16))
+    return roots
+
+
+def _trace(one, points):
+    """Rows of one(x) over the points; a point that raises is recorded
+    in the failures as (x, repr(exc)) and skipped."""
+    rows, failures = [], []
+    for x in points:
+        try:
+            rows.append(one(x))
+        except Exception as exc:  # noqa: BLE001 - per-point fault isolation
+            failures.append((x, repr(exc)))
+    return rows, failures
 
 
 def zeno_condition_root(potential, B, bracket=(1.0, 2.0)):
@@ -274,15 +284,8 @@ def zeno_condition_root(potential, B, bracket=(1.0, 2.0)):
     lo, hi = bracket
     if not (potential.r_floor <= lo < hi <= B):
         raise DomainError(f"bracket {bracket} outside ({potential.r_floor}, {B})")
-    grid = np.geomspace(lo, hi, 400)
-    vals = np.array([_zeno_residual(potential, B, r) for r in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            roots.append(grid[i])
-        elif vals[i] * vals[i + 1] < 0.0:
-            roots.append(brentq(lambda r: _zeno_residual(potential, B, r),
-                                grid[i], grid[i + 1], xtol=1e-14, rtol=8.9e-16))
+    roots = _scan_roots(lambda r: _zeno_residual(potential, B, r),
+                        np.geomspace(lo, hi, 400))
     if not roots:
         raise BracketError(f"no sign change of the merge condition in {bracket}")
     if len(roots) > 1:
@@ -309,23 +312,9 @@ def trace_zeno_analog(potential, B_grid):
         E = effective_energy(ScatterProblem(potential, B, alpha), r_star)
         return (B, r_star, alpha, E)
 
-    rows, failures = [], []
-    for B, res in zip(B_list, _parallel_map(_safe(one), B_list)):
-        if isinstance(res, Exception):
-            failures.append((B, repr(res)))
-        else:
-            rows.append(res)
+    rows, failures = _trace(one, B_list)
     return PhaseCurve(columns=("B", "r_star", "alpha", "E"), rows=rows,
                       meta={"failures": failures, "family": potential.family})
-
-
-def _safe(fn):
-    def wrapped(x):
-        try:
-            return fn(x)
-        except Exception as exc:  # noqa: BLE001 - per-point fault isolation
-            return exc
-    return wrapped
 
 
 def stationary_pair(problem):
@@ -335,13 +324,8 @@ def stationary_pair(problem):
     threshold so the two stationary points no longer exist.
     """
     pot, B = problem.potential, problem.B
-    grid = np.geomspace(pot.r_floor * 1.0001, B * 0.9999, 800)
-    vals = np.array([_dE_numerator(problem, r) for r in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        if vals[i] * vals[i + 1] < 0.0:
-            roots.append(brentq(lambda r: _dE_numerator(problem, r),
-                                grid[i], grid[i + 1], xtol=1e-14, rtol=8.9e-16))
+    roots = _scan_roots(lambda r: _dE_numerator(problem, r),
+                        np.geomspace(pot.r_floor * 1.0001, B * 0.9999, 800))
     if len(roots) < 2:
         try:
             a_star = alpha_from_first_derivative(
@@ -367,19 +351,13 @@ def compressibility_curve(potential, B, rho_grid, C2=1.0):
     """
     if B < 10.0:
         raise DomainError(f"B must be >= 10 for the plateau regime, got {B}")
-    rho_list = list(rho_grid)
 
     def one(rho):
         pair = stationary_pair(ScatterProblem(potential, B, C2 * rho))
         z_min = pair.E_min / pair.E_max
         return (rho, 1.0 - z_min, z_min)
 
-    rows, failures = [], []
-    for rho, res in zip(rho_list, _parallel_map(_safe(one), rho_list)):
-        if isinstance(res, Exception):
-            failures.append((rho, repr(res)))
-        else:
-            rows.append(res)
+    rows, failures = _trace(one, rho_grid)
     return PhaseCurve(columns=("rho", "Z", "Z_min"), rows=rows,
                       meta={"B": B, "C2": C2, "failures": failures})
 

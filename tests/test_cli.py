@@ -84,14 +84,6 @@ class TestMain:
         man_b = (tmp_path / "b.csv.manifest.json").read_bytes()
         assert man_a == man_b
 
-    def test_thread_env_equivalence(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["compressibility", "--B", "100", "--rho-grid", "0.02:0.1:0.02"]
-        assert cli.main(["--out", str(a)] + args) == 0
-        monkeypatch.setenv("ZENOLINE_THREADS", "1")
-        assert cli.main(["--out", str(b)] + args) == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_config_file_and_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 50}))

@@ -22,7 +22,9 @@ class TestPotentials:
         scatter.PotentialSpec("lennard_jones"),
         scatter.PotentialSpec("generalized_lj", {"m": 5.0}),
         scatter.PotentialSpec("morse"),
+        scatter.PotentialSpec("morse", {"a": 4.0, "r0": 1.2}),
         scatter.PotentialSpec("buckingham"),
+        scatter.PotentialSpec("buckingham", {"A": 2e5, "B": 11.0, "C": 2.5}),
     ]
 
     def test_derivatives_against_central_differences(self):
@@ -32,6 +34,22 @@ class TestPotentials:
                 fd2 = oracles.central_difference(pot.du, r, 1e-6)
                 assert pot.du(r) == pytest.approx(fd1, rel=1e-7, abs=1e-7)
                 assert pot.d2u(r) == pytest.approx(fd2, rel=1e-7, abs=1e-6)
+
+    def test_array_matches_scalar(self):
+        rs = np.geomspace(0.6, 50.0, 64)
+        for pot in self.families:
+            u, up, upp = pot.derivatives(rs)
+            for fn, arr in ((pot.u, u), (pot.du, up), (pot.d2u, upp)):
+                np.testing.assert_allclose(arr, [fn(r) for r in rs],
+                                           rtol=1e-14, atol=0.0)
+
+    def test_params_set_the_well(self):
+        _, glj, _, morse, _, buck = self.families
+        assert glj.u(2.0 ** 0.2) == pytest.approx(-1.0, rel=1e-14)
+        assert morse.u(1.2) == -1.0 and morse.du(1.2) == 0.0
+        assert morse.d2u(1.2) == 2.0 * 4.0**2
+        assert buck.u(1.5) == pytest.approx(
+            2e5 * math.exp(-16.5) - 2.5 / 1.5**6, rel=1e-14)
 
     def test_lj_minimum(self):
         r_min = 2.0 ** (1.0 / 6.0)
@@ -46,6 +64,8 @@ class TestPotentials:
             LJ.u(0.0)
         with pytest.raises(DomainError):
             LJ.du(-1.0)
+        with pytest.raises(DomainError):
+            LJ.derivatives(np.array([1.0, 0.0]))
 
 
 class TestEffectiveEnergy:
@@ -134,6 +154,15 @@ class TestZenoRoot:
         assert values[0] == pytest.approx(0.216930, abs=2e-5)
         assert values[1] == pytest.approx(0.234049, abs=2e-5)
 
+    def test_scan_counts_exact_grid_zero(self):
+        # f vanishes exactly at the grid point 1.0 and changes sign in
+        # the cell (1.5, 2.0); both are roots
+        grid = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
+        roots = scatter._scan_roots(lambda r: (r - 1.0) * (r - 1.75), grid)
+        assert len(roots) == 2
+        assert roots[0] == 1.0
+        assert roots[1] == pytest.approx(1.75, abs=1e-14)
+
     def test_no_root_in_bad_bracket(self):
         with pytest.raises(BracketError):
             scatter.zeno_condition_root(LJ, 100.0, bracket=(3.0, 5.0))
@@ -158,13 +187,6 @@ class TestTrace:
             scatter.trace_zeno_analog(LJ, [0.5, 5.0])
         with pytest.raises(DomainError):
             scatter.trace_zeno_analog(LJ, [10.0, 5.0])
-
-    def test_thread_env_equivalence(self, monkeypatch):
-        grid = [5.0, 20.0, 80.0]
-        base = scatter.trace_zeno_analog(LJ, grid)
-        monkeypatch.setenv("ZENOLINE_THREADS", "1")
-        serial = scatter.trace_zeno_analog(LJ, grid)
-        assert base.rows == serial.rows
 
 
 class TestStationaryPair:
@@ -215,6 +237,13 @@ class TestCompressibility:
             LJ, 100.0, np.linspace(0.02, 0.22, 15))
         zs = curve.column("Z")
         assert all(a > b for a, b in zip(zs, zs[1:]))
+
+    def test_degenerate_point_recorded_and_skipped(self):
+        # rho = 0.3 lies past the merge threshold alpha*(100) ~ 0.2395
+        curve = scatter.compressibility_curve(LJ, 100.0, [0.1, 0.3, 0.2])
+        assert list(curve.column("rho")) == [0.1, 0.2]
+        (rho, msg), = curve.meta["failures"]
+        assert rho == 0.3 and msg.startswith("DegenerateError")
 
     def test_deterministic(self):
         grid = np.linspace(0.02, 0.2, 8)
