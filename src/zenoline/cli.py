@@ -14,6 +14,7 @@ import math
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__, diagram, ensemble, partition, scatter
 from .errors import DomainError, ResourceError, ZenolineError
@@ -88,6 +89,7 @@ def write_manifest(out_path, command, config, columns, n_rows):
             "zenoline": __version__,
             "python": ".".join(map(str, sys.version_info[:3])),
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
         },
         "quantities": list(columns),
         "rows": n_rows,

@@ -250,25 +250,54 @@ def critical_gamma(target_Z, d_range=(1.0 + 1e-6, 6.0)):
     return CriticalGamma(d=d, gamma=d - 1.0)
 
 
-_BISECT_STEPS = 100
+# the activity solver stops once the bracket is this many units of
+# float64 rounding of its upper end wide
+_ACTIVITY_XTOL = 4.0 * 2.0**-52
+_ACTIVITY_STEPS = 100
 
 
-def _bisect_activity(resid, lo=0.0, hi=1.0):
-    """Fixed-count bisection for the activity a in (0, 1]; resid must be
-    negative at lo and non-negative at hi."""
+def _solve_activity(resid, lo=0.0, hi=1.0):
+    """Safeguarded Illinois (modified regula falsi) solve for the activity
+    a in (0, 1]; resid must be negative at lo and non-negative at hi.
+
+    Each step takes the Illinois point, which halves the residual kept
+    at an endpoint that stays put for two steps, and falls back to
+    bisection while the upper residual is infinite (an overcompressed
+    state).  Stops when resid hits zero or the bracket is a few ulps
+    wide, and returns the upper endpoint, whose residual is
+    non-negative.
+    """
     f_lo, f_hi = resid(lo), resid(hi)
     if f_lo > 0 or f_hi < 0:
         raise SolverError(
             f"activity not bracketed: resid({lo}) = {f_lo:.3g}, "
             f"resid({hi}) = {f_hi:.3g}")
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+    side = 0
+    for _ in range(_ACTIVITY_STEPS):
+        width = hi - lo
+        if f_hi == 0 or width <= _ACTIVITY_XTOL * hi:
             break
-        if resid(mid) < 0:
-            lo = mid
+        if math.isfinite(f_hi):
+            # keep the point half a tolerance inside, so that a step
+            # rounded onto an endpoint still closes the bracket
+            inset = 0.5 * _ACTIVITY_XTOL * hi
+            x = hi - f_hi * width / (f_hi - f_lo)
+            x = min(max(x, lo + inset), hi - inset)
         else:
-            hi = mid
+            x = 0.5 * (lo + hi)
+            if x == lo or x == hi:
+                break
+        f = resid(x)
+        if f < 0:
+            lo, f_lo = x, f
+            if side < 0:
+                f_hi *= 0.5
+            side = -1
+        else:
+            hi, f_hi = x, f
+            if side > 0:
+                f_lo *= 0.5
+            side = 1
     return hi
 
 
@@ -291,7 +320,7 @@ def ideal_isotherm(P_grid, gamma0=GAMMA0):
                 return -target
             return polylog(gamma0 + 2.0, a) - target
 
-        a = _bisect_activity(resid)
+        a = _solve_activity(resid)
         V_eff = zp2 / polylog(gamma0 + 1.0, a)
         points.append(IsothermPoint(P_r=P, Z=P * V_eff, a=a, T_r=1.0))
     return points
@@ -327,12 +356,12 @@ def imperfect_isotherm(P_grid, eos, gamma0=GAMMA0):
                 v = v_of(a)
             except DomainError:
                 # implied volume below the solved range: overcompressed,
-                # push the bisection toward smaller activity
+                # push the solver toward smaller activity
                 return math.inf
             return eos.dphi(v) * polylog(gamma0 + 2.0, a) - target
 
         try:
-            a = _bisect_activity(resid)
+            a = _solve_activity(resid)
             final = resid(a)
             if not math.isfinite(final) or abs(final) > 1e-8 * target:
                 raise SolverError(

@@ -1,17 +1,19 @@
 """Special functions and improper-integral quadrature.
 
 Gamma, Riemann zeta, real polylogarithms on (0, 1], Bose-Einstein
-integrals and their finite-N corrected counterparts.  All quadrature is
+integrals and their finite-N corrected counterparts.  Polylogarithms
+are evaluated in float64 throughout (power series, or the log series
+near z = 1, with scipy's zeta for the coefficients).  All quadrature is
 routed through QUADPACK (scipy.integrate.quad) with series handling of
 the removable singularities at the origin.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 from scipy import special as sc
 from scipy.integrate import quad
@@ -77,13 +79,131 @@ def riemann_zeta(s):
     return float(sc.zeta(s))
 
 
-def polylog(s, z):
-    """Real polylogarithm Li_s(z) for z in (0, 1].
+# Log series of Li_s(e^mu) about mu = 0 (D. C. Wood, "The computation of
+# polylogarithms", Kent TR 15-92, 1992):
+#
+#   Li_s(e^mu) = Gamma(1 - s) (-mu)^(s - 1) + sum_k zeta(s - k) mu^k / k!,
+#
+# convergent for |mu| < 2 pi.  It is used for z > 0.6, where |mu| < 0.511
+# and the coefficients fall like (|mu| / 2 pi)^k < 0.082^k: 18 terms leave a
+# tail below 1e-17 of the sum for every order s in [-3, 12] (checked
+# against 40 terms).
+_LOG_TERMS = 18
+_LOG_K = np.arange(_LOG_TERMS)
 
-    Li_s(1) = zeta(s); for z close to 1 evaluation is delegated to
-    mpmath's Hurwitz-expansion implementation, the direct power series
-    is used otherwise.
+# At s = n + eps near a positive integer n, Gamma(1 - s) and the k = n - 1
+# coefficient zeta(1 + eps) both have poles at eps = 0 that cancel; that
+# pair is summed as one series in eps below |eps| < _NEAR_INTEGER.  Against
+# mpmath at 30 digits on z in (0.6, 1) and n = 1..4, the paired form stays
+# below 5e-16 relative up to |eps| = 0.3, while the plain series drifts to
+# 2e-14 at |eps| = 0.02 and is still 3e-15 at |eps| = 0.2.
+_NEAR_INTEGER = 0.25
+
+# Stieltjes constants gamma_j, with
+#   zeta(1 + eps) - 1/eps = sum_j (-1)^j gamma_j eps^j / j!
+_STIELTJES = (
+    0.5772156649015329, -0.07281584548367673, -0.00969036319287232,
+    0.002053834420303346, 0.0023253700654673, 0.0007933238173010627,
+    -0.0002387693454301996, -0.000527289567057751, -0.0003521233538030395,
+    -3.439477441808805e-05, 0.0002053328149090648, 0.0002701844395439035,
+    0.0001672729121051402, -2.7463806603760158e-05, -0.00020920926205929996,
+    -0.0002834686553202414,
+)
+_J = np.arange(len(_STIELTJES))
+# coefficients of zeta(1 + eps) - 1/eps in eps, highest power first
+_ZETA_REGULAR = tuple(
+    (np.array(_STIELTJES) * (-1.0) ** _J / sc.gamma(_J + 1.0))[::-1].tolist())
+# powers eps^(m - 1) kept in the exponent series of the pole pair; the
+# coefficients are below 2/m, so 30 terms reach 1e-19 at |eps| = 0.25
+_PAIR_M = np.arange(2, 32)
+
+
+def _horner(coeffs, x):
+    """Polynomial with coefficients highest power first, at x."""
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
+@functools.lru_cache(maxsize=16)
+def _pole_exponent(n):
+    """Series in eps, highest power first, of B(eps) with
+
+        (pi eps / sin(pi eps)) Gamma(n) / Gamma(n + eps) = exp(eps B(eps)).
+
+    B(0) = -psi(n); the eps^(m - 1) coefficient is zeta(m)(1 + (-1)^m)/m
+    from the sine and (-1)^(m + 1) zeta(m, n)/m from the polygamma series
+    of ln Gamma(n + eps) - ln Gamma(n), psi^(m-1)(n) = (-1)^m (m-1)! zeta(m, n).
     """
+    m = _PAIR_M
+    hurwitz = sc.zeta(m, n)
+    a = np.where(m % 2 == 0, 2.0 * sc.zeta(m) - hurwitz, hurwitz) / m
+    return tuple(a[::-1].tolist()) + (-float(sc.digamma(n)),)
+
+
+@functools.lru_cache(maxsize=64)
+def _log_series(s):
+    """Order-dependent constants of the log series for one order s.
+
+    Returns (coeffs, gamma_1ms, pair).  ``coeffs`` are zeta(s - k)/k!,
+    highest power first.  For a generic order ``gamma_1ms`` is
+    Gamma(1 - s) and ``pair`` is None.  Within _NEAR_INTEGER of an integer
+    n >= 1 the k = n - 1 coefficient is left out of ``coeffs`` and ``pair``
+    is (n - 1, 1/(n - 1)!, zeta(1 + eps) - 1/eps, B(eps), eps).
+
+    The cache is bounded: continuation runs such as the jamming extension
+    visit a new order at every step.
+    """
+    n = round(s)
+    eps = s - n
+    coeffs = sc.zeta(s - _LOG_K) / sc.gamma(_LOG_K + 1.0)
+    if n < 1 or abs(eps) >= _NEAR_INTEGER:
+        return tuple(coeffs[::-1].tolist()), math.gamma(1.0 - s), None
+    if n <= _LOG_TERMS:
+        coeffs[n - 1] = 0.0
+    pair = (n - 1, 1.0 / float(sc.gamma(n)), _horner(_ZETA_REGULAR, eps),
+            _horner(_pole_exponent(n), eps), eps)
+    return tuple(coeffs[::-1].tolist()), None, pair
+
+
+def _polylog_log_series(s, mu):
+    """Li_s(e^mu) for -0.52 < mu < 0 by the log series."""
+    coeffs, gamma_1ms, pair = _log_series(s)
+    total = _horner(coeffs, mu)
+    if pair is None:
+        return total + gamma_1ms * (-mu) ** (s - 1.0)
+    # Gamma(1 - s)(-mu)^(s-1) + zeta(1 + eps) mu^(n-1)/(n-1)!
+    #   = mu^(n-1)/(n-1)! [zeta(1 + eps) - 1/eps - (e^h - 1)/eps],
+    # with h = eps (ln(-mu) + B(eps)); at eps = 0 the bracket is the
+    # harmonic-number form H_(n-1) - ln(-mu).
+    k, inv_fact, zeta_regular, b, eps = pair
+    log_b = math.log(-mu) + b
+    h = eps * log_b
+    expm1_over_h = math.expm1(h) / h if h else 1.0
+    return total + mu**k * inv_fact * (zeta_regular - log_b * expm1_over_h)
+
+
+def polylog(s, z):
+    """Real polylogarithm Li_s(z) for z in (0, 1] and real order s.
+
+    Three branches, all in float64:
+
+    - z = 1: zeta(s) for s > 1 (DivergenceError for s <= 1).
+    - 0 < z <= 0.6: the defining power series sum_k z^k / k^s, summed
+      until the geometric tail bound falls below 1e-17 of the sum.
+    - 0.6 < z < 1: the log series in mu = ln z, Gamma(1 - s)(-mu)^(s-1)
+      + sum_k zeta(s - k) mu^k / k!.  Within 0.25 of a positive integer
+      n the two terms with poles at s = n are summed as one series in
+      s - n (Stieltjes constants and polygamma values), which is exact at
+      s = n and free of the cancellation near it.
+
+    The log series agrees with mpmath at 30 digits to 2e-15 relative for
+    s in [0.1, 4.5] (integer and near-integer orders included) and to
+    1e-14 for s in [-3, 12], on z from 0.6 to the last float below 1.
+    """
+    if not math.isfinite(s):
+        raise DomainError(f"polylog requires a finite order, got s={s}")
     if not (0 < z <= 1):
         raise DomainError(f"polylog requires z in (0, 1], got {z}")
     if z == 1:
@@ -93,6 +213,8 @@ def polylog(s, z):
     if z <= 0.6:
         # direct series: |tail| <= term * z / (1 - z) for s >= 0,
         # and the k^-s factor only helps the bound for s > 0.
+        s_neg = min(s, 0.0)
+        one_minus_z = 1 - z
         total = 0.0
         term = z
         k = 1
@@ -100,12 +222,14 @@ def polylog(s, z):
             total += term / k**s
             k += 1
             term *= z
-            if term / k ** min(s, 0.0) < 1e-17 * max(abs(total), 1e-300) * (1 - z):
+            size = abs(total)
+            if term / k**s_neg < \
+                    1e-17 * (size if size > 1e-300 else 1e-300) * one_minus_z:
                 break
             if k > 10_000:
                 break
         return total
-    return float(mpmath.polylog(s, z))
+    return _polylog_log_series(s, math.log(z))
 
 
 def _occupancy(x):

@@ -3,11 +3,15 @@
 Each oracle deliberately uses a different algorithm from the library
 code it checks: Euler-Maclaurin summation for zeta, the pentagonal
 recurrence for partition totals, exhaustive enumeration for restricted
-counts, truncated power series for polylogarithms, trapezoid sums for
-integrals, and central differences for derivatives.
+counts, truncated power series and mpmath at raised precision for
+polylogarithms, trapezoid sums for integrals, and central differences
+for derivatives.  mpmath is a test-only dependency (the ``test`` extra);
+the library itself does not import it.
 """
 
 import math
+
+import mpmath
 
 
 def zeta_euler_maclaurin(s, cut=50):
@@ -35,6 +39,14 @@ def polylog_series(s, z, tol=1e-14):
         tail = term / max(k ** s, 1.0) / (1.0 - z)
         if tail < tol * max(abs(total), 1.0):
             return total
+
+
+def polylog_mpmath(s, z, dps=30):
+    """Li_s(z) for 0 < z <= 1 by mpmath at `dps` significant digits,
+    rounded to float; exact at integer orders, and 30 digits leave 22
+    after the cancellation at |s - n| = 1e-8."""
+    with mpmath.workdps(dps):
+        return float(mpmath.polylog(s, z))
 
 
 def pentagonal_partition_totals(n_max):

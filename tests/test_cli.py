@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import pytest
+import scipy
 
 from zenoline import cli
 from zenoline.errors import DomainError, SolverError
@@ -52,6 +53,8 @@ class TestWriters:
         assert man["rows"] == 3
         assert man["command"] == "threshold"
         assert "zenoline" in man["versions"]
+        # polylog and zeta values come from scipy.special
+        assert man["versions"]["scipy"] == scipy.__version__
         # deterministic output: no clocks, hosts or paths
         assert not any("time" in k or "date" in k for k in man)
 

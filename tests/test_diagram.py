@@ -138,6 +138,43 @@ class TestCriticalGamma:
             diagram.critical_gamma(0.9999)
 
 
+class TestActivitySolver:
+    def test_unbracketed_raises(self):
+        with pytest.raises(SolverError):
+            diagram._solve_activity(lambda a: a + 0.5)
+        with pytest.raises(SolverError):
+            diagram._solve_activity(lambda a: a - 2.0)
+
+    def test_upper_endpoint_of_smooth_root(self):
+        calls = []
+
+        def resid(a):
+            calls.append(a)
+            return math.expm1(3.0 * a) - 0.7
+
+        a = diagram._solve_activity(resid)
+        root = math.log1p(0.7) / 3.0
+        assert resid(a) >= 0.0
+        assert abs(a - root) <= 4 * math.ulp(root)
+        # a bisection to adjacent floats takes ~54 residuals
+        assert len(calls) <= 15
+
+    def test_infinite_residual_bisects_to_the_edge(self):
+        # finite and negative below the edge, infinite above it: the
+        # overcompressed branch of the imperfect isotherm
+        edge = 0.3
+
+        def resid(a):
+            return a - 1.0 if a < edge else math.inf
+
+        a = diagram._solve_activity(resid)
+        assert resid(a) == math.inf
+        assert edge <= a <= edge + 4 * math.ulp(edge)
+
+    def test_exact_zero_at_upper_end(self):
+        assert diagram._solve_activity(lambda a: a - 1.0) == 1.0
+
+
 class TestIdealIsotherm:
     def test_defining_equations(self):
         zp2 = specfun.riemann_zeta(GAMMA0 + 2.0)
@@ -243,6 +280,24 @@ class TestJamming:
         assert gam[-0.2] == 0.0
         assert -0.3 not in gam
         assert curve.meta["jammed"] is True
+
+    def test_linear_variant_rows_against_mpmath(self):
+        # gamma = gamma0 + mu walks the orders gamma + 1 and gamma + 2 down
+        # to the integers 1 and 2 at z = e^-0.2, through near-integer ones
+        mu_grid = [0.0] + [-0.01 * i for i in range(1, 31)]
+        curve = diagram.jamming_extension(
+            mu_grid, diagram.FractalEos.identity(GAMMA0), variant="linear")
+        # the rows after mu = 0 up to the jammed one (gamma = 0)
+        end = next(i for i, r in enumerate(curve.rows) if r[3] == 0.0)
+        branch = curve.rows[1:end + 1]
+        assert len(branch) == 20
+        zp2 = oracles.polylog_mpmath(GAMMA0 + 2.0, 1.0)
+        for P, Z, mu, g in branch:
+            a = math.exp(mu)
+            li2 = oracles.polylog_mpmath(g + 2.0, a)
+            li1 = oracles.polylog_mpmath(g + 1.0, a)
+            assert P == pytest.approx(li2 / zp2, rel=1e-12)
+            assert Z == pytest.approx(li2 / li1, rel=1e-12)
 
     def test_slope_near_unity_at_origin(self):
         assert diagram._gamma_slope(GAMMA0, 0.0) == pytest.approx(1.0, abs=0.1)

@@ -1,6 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import pytest
+
+import zenoline
 
 from zenoline import specfun
 from zenoline.errors import DivergenceError, DomainError
@@ -60,6 +67,71 @@ class TestPolylog:
             specfun.polylog(2.0, 1.5)
         with pytest.raises(DivergenceError):
             specfun.polylog(1.0, 1.0)
+        with pytest.raises(DomainError):
+            specfun.polylog(math.nan, 0.9)
+
+
+# orders of the log-series sweep: a grid on [0.1, 4.5], every integer in
+# it, and n +- {1e-1, 1e-3, 1e-5, 1e-8} around each integer n
+SWEEP_ORDERS = sorted(
+    {round(0.1 + 0.4 * i, 10) for i in range(12)}
+    | {float(n) for n in range(1, 5)}
+    | {n + sign * d for n in range(1, 5) for d in (1e-1, 1e-3, 1e-5, 1e-8)
+       for sign in (1, -1)})
+# z in (0.6, 1): the first float past the series switch up to ln z = -1e-12
+SWEEP_Z = (math.nextafter(0.6, 1.0), 0.65, 0.75, 0.9, 0.99, 0.999,
+           math.exp(-1e-5), math.exp(-1e-8), math.exp(-1e-12))
+
+
+class TestPolylogLogSeries:
+    """The float64 log series used for z > 0.6, against mpmath."""
+
+    @pytest.mark.parametrize("s", SWEEP_ORDERS)
+    def test_against_mpmath(self, s):
+        for z in SWEEP_Z:
+            want = oracles.polylog_mpmath(s, z)
+            assert abs(specfun.polylog(s, z) - want) <= 1e-13 * want, (s, z)
+
+    @pytest.mark.parametrize("s", [-1.5, 0.2, 1.0, 1.2, 2.0 - 1e-9, 2.2, 3.0, 4.5])
+    def test_continuous_at_series_switch(self, s):
+        below = specfun.polylog(s, 0.6)
+        above = specfun.polylog(s, math.nextafter(0.6, 1.0))
+        assert abs(above - below) <= 1e-13 * below
+
+    @pytest.mark.parametrize("s", [2.0, 2.2, 3.0, 4.5])
+    def test_approaches_zeta_at_one(self, s):
+        zeta = specfun.riemann_zeta(s)
+        assert specfun.polylog(s, 1.0) == zeta
+        gaps = [zeta - specfun.polylog(s, math.exp(-10.0**-j))
+                for j in range(2, 13)]
+        assert all(a > b > 0.0 for a, b in zip(gaps, gaps[1:]))
+        # zeta(s) - Li_s(e^-d) is O(d ln d) at s = 2 and smaller above
+        assert gaps[-1] <= 1e-10 * zeta
+
+    def test_singular_approach_below_two(self):
+        # for 1 < s < 2 the gap to zeta(s) is led by -Gamma(1-s) d^(s-1)
+        s, z = 1.5, math.exp(-1e-12)
+        d = -math.log(z)  # the float z carries d to ~1e-4 only
+        gap = specfun.riemann_zeta(s) - specfun.polylog(s, z)
+        lead = -math.gamma(1.0 - s) * d ** (s - 1.0)
+        assert gap == pytest.approx(lead, rel=1e-5)
+
+    def test_stieltjes_constants(self):
+        with mpmath.workdps(30):
+            want = [float(mpmath.stieltjes(j))
+                    for j in range(len(specfun._STIELTJES))]
+        assert list(specfun._STIELTJES) == want
+
+
+def test_import_leaves_mpmath_out():
+    """mpmath is a test-only oracle: importing the package, the CLI
+    included, must not load it."""
+    src = str(Path(zenoline.__file__).resolve().parent.parent)
+    code = "import sys, zenoline.cli; print('mpmath' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True, timeout=120)
+    assert proc.stdout.strip() == "False"
 
 
 class TestBoseIntegral:
