@@ -54,15 +54,18 @@ def _fmt(x):
     return str(x)
 
 
-def write_csv(path, columns, rows):
-    lines = [",".join(columns)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
+def _write(path, text):
     if path is None:
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def write_csv(path, columns, rows):
+    lines = [",".join(columns)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    _write(path, "\n".join(lines) + "\n")
 
 
 def write_json(path, columns, rows, meta=None):
@@ -70,12 +73,7 @@ def write_json(path, columns, rows, meta=None):
            "rows": [list(r) for r in rows]}
     if meta:
         doc["meta"] = meta
-    text = json.dumps(doc, indent=2, sort_keys=True, default=_fmt) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    _write(path, json.dumps(doc, indent=2, sort_keys=True, default=_fmt) + "\n")
 
 
 def write_manifest(out_path, command, config, columns, n_rows):
@@ -149,9 +147,9 @@ def _cmd_jamming(cfg):
 
 def _cmd_partition(cfg):
     n = int(cfg["n"])
-    table = partition.build_partition_table(n, n)
-    rows = [(k, table.count(n, k)) for k in range(1, n + 1)]
-    return ("k", "p_k"), rows, {"n": n, "total": str(table.total(n))}
+    row = partition.pk_row(n)
+    return ("k", "p_k"), list(enumerate(row, start=1)), \
+        {"n": n, "total": str(sum(row))}
 
 
 def _cmd_threshold(cfg):
@@ -188,16 +186,18 @@ def _cmd_reference(cfg):
     raise DomainError(f"unknown reference table {name!r}")
 
 
+# each subcommand: its handler, and the config keys it takes as flags;
+# config key x_y is flag --x-y
 _COMMANDS = {
-    "zeno": _cmd_zeno,
-    "compressibility": _cmd_compressibility,
-    "critical": _cmd_critical,
-    "isotherm": _cmd_isotherm,
-    "jamming": _cmd_jamming,
-    "partition": _cmd_partition,
-    "threshold": _cmd_threshold,
-    "ensemble": _cmd_ensemble,
-    "reference": _cmd_reference,
+    "zeno": (_cmd_zeno, ("potential", "B_grid")),
+    "compressibility": (_cmd_compressibility, ("potential", "B", "rho_grid")),
+    "critical": (_cmd_critical, ("potential", "B")),
+    "isotherm": (_cmd_isotherm, ("P_grid", "gamma0", "mode")),
+    "jamming": (_cmd_jamming, ("mu_grid", "gamma0", "anchor_P", "variant")),
+    "partition": (_cmd_partition, ("n",)),
+    "threshold": (_cmd_threshold, ("n",)),
+    "ensemble": (_cmd_ensemble, ("levels", "N_list", "E")),
+    "reference": (_cmd_reference, ("table",)),
 }
 
 
@@ -207,44 +207,10 @@ def build_parser():
     parser.add_argument("--out", help="output file path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default=None)
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("zeno")
-    p.add_argument("--potential", default=None)
-    p.add_argument("--B-grid", dest="B_grid", default=None)
-
-    p = sub.add_parser("compressibility")
-    p.add_argument("--potential", default=None)
-    p.add_argument("--B", default=None)
-    p.add_argument("--rho-grid", dest="rho_grid", default=None)
-
-    p = sub.add_parser("critical")
-    p.add_argument("--potential", default=None)
-    p.add_argument("--B", default=None)
-
-    p = sub.add_parser("isotherm")
-    p.add_argument("--P-grid", dest="P_grid", default=None)
-    p.add_argument("--gamma0", default=None)
-    p.add_argument("--mode", default=None)
-
-    p = sub.add_parser("jamming")
-    p.add_argument("--mu-grid", dest="mu_grid", default=None)
-    p.add_argument("--gamma0", default=None)
-    p.add_argument("--anchor-P", dest="anchor_P", default=None)
-    p.add_argument("--variant", default=None)
-
-    p = sub.add_parser("partition")
-    p.add_argument("--n", default=None)
-
-    p = sub.add_parser("threshold")
-    p.add_argument("--n", default=None)
-
-    p = sub.add_parser("ensemble")
-    p.add_argument("--levels", default=None)
-    p.add_argument("--N-list", dest="N_list", default=None)
-    p.add_argument("--E", default=None)
-
-    p = sub.add_parser("reference")
-    p.add_argument("--table", default=None)
+    for name, (_, keys) in _COMMANDS.items():
+        p = sub.add_parser(name)
+        for key in keys:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None)
     return parser
 
 
@@ -296,7 +262,8 @@ def main(argv=None):
         return EXIT_CONFIG
     try:
         cfg = merge_config(args)
-        columns, rows, meta = _COMMANDS[args.command](cfg)
+        handler, _ = _COMMANDS[args.command]
+        columns, rows, meta = handler(cfg)
     except ResourceError as exc:
         print(f"zenoline {args.command}: resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

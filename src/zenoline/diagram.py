@@ -172,6 +172,15 @@ def _kappa_prime(gamma, V, kappa, zeno):
     return -(l1 * l1 / l0) * (1.0 / (V * l2) + (gamma + 1.0) * Tp / (T * l1))
 
 
+def _rk4_step(f, x, y, h):
+    """One classical Runge-Kutta step of y' = f(x, y) from (x, y) by h."""
+    k1 = f(x, y)
+    k2 = f(x + h / 2, y + h * k1 / 2)
+    k3 = f(x + h / 2, y + h * k2 / 2)
+    k4 = f(x + h, y + h * k3)
+    return y + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+
+
 def solve_phi(gamma, V_grid, zeno=ZenoLine()):
     """Integrate the parametric constraint for phi(V) inward from the
     large-volume boundary phi(V)/V -> 1.
@@ -186,6 +195,9 @@ def solve_phi(gamma, V_grid, zeno=ZenoLine()):
     def T_of(V):
         return zeno.T_B * (1.0 - 1.0 / (zeno.rho_B * V))
 
+    def slope(V, kappa):
+        return _kappa_prime(gamma, V, kappa, zeno)
+
     V_max = V_grid[-1]
     kappa = -math.log(V_max * T_of(V_max) ** (gamma + 1.0))
     out_V, out_k = [V_max], [kappa]
@@ -199,11 +211,7 @@ def solve_phi(gamma, V_grid, zeno=ZenoLine()):
         while V_cr is None and V > V_target + 1e-14:
             step = max(V_target - V, -2.0)
             while True:
-                k1 = _kappa_prime(gamma, V, kappa, zeno)
-                k2 = _kappa_prime(gamma, V + step / 2, kappa + step * k1 / 2, zeno)
-                k3 = _kappa_prime(gamma, V + step / 2, kappa + step * k2 / 2, zeno)
-                k4 = _kappa_prime(gamma, V + step, kappa + step * k3, zeno)
-                k_new = kappa + step * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+                k_new = _rk4_step(slope, V, kappa, step)
                 if k_new < kappa_stop:
                     V += step
                     kappa = k_new
@@ -406,6 +414,10 @@ def jamming_extension(mu_grid, eos, gamma0=GAMMA0, anchor_P=2.5,
         raise DomainError("mu grid must be strictly decreasing")
     if variant not in ("ode", "linear"):
         raise DomainError(f"unknown variant {variant!r}")
+    # the mu = 0 row divides by zeta(gamma0 + 1)
+    if not gamma0 + 1.0 > 1.0:
+        raise DomainError(
+            f"need gamma0 + 1 > 1 for zeta(gamma0 + 1), got gamma0={gamma0}")
 
     zp2 = riemann_zeta(gamma0 + 2.0)
     gamma = gamma0
@@ -417,19 +429,14 @@ def jamming_extension(mu_grid, eos, gamma0=GAMMA0, anchor_P=2.5,
             if variant == "linear":
                 gamma = gamma0 + mu
             else:
-                k1 = _gamma_slope(gamma, mu_grid[i - 1])
-                k2 = _gamma_slope(gamma + h * k1 / 2, mu_grid[i - 1] + h / 2)
-                k3 = _gamma_slope(gamma + h * k2 / 2, mu_grid[i - 1] + h / 2)
-                k4 = _gamma_slope(gamma + h * k3, mu)
-                gamma = gamma + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+                gamma = _rk4_step(lambda m, g: _gamma_slope(g, m),
+                                  mu_grid[i - 1], gamma, h)
             if gamma <= 0.0:
                 gamma = 0.0
                 jammed = True
-        a = math.exp(mu)
-        P = polylog(gamma + 2.0, a) / zp2 if mu < 0 else riemann_zeta(gamma + 2.0) / zp2
-        Z = _z_ideal(gamma, mu) if mu < 0 else \
-            riemann_zeta(gamma + 2.0) / riemann_zeta(gamma + 1.0)
-        rows.append((P, Z, mu, gamma))
+        # at mu = 0, a = 1 and polylog returns zeta exactly
+        P = polylog(gamma + 2.0, math.exp(mu)) / zp2
+        rows.append((P, _z_ideal(gamma, mu), mu, gamma))
         if jammed:
             break
     P_b, Z_b, mu_b, g_b = rows[-1]

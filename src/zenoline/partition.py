@@ -22,6 +22,7 @@ __all__ = [
     "GlobalDistribution",
     "CondensateThreshold",
     "build_partition_table",
+    "pk_row",
     "hartley_entropy",
     "condensate_threshold",
     "maximize_variants",
@@ -99,8 +100,9 @@ class PartitionTable:
         return sum(self.row(n))
 
 
-def build_partition_table(n_max, k_max):
-    """Fill the exact p_k(n) table for 1 <= k <= k_max, 0 <= n <= n_max."""
+def _check_table_size(n_max, k_max):
+    """Reject a p_k(n) computation outside 1 <= k_max <= n_max or past
+    the size guards; the streamed row is held to the table's guards."""
     if not (1 <= k_max <= n_max):
         raise DomainError(f"need 1 <= k_max <= n_max, got k_max={k_max}, n_max={n_max}")
     if n_max > _N_CAP:
@@ -109,14 +111,32 @@ def build_partition_table(n_max, k_max):
         raise ResourceError(
             f"table of {(n_max + 1) * (k_max + 1)} cells exceeds cap {_CELL_CAP}"
         )
-    rows = [[0] * (n_max + 1) for _ in range(k_max + 1)]
-    rows[0][0] = 1
+
+
+def _pk_rows(n_max, k_max):
+    """Yield the rows [p_k(0), ..., p_k(n_max)] for k = 1..k_max, each
+    from the one before by p_k(n) = p_k(n-k) + p_{k-1}(n-1)."""
+    prev = [1] + [0] * n_max
     for k in range(1, k_max + 1):
-        cur = rows[k]
-        prev = rows[k - 1]
+        cur = [0] * (n_max + 1)
         for n in range(k, n_max + 1):
             cur[n] = cur[n - k] + prev[n - 1]
+        yield cur
+        prev = cur
+
+
+def build_partition_table(n_max, k_max):
+    """Fill the exact p_k(n) table for 1 <= k <= k_max, 0 <= n <= n_max."""
+    _check_table_size(n_max, k_max)
+    rows = [[1] + [0] * n_max, *_pk_rows(n_max, k_max)]
     return PartitionTable(n_max, k_max, rows)
+
+
+def pk_row(n):
+    """[p_1(n), ..., p_n(n)], streamed one k-row at a time in O(n) memory
+    instead of the O(n^2) table; same guards as build_partition_table(n, n)."""
+    _check_table_size(n, n)
+    return [row[n] for row in _pk_rows(n, n)]
 
 
 def hartley_entropy(n, k, table):
@@ -139,21 +159,15 @@ def _argmax_pk_streaming(n, patience=60):
     """Smallest argmax of p_k(n) over k, by streaming one k-row at a
     time through the recurrence.  p_k(n) is unimodal in k, so the scan
     stops after `patience` consecutive declines."""
-    prev = [0] * (n + 1)
-    prev[0] = 1
     best_k, best_v, declines = 1, 0, 0
-    for k in range(1, n + 1):
-        cur = [0] * (n + 1)
-        for m in range(k, n + 1):
-            cur[m] = cur[m - k] + prev[m - 1]
-        v = cur[n]
+    for k, row in enumerate(_pk_rows(n, n), start=1):
+        v = row[n]
         if v > best_v:
             best_v, best_k, declines = v, k, 0
         else:
             declines += 1
             if declines >= patience:
                 break
-        prev = cur
     return best_k
 
 

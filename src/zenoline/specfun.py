@@ -219,7 +219,12 @@ def polylog(s, z):
         term = z
         k = 1
         while True:
-            total += term / k**s
+            try:
+                total += term / k**s
+            except OverflowError:
+                # k^s is past the float range (only for large s > 0);
+                # this term and every later one are below 1e-308 of z^k
+                break
             k += 1
             term *= z
             size = abs(total)

@@ -137,10 +137,46 @@ class TestExitCodes:
         assert cli.main(["partition", "--n", "30000"]) == cli.EXIT_RESOURCE
         assert "resource guard" in capsys.readouterr().err
 
+    def test_cell_cap_resource_error(self, capsys):
+        # 7001^2 cells pass the n cap but not the cell cap
+        assert cli.main(["partition", "--n", "7000"]) == cli.EXIT_RESOURCE
+        assert "cells exceeds cap" in capsys.readouterr().err
+
+    def test_partition_nonpositive_n(self, capsys):
+        for n in ("0", "-3"):
+            assert cli.main(["partition", "--n", n]) == cli.EXIT_CONFIG
+        capsys.readouterr()
+
+    def test_jamming_nonpositive_gamma0(self, capsys):
+        for g in ("0", "-0.5"):
+            assert cli.main(["jamming", "--gamma0", g]) == cli.EXIT_CONFIG
+        assert "need gamma0 + 1 > 1" in capsys.readouterr().err
+
+    def test_isotherm_large_gamma0(self, capsys):
+        # Li_402 at z <= 0.6 overflows k**s after a few terms
+        assert cli.main(["isotherm", "--gamma0", "400"]) == cli.EXIT_OK
+        capsys.readouterr()
+
     def test_numeric_error(self, capsys, monkeypatch):
         def boom(cfg):
             raise SolverError("synthetic solver failure")
 
-        monkeypatch.setitem(cli._COMMANDS, "threshold", boom)
+        monkeypatch.setitem(cli._COMMANDS, "threshold", (boom, ()))
         assert cli.main(["threshold"]) == cli.EXIT_NUMERIC
         assert "synthetic solver failure" in capsys.readouterr().err
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    def test_default_run_succeeds(self, name, capsys):
+        assert cli.main([name]) == cli.EXIT_OK
+        assert capsys.readouterr().out
+
+    def test_every_flag_has_a_default(self):
+        keys = {k for _, flags in cli._COMMANDS.values() for k in flags}
+        assert keys <= set(cli._DEFAULTS)
+
+    def test_flag_spelling(self):
+        args = cli.build_parser().parse_args(
+            ["jamming", "--mu-grid", "0:-0.1:-0.1", "--anchor-P", "3"])
+        assert (args.mu_grid, args.anchor_P) == ("0:-0.1:-0.1", "3")

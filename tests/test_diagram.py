@@ -299,6 +299,28 @@ class TestJamming:
             assert P == pytest.approx(li2 / zp2, rel=1e-12)
             assert Z == pytest.approx(li2 / li1, rel=1e-12)
 
+    def test_origin_row_is_zeta_ratio(self):
+        curve = diagram.jamming_extension(
+            [0.0, -0.1], diagram.FractalEos.identity(GAMMA0))
+        P, Z, mu, g = curve.rows[0]
+        assert (P, mu, g) == (1.0, 0.0, GAMMA0)
+        assert Z == specfun.riemann_zeta(GAMMA0 + 2.0) / \
+            specfun.riemann_zeta(GAMMA0 + 1.0)
+
+    def test_nonpositive_gamma0_rejected(self):
+        eos = diagram.FractalEos.identity(GAMMA0)
+        for g0 in (0.0, -0.5, 1e-17, math.nan):
+            with pytest.raises(DomainError):
+                diagram.jamming_extension([0.0, -0.1], eos, gamma0=g0)
+
+    def test_rk4_step_is_fourth_order_taylor(self):
+        # for y' = y one step multiplies y by the degree-4 Taylor
+        # polynomial of e^h
+        for h in (0.5, -0.25, 1e-3):
+            want = 2.0 * (1 + h + h**2 / 2 + h**3 / 6 + h**4 / 24)
+            got = diagram._rk4_step(lambda x, y: y, 0.3, 2.0, h)
+            assert got == pytest.approx(want, rel=1e-15)
+
     def test_slope_near_unity_at_origin(self):
         assert diagram._gamma_slope(GAMMA0, 0.0) == pytest.approx(1.0, abs=0.1)
 

@@ -47,6 +47,19 @@ class TestTable:
         with pytest.raises(DomainError):
             partition.build_partition_table(10, 20)
 
+    def test_pk_row_matches_table(self, table200):
+        for n in (1, 2, 8, 57, 200):
+            assert partition.pk_row(n) == table200.row(n)
+
+    def test_pk_row_guards(self):
+        for n in (0, -3):
+            with pytest.raises(DomainError):
+                partition.pk_row(n)
+        # the n cap, then the cell cap below it
+        for n in (30000, 7000):
+            with pytest.raises(ResourceError):
+                partition.pk_row(n)
+
 
 class TestEntropy:
     def test_values(self, table200):

@@ -60,6 +60,11 @@ class TestPolylog:
                 assert specfun.polylog(s, z) == pytest.approx(
                     oracles.polylog_series(s, z), rel=1e-9)
 
+    def test_large_order_direct_series(self):
+        # k**s overflows after a few terms; the sum is z to rounding
+        for s in (400.0, 1000.0):
+            assert specfun.polylog(s, 0.5) == 0.5
+
     def test_domain(self):
         with pytest.raises(DomainError):
             specfun.polylog(2.0, 0.0)
