@@ -14,7 +14,6 @@ import math
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__, diagram, ensemble, partition, scatter
 from .errors import DomainError, ResourceError, ZenolineError
@@ -79,6 +78,8 @@ def write_json(path, columns, rows, meta=None):
 def write_manifest(out_path, command, config, columns, n_rows):
     if out_path is None:
         return
+    import scipy
+
     canonical = json.dumps(config, sort_keys=True, default=str)
     manifest = {
         "command": command,

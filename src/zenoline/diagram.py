@@ -12,12 +12,11 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .curves import PhaseCurve
 from .errors import (BracketError, CausticError, DomainError, SolverError,
                      ZenolineError)
+from .roots import brentq
 from .specfun import polylog, riemann_zeta
 
 __all__ = [
@@ -99,6 +98,8 @@ class FractalEos:
             raise DomainError("phi must be strictly increasing")
         if abs(self.phi_vals[-1] / self.V[-1] - 1.0) > 1e-3:
             raise DomainError("phi(V)/V does not reach 1 at the largest sample")
+        from scipy.interpolate import PchipInterpolator
+
         self._phi = PchipInterpolator(self.V, self.phi_vals)
         self._dphi = PchipInterpolator(self.V, self.dphi_vals)
         self._inv = PchipInterpolator(self.phi_vals, self.V)
@@ -147,8 +148,8 @@ class FractalEos:
         f_lo, f_hi = self._phi(lo) - y, self._phi(hi) - y
         if f_lo > 0 or f_hi < 0:
             lo, hi = self.V[0], self.V[-1]
-        return float(brentq(lambda v: self._phi(v) - y, lo, hi,
-                            xtol=1e-15, rtol=8.9e-16))
+        return brentq(lambda v: self._phi(v) - y, lo, hi,
+                      xtol=1e-15, rtol=8.9e-16)
 
 
 IsothermPoint = namedtuple("IsothermPoint", ["P_r", "Z", "a", "T_r"])
@@ -316,6 +317,11 @@ def ideal_isotherm(P_grid, gamma0=GAMMA0):
     Li_{gamma0+2}(a) = P zeta(gamma0+2) for the activity a and returns
     Z = P zeta(gamma0+2) / Li_{gamma0+1}(a).
     """
+    P_grid = list(P_grid)
+    # at P = 1 the activity is 1 and Z divides by zeta(gamma0 + 1)
+    if 1.0 in P_grid and not gamma0 + 1.0 > 1.0:
+        raise DomainError(
+            f"P = 1 needs gamma0 + 1 > 1 for zeta(gamma0 + 1), got gamma0={gamma0}")
     zp2 = riemann_zeta(gamma0 + 2.0)
     points = []
     for P in P_grid:
@@ -387,9 +393,15 @@ def _z_ideal(gamma, mu):
     return polylog(gamma + 2.0, a) / polylog(gamma + 1.0, a)
 
 
-def _gamma_slope(gamma, mu, h=1e-4):
+# central-difference step in gamma of _gamma_slope; at mu = 0 it takes
+# Li at order gamma - h + 1 and z = 1, so the ode variant needs gamma0 > h
+_SLOPE_STEP = 1e-4
+
+
+def _gamma_slope(gamma, mu):
     """d(gamma)/d(mu) along the maximal-entropy constraint at T_r = 1;
     the sign convention makes gamma shrink as mu decreases from zero."""
+    h = _SLOPE_STEP
     z = _z_ideal(gamma, mu)
     dlog = (math.log(_z_ideal(gamma + h, mu))
             - math.log(_z_ideal(gamma - h, mu))) / (2.0 * h)
@@ -418,6 +430,10 @@ def jamming_extension(mu_grid, eos, gamma0=GAMMA0, anchor_P=2.5,
     if not gamma0 + 1.0 > 1.0:
         raise DomainError(
             f"need gamma0 + 1 > 1 for zeta(gamma0 + 1), got gamma0={gamma0}")
+    if variant == "ode" and not gamma0 - _SLOPE_STEP + 1.0 > 1.0:
+        raise DomainError(
+            f"the ode variant needs gamma0 > {_SLOPE_STEP:g}, the step of its "
+            f"d(gamma)/d(mu) central difference; got gamma0={gamma0}")
 
     zp2 = riemann_zeta(gamma0 + 2.0)
     gamma = gamma0

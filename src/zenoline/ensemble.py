@@ -10,10 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from scipy.optimize import brentq
-
 from . import specfun
 from .errors import DomainError, ResourceError
+from .roots import brentq
 
 __all__ = [
     "SpectrumSpec",

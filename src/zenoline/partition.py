@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from . import specfun
 from .errors import DomainError, ResourceError, SolverError
+from .roots import brentq
 
 __all__ = [
     "PartitionTable",

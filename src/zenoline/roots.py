@@ -1,0 +1,93 @@
+"""Brent's bracketing root finder.
+
+R. P. Brent, *Algorithms for Minimization without Derivatives* (1973),
+ch. 4, in the form of scipy's C ``brentq``: inverse quadratic
+extrapolation, secant interpolation or bisection on a sign-change
+bracket.  The port keeps scipy's iterate arithmetic, sign tests, swaps
+and argument checks step for step, so it returns the same float as
+``scipy.optimize.brentq`` on the same problem without loading scipy.
+"""
+
+from __future__ import annotations
+
+import math
+
+__all__ = ["brentq"]
+
+# scipy's defaults: xtol 2e-12, rtol 4 * float64 eps, 100 iterations
+_RTOL = 4.0 * 2.0**-52
+
+
+def _signbit(x):
+    return math.copysign(1.0, x) < 0.0
+
+
+def brentq(f, a, b, xtol=2e-12, rtol=_RTOL, maxiter=100):
+    """Root of f in [a, b], where f(a) and f(b) differ in sign.
+
+    Stops when the bracket is narrower than xtol + rtol |x| or f is
+    exactly 0, and returns a float.  Raises ValueError for xtol <= 0,
+    rtol < 4 eps, a bracket without a sign change or a NaN value of f,
+    and RuntimeError after maxiter iterations.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL:g})")
+
+    def fx(x):
+        y = float(f(x))
+        if math.isnan(y):
+            raise ValueError(
+                f"The function value at x={x} is NaN; solver cannot continue.")
+        return y
+
+    xpre, xcur = float(a), float(b)
+    fpre = fx(xpre)
+    fcur = fx(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and _signbit(fpre) != _signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        # the tolerance is 2 delta
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) \
+                    / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fx(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")

@@ -17,10 +17,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .curves import PhaseCurve
 from .errors import DegenerateError, DomainError, PoleError, BracketError
+from .roots import brentq
 
 __all__ = [
     "PotentialSpec",

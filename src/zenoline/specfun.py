@@ -5,7 +5,8 @@ integrals and their finite-N corrected counterparts.  Polylogarithms
 are evaluated in float64 throughout (power series, or the log series
 near z = 1, with scipy's zeta for the coefficients).  All quadrature is
 routed through QUADPACK (scipy.integrate.quad) with series handling of
-the removable singularities at the origin.
+the removable singularities at the origin.  scipy is imported inside the
+functions that call it, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sc
-from scipy.integrate import quad
 
 from .errors import AccuracyError, DivergenceError, DomainError
 
@@ -76,6 +75,8 @@ def riemann_zeta(s):
     """Riemann zeta for s > 1 (pole at s = 1)."""
     if s <= 1:
         raise DomainError(f"riemann_zeta requires s > 1 (pole at 1), got {s}")
+    from scipy import special as sc
+
     return float(sc.zeta(s))
 
 
@@ -109,10 +110,9 @@ _STIELTJES = (
     0.0001672729121051402, -2.7463806603760158e-05, -0.00020920926205929996,
     -0.0002834686553202414,
 )
-_J = np.arange(len(_STIELTJES))
 # coefficients of zeta(1 + eps) - 1/eps in eps, highest power first
 _ZETA_REGULAR = tuple(
-    (np.array(_STIELTJES) * (-1.0) ** _J / sc.gamma(_J + 1.0))[::-1].tolist())
+    g * (-1.0) ** j / math.factorial(j) for j, g in enumerate(_STIELTJES))[::-1]
 # powers eps^(m - 1) kept in the exponent series of the pole pair; the
 # coefficients are below 2/m, so 30 terms reach 1e-19 at |eps| = 0.25
 _PAIR_M = np.arange(2, 32)
@@ -136,6 +136,8 @@ def _pole_exponent(n):
     from the sine and (-1)^(m + 1) zeta(m, n)/m from the polygamma series
     of ln Gamma(n + eps) - ln Gamma(n), psi^(m-1)(n) = (-1)^m (m-1)! zeta(m, n).
     """
+    from scipy import special as sc
+
     m = _PAIR_M
     hurwitz = sc.zeta(m, n)
     a = np.where(m % 2 == 0, 2.0 * sc.zeta(m) - hurwitz, hurwitz) / m
@@ -155,6 +157,8 @@ def _log_series(s):
     The cache is bounded: continuation runs such as the jamming extension
     visit a new order at every step.
     """
+    from scipy import special as sc
+
     n = round(s)
     eps = s - n
     coeffs = sc.zeta(s - _LOG_K) / sc.gamma(_LOG_K + 1.0)
@@ -243,6 +247,8 @@ def _occupancy(x):
 
 
 def _quad(f, a, b, settings):
+    from scipy.integrate import quad
+
     value, err, info = quad(
         f,
         a,
@@ -262,6 +268,8 @@ def improper_quad(f, a, settings=DEFAULT_SETTINGS):
     singularities handled by the caller's series branch).  Failure to
     converge raises AccuracyError carrying the best estimate.
     """
+    from scipy.integrate import quad
+
     value, err, info, *rest = quad(
         f,
         a,

@@ -6,12 +6,15 @@ recurrence for partition totals, exhaustive enumeration for restricted
 counts, truncated power series and mpmath at raised precision for
 polylogarithms, trapezoid sums for integrals, and central differences
 for derivatives.  mpmath is a test-only dependency (the ``test`` extra);
-the library itself does not import it.
+the library itself does not import it.  scipy's C brentq is the oracle
+for the library's step-for-step port of Brent's method
+(``zenoline.roots``); the library no longer imports scipy.optimize.
 """
 
 import math
 
 import mpmath
+from scipy.optimize import brentq as brentq_scipy  # noqa: F401
 
 
 def zeta_euler_maclaurin(s, cut=50):

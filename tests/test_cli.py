@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import scipy
 
+import zenoline
 from zenoline import cli
 from zenoline.errors import DomainError, SolverError
 
@@ -152,6 +157,26 @@ class TestExitCodes:
             assert cli.main(["jamming", "--gamma0", g]) == cli.EXIT_CONFIG
         assert "need gamma0 + 1 > 1" in capsys.readouterr().err
 
+    def test_jamming_gamma0_below_difference_step(self, capsys):
+        # the ode variant's central difference takes zeta(gamma0 - 1e-4 + 1)
+        for g in ("1e-15", "5e-5", "1e-4"):
+            assert cli.main(["jamming", "--gamma0", g]) == cli.EXIT_CONFIG
+            assert "step of its d(gamma)/d(mu)" in capsys.readouterr().err
+        assert cli.main(["jamming", "--gamma0", "1e-15", "--variant", "linear"]) \
+            == cli.EXIT_OK
+        capsys.readouterr()
+
+    def test_isotherm_nonpositive_gamma0(self, capsys):
+        # P = 1 (in the default grid) divides by zeta(gamma0 + 1)
+        for g in ("0", "-0.5"):
+            assert cli.main(["isotherm", "--gamma0", g]) == cli.EXIT_CONFIG
+            assert "P = 1 needs gamma0 + 1 > 1" in capsys.readouterr().err
+
+    def test_isotherm_negative_gamma0_below_unit_pressure(self, capsys):
+        assert cli.main(["isotherm", "--gamma0", "-0.5",
+                         "--P-grid", "0.1:0.5:0.1"]) == cli.EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 6
+
     def test_isotherm_large_gamma0(self, capsys):
         # Li_402 at z <= 0.6 overflows k**s after a few terms
         assert cli.main(["isotherm", "--gamma0", "400"]) == cli.EXIT_OK
@@ -175,6 +200,29 @@ class TestCommandTable:
     def test_every_flag_has_a_default(self):
         keys = {k for _, flags in cli._COMMANDS.values() for k in flags}
         assert keys <= set(cli._DEFAULTS)
+
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    def test_scipy_import_budget(self, name):
+        # only isotherm and jamming compute with scipy, through
+        # scipy.special; no command loads any other scipy subpackage
+        src = str(Path(zenoline.__file__).resolve().parent.parent)
+        code = ("import contextlib, io, json, sys; from zenoline import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    code = cli.main([{name!r}])\n"
+                "print(json.dumps([code, sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy')]))")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, check=True, timeout=120)
+        code, loaded = json.loads(proc.stdout)
+        assert code == cli.EXIT_OK
+        if name not in ("isotherm", "jamming"):
+            assert loaded == []
+        else:
+            # scipy.special pulls in scipy's private helpers and version
+            public = {m.split(".")[1] for m in loaded if "." in m} \
+                - {"version"}
+            assert {p for p in public if not p.startswith("_")} <= {"special"}
 
     def test_flag_spelling(self):
         args = cli.build_parser().parse_args(

@@ -204,6 +204,14 @@ class TestIdealIsotherm:
         with pytest.raises(DomainError):
             diagram.ideal_isotherm([1.5])
 
+    def test_unit_pressure_needs_positive_gamma0(self):
+        # P = 1 gives a = 1 and Z = zeta(gamma0 + 2) / zeta(gamma0 + 1)
+        for g0 in (0.0, -0.5):
+            with pytest.raises(DomainError, match="P = 1"):
+                diagram.ideal_isotherm([0.5, 1.0], g0)
+        pts = diagram.ideal_isotherm([0.1, 0.5], -0.5)
+        assert [p.P_r for p in pts] == [0.1, 0.5]
+
 
 class TestImperfectIsotherm:
     def test_identity_reduces_to_ideal(self):
@@ -312,6 +320,15 @@ class TestJamming:
         for g0 in (0.0, -0.5, 1e-17, math.nan):
             with pytest.raises(DomainError):
                 diagram.jamming_extension([0.0, -0.1], eos, gamma0=g0)
+
+    def test_ode_gamma0_below_difference_step_rejected(self):
+        eos = diagram.FractalEos.identity(GAMMA0)
+        for g0 in (1e-15, 5e-5, 1e-4, math.nextafter(1e-4, 1.0)):
+            with pytest.raises(DomainError, match="step"):
+                diagram.jamming_extension([0.0, -0.1], eos, gamma0=g0)
+        curve = diagram.jamming_extension([0.0, -0.1], eos, gamma0=1e-15,
+                                          variant="linear")
+        assert curve.meta["jammed"]
 
     def test_rk4_step_is_fourth_order_taylor(self):
         # for y' = y one step multiplies y by the degree-4 Taylor

@@ -1,0 +1,87 @@
+import math
+import random
+
+import numpy as np
+import pytest
+
+from zenoline.roots import brentq
+
+import oracles
+
+# the (xtol, rtol) pairs the library passes; None is the default rtol
+TOLERANCES = ((1e-14, 8.9e-16), (1e-12, None), (1e-15, 8.9e-16),
+              (1e-13, 8.9e-16), (1e-10, None), (1e-8, None), (1e-14, 1e-14))
+
+# five families f(x; c) with a root at c, from smooth and simple to flat
+# (tanh), nearly triple (cubic) and oscillating (sine, more roots nearby)
+FAMILIES = (
+    lambda c: lambda x: x**3 - c**3,
+    lambda c: lambda x: math.expm1(x - c),
+    lambda c: lambda x: math.tanh(5.0 * (x - c)) + 1e-3 * (x - c) ** 3,
+    lambda c: lambda x: (x - c) ** 3 + 1e-6 * (x - c),
+    lambda c: lambda x: math.sin(3.0 * x) - math.sin(3.0 * c),
+)
+
+
+def _outcome(solver, f, a, b, **kw):
+    try:
+        return solver(f, a, b, **kw)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+def _problems(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        c = rng.uniform(-2.0, 2.0)
+        f = rng.choice(FAMILIES)(c)
+        a, b = c - rng.uniform(1e-3, 3.0), c + rng.uniform(1e-3, 3.0)
+        if rng.random() < 0.1:
+            a = c + rng.uniform(1e-3, 1.0)  # both ends past the root
+        if rng.random() < 0.5:
+            a, b = b, a
+        xtol, rtol = rng.choice(TOLERANCES)
+        kw = {"xtol": xtol} if rtol is None else {"xtol": xtol, "rtol": rtol}
+        yield f, a, b, kw
+
+
+def test_same_float_as_scipy():
+    count = solved = 0
+    for f, a, b, kw in _problems(seed=2024, count=2100):
+        want = _outcome(oracles.brentq_scipy, f, a, b, **kw)
+        got = _outcome(brentq, f, a, b, **kw)
+        assert got == want, (a, b, kw)
+        if isinstance(want, float):
+            assert type(got) is float
+            solved += 1
+        count += 1
+    # most brackets hold a sign change; the rest raise ValueError on both
+    assert solved > 0.75 * count
+
+
+def _f_nan_midway(x):
+    return math.nan if 0.3 < x < 0.7 else x - 0.5
+
+
+@pytest.mark.parametrize("f, a, b, kw, want", [
+    (lambda x: x * x + 1.0, -1.0, 1.0, {}, ValueError),
+    (_f_nan_midway, 0.0, 1.0, {}, ValueError),
+    (lambda x: math.nan, 0.0, 1.0, {}, ValueError),
+    (lambda x: x**3 - 2.0, 0.0, 5.0, {"maxiter": 3}, RuntimeError),
+    (lambda x: x - 0.5, 0.0, 1.0, {"xtol": 0.0}, ValueError),
+    (lambda x: x - 0.5, 0.0, 1.0, {"rtol": 1e-16}, ValueError),
+    (lambda x: x, 0.0, 1.0, {}, 0.0),
+    (lambda x: x - 1.0, 0.0, 1.0, {}, 1.0),
+], ids=["same-sign", "nan-midway", "nan-end", "maxiter", "xtol", "rtol",
+        "zero-at-a", "zero-at-b"])
+def test_edge_cases_match_scipy(f, a, b, kw, want):
+    assert _outcome(oracles.brentq_scipy, f, a, b, **kw) == want
+    assert _outcome(brentq, f, a, b, **kw) == want
+
+
+def test_returns_float():
+    root = brentq(lambda x: np.asarray(x * x - 2.0), np.float64(0.0),
+                  np.float64(2.0), xtol=1e-15, rtol=8.9e-16)
+    assert type(root) is float
+    assert root == oracles.brentq_scipy(lambda x: np.asarray(x * x - 2.0),
+                                        0.0, 2.0, xtol=1e-15, rtol=8.9e-16)

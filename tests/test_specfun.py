@@ -129,14 +129,17 @@ class TestPolylogLogSeries:
 
 
 def test_import_leaves_mpmath_out():
-    """mpmath is a test-only oracle: importing the package, the CLI
-    included, must not load it."""
+    """mpmath is a test-only oracle, and scipy is imported only inside
+    the functions that compute with it: importing the package, the CLI
+    included, must load neither."""
     src = str(Path(zenoline.__file__).resolve().parent.parent)
-    code = "import sys, zenoline.cli; print('mpmath' in sys.modules)"
+    code = ("import sys, zenoline.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('mpmath', 'scipy')))")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True, timeout=120)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 class TestBoseIntegral:
