@@ -317,11 +317,6 @@ def ideal_isotherm(P_grid, gamma0=GAMMA0):
     Li_{gamma0+2}(a) = P zeta(gamma0+2) for the activity a and returns
     Z = P zeta(gamma0+2) / Li_{gamma0+1}(a).
     """
-    P_grid = list(P_grid)
-    # at P = 1 the activity is 1 and Z divides by zeta(gamma0 + 1)
-    if 1.0 in P_grid and not gamma0 + 1.0 > 1.0:
-        raise DomainError(
-            f"P = 1 needs gamma0 + 1 > 1 for zeta(gamma0 + 1), got gamma0={gamma0}")
     zp2 = riemann_zeta(gamma0 + 2.0)
     points = []
     for P in P_grid:
@@ -335,6 +330,11 @@ def ideal_isotherm(P_grid, gamma0=GAMMA0):
             return polylog(gamma0 + 2.0, a) - target
 
         a = _solve_activity(resid)
+        # at a = 1 (P = 1, or just below it) Z divides by zeta(gamma0 + 1)
+        if a == 1.0 and not gamma0 + 1.0 > 1.0:
+            raise DomainError(
+                f"P = 1 needs gamma0 + 1 > 1 for zeta(gamma0 + 1), got "
+                f"gamma0={gamma0}; the activity at P = {P} is 1")
         V_eff = zp2 / polylog(gamma0 + 1.0, a)
         points.append(IsothermPoint(P_r=P, Z=P * V_eff, a=a, T_r=1.0))
     return points

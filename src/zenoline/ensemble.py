@@ -179,7 +179,7 @@ def concentration_report(spectrum, N_list, E, psi=default_psi):
     }
 
 
-def boltzmann_limit_check(gamma, kappa_list, settings=specfun.DEFAULT_SETTINGS):
+def boltzmann_limit_check(gamma, kappa_list):
     """Ratio of the Bose integral to its Maxwell-Boltzmann limit
     Gamma(gamma+1) e^kappa, for a sequence of kappa going to -infinity.
 
@@ -190,7 +190,7 @@ def boltzmann_limit_check(gamma, kappa_list, settings=specfun.DEFAULT_SETTINGS):
     g = specfun.gamma_fn(gamma + 1.0)
     rows = []
     for kappa in kappa_list:
-        value = specfun.bose_integral(gamma, kappa, settings).value
+        value = specfun.bose_integral(gamma, kappa).value
         ratio = value / (g * math.exp(kappa))
         rows.append({"kappa": kappa, "ratio": ratio, "deficit": ratio - 1.0})
     return {"gamma": gamma, "rows": rows}

@@ -18,7 +18,8 @@ class PoleError(DomainError):
 
 
 class AccuracyError(ZenolineError):
-    """Quadrature failed to reach the requested tolerance.
+    """QUADPACK (``specfun.improper_quad``) failed to reach the requested
+    tolerance; the closed-form Bose integrals never raise it.
 
     The best available estimate is carried in ``best``.
     """

@@ -205,16 +205,16 @@ def maximize_variants(n, k_bar, table):
     return k_bar if k_bar <= k0 else k0
 
 
-def _moment(gamma, b, kappa, n_cap, settings):
-    return specfun.finite_n_integral(gamma, b, kappa, n_cap, settings).value
+def _moment(gamma, b, kappa, n_cap):
+    return specfun.finite_n_integral(gamma, b, kappa, n_cap).value
 
 
-def _solve_b(gamma, kappa, n_cap, n_target, b_seed, settings):
+def _solve_b(gamma, kappa, n_cap, n_target, b_seed):
     """Solve the (gamma+1)-moment equation for b at fixed kappa; the
     moment is strictly decreasing in b."""
 
     def res(log_b):
-        return _moment(gamma + 1.0, math.exp(log_b), kappa, n_cap, settings) - n_target
+        return _moment(gamma + 1.0, math.exp(log_b), kappa, n_cap) - n_target
 
     lo = hi = math.log(b_seed)
     flo = res(lo)
@@ -234,7 +234,7 @@ def _solve_b(gamma, kappa, n_cap, n_target, b_seed, settings):
     return math.exp(brentq(res, lo, hi, xtol=1e-14, rtol=1e-14))
 
 
-def solve_global_distribution(n, k=None, gamma=0.0, settings=specfun.DEFAULT_SETTINGS):
+def solve_global_distribution(n, k=None, gamma=0.0):
     """Fit (b, kappa) of the finite-N distribution to the two moment
     constraints: the gamma-moment equals the summand count k and the
     (gamma+1)-moment equals n.
@@ -257,7 +257,7 @@ def solve_global_distribution(n, k=None, gamma=0.0, settings=specfun.DEFAULT_SET
     if k is None:
         # kappa = 0 mode: fixed point k0 = gamma-moment(b, 0, k0)
         def fp(kk):
-            return _moment(gamma, b_seed, 0.0, max(int(round(kk)), 2), settings) - kk
+            return _moment(gamma, b_seed, 0.0, max(int(round(kk)), 2)) - kk
 
         hi = 4.0 * (math.sqrt(n) / _C * math.log(n) + 10.0)
         k0 = brentq(fp, 2.0, hi, xtol=1e-10)
@@ -268,8 +268,8 @@ def solve_global_distribution(n, k=None, gamma=0.0, settings=specfun.DEFAULT_SET
         raise DomainError(f"k must be >= 2, got {k}")
 
     def kappa_residual(kappa):
-        b = _solve_b(gamma, kappa, k, n, b_seed, settings)
-        return _moment(gamma, b, kappa, k, settings) - k
+        b = _solve_b(gamma, kappa, k, n, b_seed)
+        return _moment(gamma, b, kappa, k) - k
 
     r0 = kappa_residual(0.0)
     if r0 < 0:
@@ -285,31 +285,25 @@ def solve_global_distribution(n, k=None, gamma=0.0, settings=specfun.DEFAULT_SET
     else:
         raise SolverError("could not bracket kappa")
     kappa = brentq(kappa_residual, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
-    b = _solve_b(gamma, kappa, k, n, b_seed, settings)
+    b = _solve_b(gamma, kappa, k, n, b_seed)
     return GlobalDistribution(b=b, kappa=kappa, gamma=gamma, n_cap=k)
 
 
-def _w_integrand(xi):
-    """1/xi^2 - 1/(e^(xi^2) - 1), with the removable 1/xi^2 pole at the
-    origin handled by the Bernoulli series in x = xi^2."""
-    x = xi * xi
-    if x < 0.09:
-        return 0.5 - x / 12.0 + x**3 / 720.0 - x**5 / 30240.0
-    if x > 700.0:
-        return 1.0 / x
-    return 1.0 / x - 1.0 / math.expm1(x)
-
-
-def ncr_dimension1(n, settings=specfun.DEFAULT_SETTINGS):
+def ncr_dimension1(n):
     """One-dimensional condensation threshold N_cr(n).
 
     Builds W = (2n)^(1/3) I1^(-1/3) I2 from the two spectral integrals
     and solves the resulting quadratic, N_cr = (W^2/4)(1 + sqrt(1-4/W))^2.
+    I1 = int xi^(1/2) / (e^xi - 1) = Gamma(3/2) zeta(3/2), and
+    I2 = int (xi^-2 - 1/(e^(xi^2) - 1)) d(xi) = -Gamma(1/2) zeta(1/2) / 2,
+    the Mellin transform of 1/(e^x - 1) - 1/x at 1/2.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    i1 = specfun.bose_integral(0.5, 0.0, settings).value
-    i2 = specfun.improper_quad(_w_integrand, 0.0, settings).value
+    from scipy import special as sc
+
+    i1 = specfun.bose_integral(0.5, 0.0).value
+    i2 = -0.5 * math.sqrt(math.pi) * float(sc.zeta(0.5))
     w = (2.0 * n) ** (1.0 / 3.0) * i1 ** (-1.0 / 3.0) * i2
     if w < 4.0:
         raise DomainError(

@@ -1,11 +1,11 @@
-"""Special functions and improper-integral quadrature.
+"""Special functions and closed-form Bose integrals.
 
 Gamma, Riemann zeta, real polylogarithms on (0, 1], Bose-Einstein
 integrals and their finite-N corrected counterparts.  Polylogarithms
 are evaluated in float64 throughout (power series, or the log series
-near z = 1, with scipy's zeta for the coefficients).  All quadrature is
-routed through QUADPACK (scipy.integrate.quad) with series handling of
-the removable singularities at the origin.  scipy is imported inside the
+near z = 1, with scipy's zeta for the coefficients); the Bose integrals
+are closed forms in them.  ``improper_quad`` integrates other integrands
+by QUADPACK (scipy.integrate.quad).  scipy is imported inside the
 functions that call it, so importing this module does not load it.
 """
 
@@ -33,7 +33,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Error targets for the improper-integral engine."""
+    """Error targets for ``improper_quad``."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
@@ -51,7 +51,11 @@ DEFAULT_SETTINGS = QuadratureSettings()
 
 @dataclass(frozen=True)
 class BoseIntegralResult:
-    """Value of an improper integral with an error bound and a cost count."""
+    """Value of an improper integral with an error bound and a cost count:
+    QUADPACK's error estimate and integrand evaluations for
+    ``improper_quad``; for the closed forms, _CLOSED_FORM_REL * |value|
+    (the bound tested against mpmath) and the Gamma, zeta and
+    polylogarithm evaluations."""
 
     value: float
     est_error: float
@@ -205,6 +209,8 @@ def polylog(s, z):
     The log series agrees with mpmath at 30 digits to 2e-15 relative for
     s in [0.1, 4.5] (integer and near-integer orders included) and to
     1e-14 for s in [-3, 12], on z from 0.6 to the last float below 1.
+    Orders so negative (below about -80) that Li_s(z) or the terms of its
+    series leave the float range raise DomainError.
     """
     if not math.isfinite(s):
         raise DomainError(f"polylog requires a finite order, got s={s}")
@@ -214,51 +220,57 @@ def polylog(s, z):
         if s <= 1:
             raise DivergenceError(f"Li_s(1) diverges for s <= 1, got s={s}")
         return riemann_zeta(s)
-    if z <= 0.6:
-        # direct series: |tail| <= term * z / (1 - z) for s >= 0,
-        # and the k^-s factor only helps the bound for s > 0.
-        s_neg = min(s, 0.0)
-        one_minus_z = 1 - z
-        total = 0.0
-        term = z
-        k = 1
-        while True:
-            try:
-                total += term / k**s
-            except OverflowError:
-                # k^s is past the float range (only for large s > 0);
-                # this term and every later one are below 1e-308 of z^k
-                break
-            k += 1
-            term *= z
-            size = abs(total)
-            if term / k**s_neg < \
-                    1e-17 * (size if size > 1e-300 else 1e-300) * one_minus_z:
-                break
-            if k > 10_000:
-                break
-        return total
-    return _polylog_log_series(s, math.log(z))
+    try:
+        if z <= 0.6:
+            value = _power_series(s, z)
+        else:
+            value = _polylog_log_series(s, math.log(z))
+    except (ZeroDivisionError, OverflowError):
+        # k^s underflows in the power series below s ~ -80, and
+        # Gamma(1 - s) overflows in the log series below s = -170.6
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"Li_s(z) at s={s}, z={z}: its series leaves the float range")
+    return value
 
 
-def _occupancy(x):
-    """1/(e^x - 1), stable for small and large positive x."""
-    return math.exp(-x) / (-math.expm1(-x))
+def _power_series(s, z):
+    """Li_s(z) for 0 <= z <= 0.6 by the defining series sum_k z^k / k^s."""
+    # |tail| <= term * z / (1 - z) for s >= 0, and the k^-s factor only
+    # helps the bound for s > 0.
+    s_neg = min(s, 0.0)
+    one_minus_z = 1 - z
+    total = 0.0
+    term = z
+    k = 1
+    while True:
+        try:
+            total += term / k**s
+        except OverflowError:
+            # k^s is past the float range (only for large s > 0);
+            # this term and every later one are below 1e-308 of z^k
+            break
+        k += 1
+        term *= z
+        size = abs(total)
+        if term / k**s_neg < \
+                1e-17 * (size if size > 1e-300 else 1e-300) * one_minus_z:
+            break
+        if k > 10_000:
+            break
+    return total
 
 
-def _quad(f, a, b, settings):
-    from scipy.integrate import quad
+# Li_s(e^mu) takes the power series for mu <= ln 0.6, the log series above
+_SERIES_SWITCH = math.log(0.6)
 
-    value, err, info = quad(
-        f,
-        a,
-        b,
-        epsabs=settings.abs_tol,
-        epsrel=settings.rel_tol,
-        limit=settings.max_subdivisions,
-        full_output=1,
-    )[:3]
-    return value, err, info["neval"]
+
+def _li(s, mu):
+    """Li_s(e^mu) for mu < 0 by the branch ``polylog`` takes at z = e^mu,
+    without rounding mu through z."""
+    if mu <= _SERIES_SWITCH:
+        return _power_series(s, math.exp(mu))
+    return _polylog_log_series(s, mu)
 
 
 def improper_quad(f, a, settings=DEFAULT_SETTINGS):
@@ -285,25 +297,15 @@ def improper_quad(f, a, settings=DEFAULT_SETTINGS):
     return BoseIntegralResult(value, err, info["neval"])
 
 
-# Bernoulli-series coefficients of 1/(e^x - 1) - 1/x:
-# -1/2 + x/12 - x^3/720 + x^5/30240 - x^7/1209600 + x^9/47900160
-_BERN = ((0, -0.5), (1, 1 / 12), (3, -1 / 720), (5, 1 / 30240),
-         (7, -1 / 1209600), (9, 1 / 47900160))
+# relative error bound of the closed forms below against mpmath
+_CLOSED_FORM_REL = 1e-13
 
 
-def _bose_head(gamma, delta):
-    """Closed form of int_0^delta xi^gamma / (e^xi - 1) d(xi) via the
-    Bernoulli series (accurate for delta <= 1/4)."""
-    total = delta**gamma / gamma  # from the 1/xi leading term
-    for p, c in _BERN:
-        total += c * delta ** (gamma + p + 1) / (gamma + p + 1)
-    return total
-
-
-def bose_integral(gamma, kappa, settings=DEFAULT_SETTINGS):
+def bose_integral(gamma, kappa):
     """int_0^inf xi^gamma / (e^(xi - kappa) - 1) d(xi) for kappa <= 0.
 
-    Equals Gamma(gamma+1) * Li_{gamma+1}(e^kappa).
+    Equals Gamma(gamma+1) * Li_{gamma+1}(e^kappa), and
+    Gamma(gamma+1) * zeta(gamma+1) at kappa = 0 (where gamma > 0).
     """
     if kappa > 0:
         raise DomainError(f"bose_integral requires kappa <= 0, got {kappa}")
@@ -313,48 +315,48 @@ def bose_integral(gamma, kappa, settings=DEFAULT_SETTINGS):
         raise DivergenceError(
             f"bose_integral with kappa = 0 requires gamma > 0, got {gamma}"
         )
-
-    if kappa == 0:
-        delta = 0.25
-        head = _bose_head(gamma, delta)
-        tail, err, n = _quad(
-            lambda x: x**gamma * _occupancy(x), delta, np.inf, settings
-        )
-        # Bernoulli truncation at delta=1/4 is below 1e-16 relative
-        return BoseIntegralResult(head + tail, err + 1e-16 * abs(head), n)
-
-    # factor e^kappa out analytically so the reported relative accuracy
-    # does not collapse for very negative kappa
-    def scaled(x):
-        return x**gamma * math.exp(-x) / (-math.expm1(kappa - x))
-
-    value, err, n = _quad(scaled, 0.0, np.inf, settings)
-    scale = math.exp(kappa)
-    return BoseIntegralResult(scale * value, scale * err, n)
+    s = gamma + 1.0
+    if kappa < 0:
+        li = _li(s, kappa)
+    elif gamma < _NEAR_INTEGER:
+        # zeta(1 + gamma) in gamma itself: the 1/gamma pole would magnify
+        # the rounding of s = 1 + gamma
+        li = 1.0 / gamma + _horner(_ZETA_REGULAR, gamma)
+    else:
+        li = riemann_zeta(s)
+    value = math.gamma(s) * li
+    return BoseIntegralResult(value, _CLOSED_FORM_REL * abs(value), 2)
 
 
-def _finite_n_bracket(x, n):
-    """1/(e^x - 1) - n/(e^(n x) - 1), stable near x = 0.
+def _finite_n_log_series(gamma, mu, n_cap):
+    """Li_{gamma+1}(e^mu) - N^-gamma Li_{gamma+1}(e^(N mu)) for
+    ln 0.6 < N mu <= 0, where both take the log series.  Their singular
+    terms Gamma(-gamma)(-mu)^gamma cancel exactly, which leaves
+    sum_k zeta(gamma + 1 - k) mu^k (1 - N^(k - gamma)) / k!.  Near the
+    pole of zeta, at k = round(gamma), that term is summed in
+    eps = gamma - k itself, never through the rounded s = 1 + gamma, as
+    (1 - N^-eps)/eps + (zeta(1 + eps) - 1/eps)(1 - N^-eps)."""
+    coeffs, _, pair = _log_series(gamma + 1.0)
+    total = _horner(coeffs, mu) - n_cap**-gamma * _horner(coeffs, n_cap * mu)
+    if pair is None:
+        return total
+    k, inv_fact = pair[:2]
+    eps = gamma - k
+    log_n = math.log(n_cap)
+    x = -eps * log_n
+    pow_m1 = math.expm1(x)  # N^-eps - 1
+    over_eps = log_n * pow_m1 / x if x else log_n  # (1 - N^-eps)/eps
+    return total + mu**k * inv_fact * (
+        over_eps - _horner(_ZETA_REGULAR, eps) * pow_m1)
 
-    The 1/x poles of the two terms cancel; for n*x small the Bernoulli
-    difference series is used.
-    """
-    if n * x < 0.1:
-        return (
-            (n - 1) / 2
-            - (n * n - 1) * x / 12
-            + (n**4 - 1) * x**3 / 720
-            - (n**6 - 1) * x**5 / 30240
-        )
-    return _occupancy(x) - n * _occupancy(n * x)
 
-
-def finite_n_integral(gamma, b, kappa, n_cap, settings=DEFAULT_SETTINGS):
+def finite_n_integral(gamma, b, kappa, n_cap):
     """Finite-count corrected Bose integral.
 
     int_0^inf xi^gamma [1/(e^(b(xi+kappa)) - 1) - N/(e^(bN(xi+kappa)) - 1)] d(xi)
-
-    For gamma = 0, kappa = 0 the closed form ln(N)/b holds.
+    = Gamma(gamma+1) b^(-gamma-1) [Li_{gamma+1}(e^(-b kappa)) - N^-gamma Li_{gamma+1}(e^(-bN kappa))],
+    which is Gamma(gamma+1) zeta(gamma+1)(1 - N^-gamma)/b^(gamma+1) at
+    kappa = 0, and ln(N)/b at gamma = kappa = 0.
     """
     if b <= 0:
         raise DomainError(f"finite_n_integral requires b > 0, got {b}")
@@ -363,12 +365,14 @@ def finite_n_integral(gamma, b, kappa, n_cap, settings=DEFAULT_SETTINGS):
     if n_cap < 1:
         raise DomainError(f"finite_n_integral requires N >= 1, got {n_cap}")
     if gamma <= -1:
-        raise DivergenceError(f"finite_n_integral diverges for gamma <= -1")
+        raise DivergenceError(f"finite_n_integral diverges for gamma <= -1, got {gamma}")
     if n_cap == 1:
         return BoseIntegralResult(0.0, 0.0, 0)
-
-    def integrand(x):
-        return x**gamma * _finite_n_bracket(b * (x + kappa), n_cap)
-
-    value, err, n = _quad(integrand, 0.0, np.inf, settings)
-    return BoseIntegralResult(value, err, n)
+    s = gamma + 1.0
+    mu = -b * kappa
+    if n_cap * mu > _SERIES_SWITCH:
+        bracket = _finite_n_log_series(gamma, mu, n_cap)
+    else:
+        bracket = _li(s, mu) - n_cap**-gamma * _li(s, n_cap * mu)
+    value = math.gamma(s) * b**-s * bracket
+    return BoseIntegralResult(value, _CLOSED_FORM_REL * abs(value), 3)

@@ -212,6 +212,23 @@ class TestIdealIsotherm:
         pts = diagram.ideal_isotherm([0.1, 0.5], -0.5)
         assert [p.P_r for p in pts] == [0.1, 0.5]
 
+    @pytest.mark.parametrize("g0", [0.0, -0.5])
+    @pytest.mark.parametrize("P", [0.999999999999, 0.9999999999999999])
+    def test_activity_rounding_to_one_needs_positive_gamma0(self, g0, P):
+        # below P = 1 the solved activity can round to 1, where Z divides
+        # by zeta(gamma0 + 1) as at P = 1; a point that does not round
+        # is computed
+        try:
+            pts = diagram.ideal_isotherm([P], g0)
+        except DomainError as exc:
+            assert "P = 1 needs gamma0 + 1 > 1" in str(exc)
+            assert f"P = {P}" in str(exc)
+            return
+        assert pts[0].a < 1.0
+        assert pts[0].Z == pytest.approx(
+            P * specfun.riemann_zeta(g0 + 2.0) / specfun.polylog(g0 + 1.0, pts[0].a),
+            rel=1e-12)
+
 
 class TestImperfectIsotherm:
     def test_identity_reduces_to_ideal(self):

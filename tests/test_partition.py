@@ -156,7 +156,7 @@ class TestGlobalDistribution:
 class TestNcr:
     def test_w_positive_and_large_n_scaling(self):
         i1 = specfun.gamma_fn(1.5) * specfun.riemann_zeta(1.5)
-        i2 = specfun.improper_quad(partition._w_integrand, 0.0).value
+        i2 = specfun.improper_quad(oracles.w_integrand, 0.0).value
         c = i2 / (0.5 * i1) ** (1.0 / 3.0)
         n = 10**9
         assert partition.ncr_dimension1(n) / n ** (2.0 / 3.0) == \
@@ -167,7 +167,7 @@ class TestNcr:
         # i.e. f(N) = N - W sqrt(N) + W = 0, largest root
         n = 10**6
         i1 = specfun.gamma_fn(1.5) * specfun.riemann_zeta(1.5)
-        i2 = specfun.improper_quad(partition._w_integrand, 0.0).value
+        i2 = specfun.improper_quad(oracles.w_integrand, 0.0).value
         w = (2.0 * n) ** (1.0 / 3.0) * i1 ** (-1.0 / 3.0) * i2
 
         def f(x):

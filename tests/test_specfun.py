@@ -10,7 +10,7 @@ import pytest
 import zenoline
 
 from zenoline import specfun
-from zenoline.errors import DivergenceError, DomainError
+from zenoline.errors import DivergenceError, DomainError, ZenolineError
 
 import oracles
 
@@ -128,18 +128,51 @@ class TestPolylogLogSeries:
         assert list(specfun._STIELTJES) == want
 
 
+@pytest.mark.parametrize("s", [-130.0, -150.0, -175.0])
+@pytest.mark.parametrize("z", [0.3, 0.5, 0.61, 0.9])
+def test_polylog_large_negative_order(s, z):
+    # k^s underflows in the power series and Gamma(1 - s) overflows in the
+    # log series: either the value is right or a library error says so
+    try:
+        value = specfun.polylog(s, z)
+    except ZenolineError as exc:
+        assert f"s={s}" in str(exc)
+        return
+    assert value == pytest.approx(oracles.polylog_mpmath(s, z), rel=1e-13)
+
+
+def _fresh_interpreter(code):
+    """Run `code` in a new interpreter with the package on its path and
+    return its standard output."""
+    src = str(Path(zenoline.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True, timeout=120)
+    return proc.stdout.strip()
+
+
 def test_import_leaves_mpmath_out():
     """mpmath is a test-only oracle, and scipy is imported only inside
     the functions that compute with it: importing the package, the CLI
     included, must load neither."""
-    src = str(Path(zenoline.__file__).resolve().parent.parent)
     code = ("import sys, zenoline.cli; "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('mpmath', 'scipy')))")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, check=True, timeout=120)
-    assert proc.stdout.strip() == "[]"
+    assert _fresh_interpreter(code) == "[]"
+
+
+def test_bose_moments_leave_quadpack_out():
+    """The moment fits, N_cr and the Boltzmann check are closed forms:
+    none of them may load scipy.integrate."""
+    code = ("import sys\n"
+            "from zenoline import ensemble, partition\n"
+            "k0 = partition.solve_global_distribution(10**4).n_cap\n"
+            "partition.solve_global_distribution(10**4, k0 // 2)\n"
+            "partition.ncr_dimension1(10**6)\n"
+            "ensemble.boltzmann_limit_check(1.0, [-1.0, -20.0])\n"
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.integrate')))")
+    assert _fresh_interpreter(code) == "[]"
 
 
 class TestBoseIntegral:
@@ -154,16 +187,14 @@ class TestBoseIntegral:
         assert res.value == pytest.approx(expect, rel=1e-10)
 
     def test_closed_form_grid(self):
-        st = specfun.DEFAULT_SETTINGS
         for gamma in (0.2, 0.5, 1.0, 1.2):
             for kappa in (0.0, -0.5, -2.0):
                 if kappa == 0.0 and gamma <= 0.0:
                     continue
-                res = specfun.bose_integral(gamma, kappa, st)
+                res = specfun.bose_integral(gamma, kappa)
                 expect = specfun.gamma_fn(gamma + 1.0) * specfun.polylog(
                     gamma + 1.0, math.exp(kappa))
-                assert abs(res.value - expect) <= \
-                    10.0 * (st.abs_tol + st.rel_tol * abs(expect))
+                assert abs(res.value - expect) <= 10.0 * (1e-12 + 1e-10 * abs(expect))
 
     def test_est_error_bounds_truth(self):
         for gamma, kappa in ((1.0, 0.0), (0.5, 0.0), (1.0, -2.0), (1.2, -0.5)):
@@ -227,6 +258,55 @@ class TestFiniteN:
             specfun.finite_n_integral(0.0, 1.0, 0.0, 0)
 
 
+class TestClosedFormsAgainstMpmath:
+    """The Bose integrals are closed forms in Gamma, zeta and Li; each
+    must match mpmath to 1e-13 relative, the bound est_error reports."""
+
+    REL = 1e-13
+
+    @pytest.mark.parametrize("gamma", [-0.5, -1e-9, 0.0, 1e-9, 0.5, 1.0, 1.3])
+    def test_finite_n_grid(self, gamma):
+        for bk in (0.0, 1e-12, 1e-6, 1e-3, 0.1, 1.0):
+            for n in (2, 30, 621):
+                for b in (0.01, 1.0):
+                    res = specfun.finite_n_integral(gamma, b, bk / b, n)
+                    want = oracles.finite_n_mpmath(gamma, b, bk / b, n)
+                    assert abs(res.value - want) <= self.REL * abs(want), \
+                        (gamma, b, bk / b, n)
+                    assert res.est_error == specfun._CLOSED_FORM_REL * abs(res.value)
+
+    @pytest.mark.parametrize("point", [
+        # cancellation of the singular terms of the two polylogs, and
+        # zeta(1 + gamma)(1 - N^-gamma) at gamma = 1e-9
+        (-0.5, 0.02, 1e-6, 30), (1e-9, 0.01, 0.0, 100), (0.0, 0.0055, 1e-4, 621),
+        (0.5, 0.01, 0.3, 50), (0.0, 0.01, 1e-3, 100), (-0.5, 0.02, 0.0, 30),
+        (-0.5, 0.02, 0.5, 30),
+    ])
+    def test_finite_n_points(self, point):
+        want = oracles.finite_n_mpmath(*point)
+        assert specfun.finite_n_integral(*point).value == \
+            pytest.approx(want, rel=self.REL, abs=0.0)
+
+    def test_bose_grid(self):
+        for gamma in (-0.5, -1e-9, 1e-9, 0.2, 0.5, 1.0, 1.2, 3.0):
+            for kappa in (0.0, -1e-12, -1e-6, -1e-3, -0.1, -0.5, -1.0, -5.0, -30.0):
+                if kappa == 0.0 and gamma <= 0.0:
+                    continue
+                want = oracles.bose_mpmath(gamma, kappa)
+                assert specfun.bose_integral(gamma, kappa).value == \
+                    pytest.approx(want, rel=self.REL, abs=0.0), (gamma, kappa)
+
+    def test_ncr_integrals(self):
+        from zenoline import partition
+
+        # I1 is bose_integral(1/2, 0); I2 enters N_cr through W
+        i1 = specfun.bose_integral(0.5, 0.0).value
+        assert i1 == pytest.approx(oracles.bose_mpmath(0.5, 0.0), rel=self.REL, abs=0.0)
+        for n in (10**6, 10**9):
+            assert partition.ncr_dimension1(n) == \
+                pytest.approx(oracles.ncr_mpmath(n), rel=self.REL, abs=0.0)
+
+
 class TestImproperQuad:
     def test_exponential(self):
         res = specfun.improper_quad(lambda x: math.exp(-x), 0.0)
@@ -239,13 +319,11 @@ class TestImproperQuad:
         assert res.value == pytest.approx(expect, rel=1e-8)
 
     def test_removable_singularity_against_trapezoid(self):
-        from zenoline.partition import _w_integrand
-
-        res = specfun.improper_quad(_w_integrand, 0.0)
+        res = specfun.improper_quad(oracles.w_integrand, 0.0)
         assert res.value > 0.0
         # split-domain trapezoid oracle: dense on [0, 5], tail by the
         # 1/xi^2 antiderivative (the Bose term is below 1e-11 there)
-        head = oracles.trapezoid_integral(_w_integrand, 0.0, 5.0)
+        head = oracles.trapezoid_integral(oracles.w_integrand, 0.0, 5.0)
         tail = 1.0 / 5.0
         assert res.value == pytest.approx(head + tail, rel=1e-6)
 
