@@ -6,16 +6,17 @@ reference tables.
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_right
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
 
 from .curves import PhaseCurve
-from .errors import (BracketError, CausticError, DomainError, SolverError,
-                     ZenolineError)
+from .errors import CausticError, DomainError, SolverError, ZenolineError
 from .roots import brentq
 from .specfun import polylog, riemann_zeta
 
@@ -78,10 +79,11 @@ def bachinskii_density(b, c, P):
 class FractalEos:
     """Volume deformation phi(V) of the fractal-index equation of state.
 
-    Parametrized by kappa along the unit-compressibility curve; the
-    tabulated phi is strictly increasing with positive derivative, and
-    phi(V)/V -> 1 at the large-volume end.  ``identity`` builds the
-    undeformed phi(V) = V member used for ideal-gas reduction checks.
+    Sampled along the unit-compressibility curve, strictly increasing
+    with positive derivative and phi(V)/V -> 1 at the large-volume end;
+    between samples, the cubic Hermite interpolant of the exact
+    (phi, phi') pairs, with ``dphi`` its derivative.  ``identity`` builds
+    the undeformed phi(V) = V member used for ideal-gas reduction checks.
     """
 
     def __init__(self, gamma, V, kappa, phi_vals, dphi_vals, V_cr):
@@ -98,20 +100,28 @@ class FractalEos:
             raise DomainError("phi must be strictly increasing")
         if abs(self.phi_vals[-1] / self.V[-1] - 1.0) > 1e-3:
             raise DomainError("phi(V)/V does not reach 1 at the largest sample")
-        from scipy.interpolate import PchipInterpolator
-
-        self._phi = PchipInterpolator(self.V, self.phi_vals)
-        self._dphi = PchipInterpolator(self.V, self.dphi_vals)
-        self._inv = PchipInterpolator(self.phi_vals, self.V)
+        # on the cell from x0: phi = y0 + s (m0 + s (c2 + s c3)), s = V - x0
+        x, y, m = self.V.tolist(), self.phi_vals.tolist(), self.dphi_vals.tolist()
+        self._knots, self._phi_knots, self._cells = x, y, []
+        for x0, x1, y0, y1, m0, m1 in zip(x, x[1:], y, y[1:], m, m[1:]):
+            h, d = x1 - x0, (y1 - y0) / (x1 - x0)
+            self._cells.append((x0, y0, m0, (3.0 * d - 2.0 * m0 - m1) / h,
+                                (m0 + m1 - 2.0 * d) / (h * h)))
 
     @classmethod
-    def identity(cls, gamma=GAMMA0, V_cr=1.0):
+    def identity(cls, gamma=GAMMA0):
         obj = cls.__new__(cls)
         obj.gamma = gamma
         obj.V = obj.kappa = obj.phi_vals = obj.dphi_vals = None
-        obj.V_cr = V_cr
+        obj.V_cr = 1.0
         obj._identity = True
         return obj
+
+    def _cell(self, V):
+        if V < self._knots[0]:
+            raise DomainError(f"V = {V} below the solved range [{self.V[0]}, ...]")
+        x0, y0, m0, c2, c3 = self._cells[bisect_right(self._knots, V) - 1]
+        return V - x0, y0, m0, c2, c3
 
     def phi(self, V):
         if self._identity:
@@ -119,18 +129,16 @@ class FractalEos:
         if V >= self.V[-1]:
             # asymptotic regime phi ~ V
             return self.phi_vals[-1] + (V - self.V[-1])
-        if V < self.V[0]:
-            raise DomainError(f"V = {V} below the solved range [{self.V[0]}, ...]")
-        return float(self._phi(V))
+        s, y0, m0, c2, c3 = self._cell(V)
+        return y0 + s * (m0 + s * (c2 + s * c3))
 
     def dphi(self, V):
         if self._identity:
             return 1.0
         if V >= self.V[-1]:
             return 1.0
-        if V < self.V[0]:
-            raise DomainError(f"V = {V} below the solved range [{self.V[0]}, ...]")
-        return float(self._dphi(V))
+        s, _, m0, c2, c3 = self._cell(V)
+        return m0 + s * (2.0 * c2 + 3.0 * s * c3)
 
     def inv_phi(self, y):
         """Volume with phi(V) = y, consistent with ``phi`` to rounding."""
@@ -140,15 +148,9 @@ class FractalEos:
             return self.V[-1] + (y - self.phi_vals[-1])
         if y < self.phi_vals[0]:
             raise DomainError(f"phi value {y} below the solved range")
-        # the tabulated inverse interpolant only brackets the answer;
-        # polish against the forward interpolant itself
-        guess = float(self._inv(y))
-        lo = max(self.V[0], guess - 1e-2 * (1.0 + abs(guess)))
-        hi = min(self.V[-1], guess + 1e-2 * (1.0 + abs(guess)))
-        f_lo, f_hi = self._phi(lo) - y, self._phi(hi) - y
-        if f_lo > 0 or f_hi < 0:
-            lo, hi = self.V[0], self.V[-1]
-        return brentq(lambda v: self._phi(v) - y, lo, hi,
+        # phi is exact at the samples, so the cell holding y brackets the root
+        i = bisect_right(self._phi_knots, y) - 1
+        return brentq(lambda v: self.phi(v) - y, self._knots[i], self._knots[i + 1],
                       xtol=1e-15, rtol=8.9e-16)
 
 
@@ -156,21 +158,22 @@ IsothermPoint = namedtuple("IsothermPoint", ["P_r", "Z", "a", "T_r"])
 CriticalGamma = namedtuple("CriticalGamma", ["d", "gamma"])
 
 
-def _kappa_prime(gamma, V, kappa, zeno):
-    """Slope of kappa(V) along the unit-compressibility constraint.
-
-    Vanishes as kappa -> 0- for gamma < 1 (the lowest polylogarithm
-    diverges there); trial evaluations at kappa >= 0 use that limit.
+def _w_prime(gamma, V, w):
+    """Slope of w = (-kappa)^gamma along the unit-compressibility
+    constraint on the Zeno line T = 1 - 1/V, where
+    kappa' = -(Li_{g+1}^2 / Li_g) (1/(V Li_{g+2}) + (g+1) T' / (T Li_{g+1}))
+    at z = e^kappa.  As kappa -> 0-, (-kappa)^(g-1) / Li_g -> 1/Gamma(1-g),
+    so w' stays finite there; trial stages at w <= 0 take that limit.
     """
-    if kappa >= -1e-300 and gamma < 1.0:
-        return 0.0
-    z = math.exp(kappa)
-    l0 = polylog(gamma, z)
+    mk = w ** (1.0 / gamma) if w > 0 else 0.0
+    z = math.exp(-mk)
     l1 = polylog(gamma + 1.0, z)
     l2 = polylog(gamma + 2.0, z)
-    T = zeno.T_B * (1.0 - 1.0 / (zeno.rho_B * V))
-    Tp = zeno.T_B / (zeno.rho_B * V * V)
-    return -(l1 * l1 / l0) * (1.0 / (V * l2) + (gamma + 1.0) * Tp / (T * l1))
+    if z == 1.0:
+        ratio = 1.0 / math.gamma(1.0 - gamma)
+    else:
+        ratio = mk ** (gamma - 1.0) / polylog(gamma, z)
+    return gamma * ratio * l1 / V * (l1 / l2 + (gamma + 1.0) / (V - 1.0))
 
 
 def _rk4_step(f, x, y, h):
@@ -182,66 +185,51 @@ def _rk4_step(f, x, y, h):
     return y + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
 
 
-def solve_phi(gamma, V_grid, zeno=ZenoLine()):
+def solve_phi(gamma, V_grid):
     """Integrate the parametric constraint for phi(V) inward from the
-    large-volume boundary phi(V)/V -> 1.
+    large-volume boundary phi(V)/V -> 1, on the Zeno line T = 1 - 1/V.
 
-    Returns a FractalEos sampled on the supplied grid, truncated at the
-    volume V_cr where the chemical-potential parameter reaches zero.
+    The trace steps w = (-kappa)^gamma, which reaches 0 with a finite
+    slope, by one RK4 step per grid cell, and ends at the volume V_cr
+    where kappa = -1e-6, located by the length of the last step.
+    Returns a FractalEos sampled on the grid down to V_cr, which the
+    grid must reach.  Needs 0 < gamma < 1.
     """
+    if not 0.0 < gamma < 1.0:
+        raise DomainError(f"solve_phi needs 0 < gamma < 1, got gamma={gamma}")
     V_grid = np.asarray(sorted(V_grid), dtype=float)
-    if V_grid[0] * zeno.rho_B <= 1.0:
+    if V_grid[0] <= 1.0:
         raise DomainError("V grid must stay above the Zeno-line pole 1/rho_B")
 
-    def T_of(V):
-        return zeno.T_B * (1.0 - 1.0 / (zeno.rho_B * V))
-
-    def slope(V, kappa):
-        return _kappa_prime(gamma, V, kappa, zeno)
-
-    V_max = V_grid[-1]
-    kappa = -math.log(V_max * T_of(V_max) ** (gamma + 1.0))
-    out_V, out_k = [V_max], [kappa]
-    V = V_max
-    V_cr = None
-    # integrate inward; kappa rises toward 0 with a steep, integrable
-    # slope near the crossing, so steps are halved against overshoot and
-    # the trace stops just short of kappa = 0
-    kappa_stop = -1e-6
-    for V_target in V_grid[::-1][1:]:
-        while V_cr is None and V > V_target + 1e-14:
-            step = max(V_target - V, -2.0)
-            while True:
-                k_new = _rk4_step(slope, V, kappa, step)
-                if k_new < kappa_stop:
-                    V += step
-                    kappa = k_new
-                    break
-                step /= 2.0
-                if abs(step) < 1e-9:
-                    V_cr = V
-                    break
-        if V_cr is not None:
-            if V < out_V[-1]:
-                out_V.append(V)
-                out_k.append(kappa)
+    slope = functools.partial(_w_prime, gamma)
+    w_cr = 1e-6 ** gamma
+    V = float(V_grid[-1])
+    w = math.log(V * (1.0 - 1.0 / V) ** (gamma + 1.0)) ** gamma
+    trace = [(V, w)]
+    for V_next in V_grid[-2::-1]:
+        w_next = _rk4_step(slope, V, w, V_next - V)
+        if w_next <= w_cr:
+            # the end point falls in this cell: shorten the step onto it
+            h = brentq(lambda h: _rk4_step(slope, V, w, h) - w_cr, V_next - V, 0.0,
+                       xtol=1e-15)
+            trace.append((V + h, _rk4_step(slope, V, w, h)))
             break
-        out_V.append(V)
-        out_k.append(kappa)
-    if V_cr is None:
-        V_cr = out_V[-1]
-    out_V.reverse()
-    out_k.reverse()
+        V, w = float(V_next), w_next
+        trace.append((V, w))
+    else:
+        raise DomainError(f"V grid ends at {V}, above V_cr where kappa = -1e-6")
+    out_V, out_w = zip(*trace[::-1])
+    out_k = [-(w ** (1.0 / gamma)) for w in out_w]
     phi_vals, dphi_vals = [], []
     for Vv, kk in zip(out_V, out_k):
         z = math.exp(kk)
-        t_pow = T_of(Vv) ** (-(gamma + 1.0))
+        t_pow = (1.0 - 1.0 / Vv) ** (-(gamma + 1.0))
         phi_vals.append(t_pow / polylog(gamma + 1.0, z))
         dphi_vals.append(t_pow / (Vv * polylog(gamma + 2.0, z)))
-    return FractalEos(gamma, out_V, out_k, phi_vals, dphi_vals, V_cr)
+    return FractalEos(gamma, out_V, out_k, phi_vals, dphi_vals, out_V[0])
 
 
-def critical_gamma(target_Z, d_range=(1.0 + 1e-6, 6.0)):
+def critical_gamma(target_Z):
     """Fractal dimension d with zeta(d+1)/zeta(d) equal to the target
     compressibility (geometric factor taken as 1), and the associated
     index gamma = d - 1."""
@@ -251,10 +239,10 @@ def critical_gamma(target_Z, d_range=(1.0 + 1e-6, 6.0)):
     def res(d):
         return riemann_zeta(d + 1.0) / riemann_zeta(d) - target_Z
 
-    lo, hi = d_range
+    lo, hi = 1.0 + 1e-6, 6.0
     if res(lo) > 0 or res(hi) < 0:
         raise DomainError(
-            f"target {target_Z} outside the attainable ratio range on d in {d_range}")
+            f"target {target_Z} outside the attainable ratio range on d in {(lo, hi)}")
     d = brentq(res, lo, hi, xtol=1e-12)
     return CriticalGamma(d=d, gamma=d - 1.0)
 
@@ -350,14 +338,26 @@ def imperfect_isotherm(P_grid, eos, gamma0=GAMMA0):
 
     for the activity a and volume V = Z/P.  With the identity
     deformation phi(V) = V this reduces exactly to the ideal isotherm.
+    A tabulated phi ends at V_cr, where the branch tops out at P_max < 1;
+    a P above P_max raises SolverError.
     """
     zp2 = riemann_zeta(gamma0 + 2.0)
     c_cr = eos.dphi(eos.V_cr)
     scale = c_cr * zp2
+    P_max = 1.0
+    if not eos._identity:
+        li_top = scale / eos.phi(eos.V_cr)
+        a_top = _solve_activity(
+            lambda a: polylog(gamma0 + 1.0, a) - li_top if a else -li_top)
+        P_max = polylog(gamma0 + 2.0, a_top) / zp2
     points = []
     for P in P_grid:
         if not (0.0 < P <= 1.0):
             raise DomainError(f"P must be in (0, 1], got {P}")
+        if P > P_max:
+            raise SolverError(
+                f"imperfect isotherm failed at P = {P}: above the top of the "
+                f"branch, P_max = {P_max:.6f} at V_cr = {eos.V_cr:.6f}")
         target = P * scale
 
         def v_of(a):
@@ -408,8 +408,7 @@ def _gamma_slope(gamma, mu):
     return z * dlog
 
 
-def jamming_extension(mu_grid, eos, gamma0=GAMMA0, anchor_P=2.5,
-                      variant="ode", stitch_points=40):
+def jamming_extension(mu_grid, eos, gamma0=GAMMA0, anchor_P=2.5, variant="ode"):
     """Continuation of the unit isotherm past the critical pressure.
 
     Integrates gamma(mu) from gamma0 at mu = 0 until either the grid is
@@ -458,7 +457,7 @@ def jamming_extension(mu_grid, eos, gamma0=GAMMA0, anchor_P=2.5,
     P_b, Z_b, mu_b, g_b = rows[-1]
     if anchor_P <= P_b:
         raise DomainError(f"anchor pressure {anchor_P} not beyond breakpoint {P_b}")
-    for t in np.linspace(0.0, 1.0, stitch_points + 1)[1:]:
+    for t in np.linspace(0.0, 1.0, 41)[1:]:
         rows.append((P_b + t * (anchor_P - P_b), Z_b + t * (1.0 - Z_b), mu_b, g_b))
     return PhaseCurve(
         columns=("P", "Z", "mu", "gamma"), rows=rows,

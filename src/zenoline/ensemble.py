@@ -183,14 +183,29 @@ def boltzmann_limit_check(gamma, kappa_list):
     """Ratio of the Bose integral to its Maxwell-Boltzmann limit
     Gamma(gamma+1) e^kappa, for a sequence of kappa going to -infinity.
 
-    The deficit 1 - ratio decays like e^kappa.
+    The deficit ratio - 1 = sum_{j>=2} e^((j-1) kappa) / j^(gamma+1)
+    decays like e^kappa / 2^(gamma+1).  Where e^kappa <= 0.6 it is summed
+    as that series, which keeps its digits and never divides by an
+    e^kappa that has underflowed to 0.
     """
     if any(k > 0 for k in kappa_list):
         raise DomainError("kappa values must be non-positive")
-    g = specfun.gamma_fn(gamma + 1.0)
+    s = gamma + 1.0
+    g = specfun.gamma_fn(s)
     rows = []
     for kappa in kappa_list:
-        value = specfun.bose_integral(gamma, kappa).value
-        ratio = value / (g * math.exp(kappa))
-        rows.append({"kappa": kappa, "ratio": ratio, "deficit": ratio - 1.0})
+        z = math.exp(kappa)
+        if z <= 0.6:
+            # the tail after a term is at most 1.5 times that term
+            deficit, z_j, j = 0.0, z, 2
+            while True:
+                term = z_j / j**s
+                deficit += term
+                if term <= 1e-17 * deficit:
+                    break
+                z_j *= z
+                j += 1
+        else:
+            deficit = specfun.bose_integral(gamma, kappa).value / (g * z) - 1.0
+        rows.append({"kappa": kappa, "ratio": 1.0 + deficit, "deficit": deficit})
     return {"gamma": gamma, "rows": rows}

@@ -5,7 +5,8 @@ code it checks: Euler-Maclaurin summation for zeta, the pentagonal
 recurrence for partition totals, exhaustive enumeration for restricted
 counts, truncated power series and mpmath at raised precision for
 polylogarithms and the Bose integrals, trapezoid sums and QUADPACK for
-integrals, and central differences for derivatives.  mpmath is a
+integrals, central differences for derivatives, and an adaptive
+DOP853 solve in kappa for the phi(V) trace.  mpmath is a
 test-only dependency (the ``test`` extra); the library itself does not
 import it.  scipy's C brentq is the oracle for the library's
 step-for-step port of Brent's method (``zenoline.roots``); the library
@@ -13,9 +14,12 @@ no longer imports scipy.optimize.
 """
 
 import math
+from collections import namedtuple
 
 import mpmath
 from scipy.optimize import brentq as brentq_scipy  # noqa: F401
+
+from zenoline import specfun
 
 
 def zeta_euler_maclaurin(s, cut=50):
@@ -182,3 +186,71 @@ def occupation_vectors(levels, n, e_max):
 
     walk(0, [])
     return out
+
+
+PhiIsotherm = namedtuple("PhiIsotherm", ["V_cr", "P_max", "Z"])
+
+
+def phi_isotherm_ivp(gamma, P_list, V_max=1000.0):
+    """V_cr, the branch top P_max and Z at each P of the imperfect
+    isotherm at gamma0 = gamma, from the phi(V) trace solved in kappa.
+
+    kappa(V) solves the unit-compressibility constraint on the Zeno line
+    T = 1 - 1/V,
+
+        kappa' = -(Li_{g+1}^2 / Li_g) (1/(V Li_{g+2}) + (g+1) T' / (T Li_{g+1})),
+
+    from kappa = -ln(V_max T^(g+1)) at V_max inward, by scipy's adaptive
+    DOP853 (rtol 1e-13) with a terminal event at kappa = -1e-6, which
+    is V_cr.  phi = T^-(g+1) / Li_{g+1} and phi' = T^-(g+1) / (V Li_{g+2})
+    come from the dense output of kappa itself, not from an interpolant
+    of phi, and the isotherm pair
+
+        phi(V) Li_{g+1}(a) = phi'(V_cr) zeta(g+2)
+        phi'(V) Li_{g+2}(a) = P phi'(V_cr) zeta(g+2)
+
+    is solved by brentq in V, with a from the first equation by brentq.
+    Li_s is the library's float64 polylog, which the specfun tests hold
+    to mpmath; mpmath's own ODE solver is far too slow at this accuracy.
+    """
+    from scipy.integrate import solve_ivp
+
+    g = gamma
+    li = specfun.polylog
+
+    def kappa_prime(V, y):
+        z = math.exp(y[0])
+        l0, l1, l2 = li(g, z), li(g + 1.0, z), li(g + 2.0, z)
+        T, Tp = 1.0 - 1.0 / V, 1.0 / (V * V)
+        return [-(l1 * l1 / l0) * (1.0 / (V * l2) + (g + 1.0) * Tp / (T * l1))]
+
+    def end(V, y):
+        return y[0] + 1e-6
+
+    end.terminal = True
+    T_max = 1.0 - 1.0 / V_max
+    sol = solve_ivp(kappa_prime, (V_max, 1.0 + 1e-9),
+                    [-math.log(V_max * T_max ** (g + 1.0))], method="DOP853",
+                    rtol=1e-13, atol=1e-20, events=end, dense_output=True)
+    V_cr = float(sol.t_events[0][0])
+
+    def phi_pair(V):
+        z = math.exp(float(sol.sol(V)[0]))
+        t_pow = (1.0 - 1.0 / V) ** (-(g + 1.0))
+        return t_pow / li(g + 1.0, z), t_pow / (V * li(g + 2.0, z))
+
+    scale = phi_pair(V_cr)[1] * specfun.riemann_zeta(g + 2.0)
+
+    def activity(V):
+        target = scale / phi_pair(V)[0]
+        return brentq_scipy(lambda a: li(g + 1.0, a) - target, 1e-300, 1.0,
+                            xtol=1e-300, rtol=1e-15)
+
+    def pressure(V):
+        return phi_pair(V)[1] * li(g + 2.0, activity(V)) / scale
+
+    Z = []
+    for P in P_list:
+        V = brentq_scipy(lambda v: pressure(v) - P, V_cr, V_max, xtol=1e-14, rtol=1e-15)
+        Z.append(P * V)
+    return PhiIsotherm(V_cr=V_cr, P_max=pressure(V_cr), Z=Z)

@@ -177,6 +177,19 @@ class TestExitCodes:
                          "--P-grid", "0.1:0.5:0.1"]) == cli.EXIT_OK
         assert len(capsys.readouterr().out.splitlines()) == 6
 
+    def test_imperfect_isotherm_gamma0_outside_unit_interval(self, capsys):
+        # the phi(V) trace needs 0 < gamma < 1
+        for g in ("0", "1", "1.5", "3"):
+            assert cli.main(["isotherm", "--mode", "imperfect", "--gamma0", g]) \
+                == cli.EXIT_CONFIG
+            assert f"0 < gamma < 1, got gamma={float(g)}" in capsys.readouterr().err
+
+    def test_imperfect_isotherm_above_branch_top(self, capsys):
+        # the default grid ends at P = 1.0, above the branch top
+        assert cli.main(["isotherm", "--mode", "imperfect"]) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "failed at P = 1.0" in err and "P_max = 0.989925" in err
+
     def test_isotherm_large_gamma0(self, capsys):
         # Li_402 at z <= 0.6 overflows k**s after a few terms
         assert cli.main(["isotherm", "--gamma0", "400"]) == cli.EXIT_OK
@@ -201,14 +214,20 @@ class TestCommandTable:
         keys = {k for _, flags in cli._COMMANDS.values() for k in flags}
         assert keys <= set(cli._DEFAULTS)
 
-    @pytest.mark.parametrize("name", list(cli._COMMANDS))
-    def test_scipy_import_budget(self, name):
+    # each command at its defaults, and the imperfect isotherm
+    _BUDGET_RUNS = [pytest.param([name], id=name) for name in cli._COMMANDS] + [
+        pytest.param(["isotherm", "--mode", "imperfect", "--P-grid", "0.1:0.3:0.1"],
+                     id="isotherm-imperfect")]
+
+    @pytest.mark.parametrize("argv", _BUDGET_RUNS)
+    def test_scipy_import_budget(self, argv):
         # only isotherm and jamming compute with scipy, through
         # scipy.special; no command loads any other scipy subpackage
+        name = argv[0]
         src = str(Path(zenoline.__file__).resolve().parent.parent)
         code = ("import contextlib, io, json, sys; from zenoline import cli\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
-                f"    code = cli.main([{name!r}])\n"
+                f"    code = cli.main({argv!r})\n"
                 "print(json.dumps([code, sorted(m for m in sys.modules "
                 "if m.split('.')[0] == 'scipy')]))")
         env = dict(os.environ, PYTHONPATH=src)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,11 @@ GAMMA0 = diagram.GAMMA0
 @pytest.fixture(scope="module")
 def eos():
     return diagram.solve_phi(GAMMA0, np.geomspace(1.02, 1000.0, 400))
+
+
+@pytest.fixture(scope="module")
+def ivp():
+    return oracles.phi_isotherm_ivp(GAMMA0, [0.05, 0.5, 0.8, 0.95])
 
 
 class TestZenoLine:
@@ -111,6 +117,25 @@ class TestSolvePhi:
             eos.phi(0.5)
         with pytest.raises(DomainError):
             diagram.solve_phi(GAMMA0, [0.5, 2.0])
+        for g in (0.0, 1.0, 1.5, 3.0, -0.2):
+            with pytest.raises(DomainError, match=f"got gamma={g}"):
+                diagram.solve_phi(g, [1.02, 2.0])
+        # a grid that stops short of V_cr cannot define it
+        with pytest.raises(DomainError, match="above V_cr"):
+            diagram.solve_phi(GAMMA0, np.geomspace(2.0, 1000.0, 50))
+
+    def test_v_cr_against_ivp(self, eos, ivp):
+        assert eos.V_cr == pytest.approx(ivp.V_cr, rel=1e-7)
+
+    def test_w_slope_finite_at_kappa_zero(self):
+        # w' tends to its kappa = 0 limit, which trial stages at w <= 0
+        # take: the leading correction is linear in w, so a third of w
+        # leaves a third of the deviation
+        limit = diagram._w_prime(GAMMA0, 1.4, 0.0)
+        assert diagram._w_prime(GAMMA0, 1.4, -0.1) == limit
+        dev = [diagram._w_prime(GAMMA0, 1.4, w) / limit - 1.0 for w in (3e-2, 1e-2)]
+        assert abs(dev[0]) < 0.1
+        assert dev[1] == pytest.approx(dev[0] / 3.0, rel=0.05)
 
 
 class TestCriticalGamma:
@@ -249,10 +274,23 @@ class TestImperfectIsotherm:
             assert eos.dphi(V) * specfun.polylog(GAMMA0 + 2.0, pt.a) == \
                 pytest.approx(pt.P_r * c_cr * zp2, rel=1e-8)
 
+    def test_against_ivp(self, eos, ivp):
+        pts = diagram.imperfect_isotherm([0.05, 0.5, 0.8, 0.95], eos)
+        assert [p.Z for p in pts] == pytest.approx(ivp.Z, rel=1e-5)
+
+    def test_branch_top(self, eos, ivp):
+        with pytest.raises(SolverError, match=r"P = 0\.99: .*P_max = ") as exc:
+            diagram.imperfect_isotherm([0.99], eos)
+        p_max = float(re.search(r"P_max = ([0-9.]+)", str(exc.value)).group(1))
+        assert p_max == pytest.approx(ivp.P_max, abs=1e-6)
+        # just below the top the volume sits just above V_cr
+        top = diagram.imperfect_isotherm([0.9899], eos)[0]
+        assert eos.V_cr < top.Z / top.P_r < 1.001 * eos.V_cr
+
     def test_deformation_effect(self, eos):
         # the deformed and undeformed isotherms agree in the dilute
         # limit and separate strongly as the critical pressure nears
-        grid = [0.05, 0.99]
+        grid = [0.05, 0.98]
         ideal = diagram.ideal_isotherm(grid)
         real = diagram.imperfect_isotherm(grid, eos)
         assert real[0].Z == pytest.approx(ideal[0].Z, abs=0.02)

@@ -141,6 +141,15 @@ class TestBoltzmann:
         assert d[1] / d[0] == pytest.approx(math.exp(-1.0), rel=1e-3)
         assert d[2] / d[1] == pytest.approx(math.exp(-1.0), rel=1e-3)
 
+    def test_deficit_below_exp_underflow(self):
+        # e^kappa underflows to 0 below kappa ~ -745; the deficit
+        # e^kappa / 2^(gamma+1) + ... is summed without dividing by it
+        out = ensemble.boltzmann_limit_check(1.0, [-700.0, -746.0, -800.0, -1e4])
+        top, *deep = out["rows"]
+        assert top["deficit"] == pytest.approx(math.exp(-700.0) / 4.0, rel=1e-14)
+        for row in deep:
+            assert (row["ratio"], row["deficit"]) == (1.0, 0.0)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             ensemble.boltzmann_limit_check(1.0, [-1.0, 0.5])
