@@ -32,4 +32,14 @@ __all__ = [
     "ensemble",
 ]
 
-from . import diagram, ensemble, partition, scatter, specfun  # noqa: E402
+# scatter computes with numpy arrays; it is imported on first use, so
+# that importing the package loads no numpy
+from . import diagram, ensemble, partition, specfun  # noqa: E402
+
+
+def __getattr__(name):
+    if name == "scatter":
+        import importlib
+
+        return importlib.import_module(".scatter", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

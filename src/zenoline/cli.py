@@ -13,9 +13,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import __version__, diagram, ensemble, partition, scatter
+from . import __version__, diagram, ensemble, partition
 from .errors import DomainError, ResourceError, ZenolineError
 
 EXIT_OK = 0
@@ -78,18 +76,17 @@ def write_json(path, columns, rows, meta=None):
 def write_manifest(out_path, command, config, columns, n_rows):
     if out_path is None:
         return
-    import scipy
-
     canonical = json.dumps(config, sort_keys=True, default=str)
+    versions = {"zenoline": __version__,
+                "python": ".".join(map(str, sys.version_info[:3]))}
+    # the numerical packages the run loaded, and only those
+    for name in ("numpy", "scipy"):
+        if name in sys.modules:
+            versions[name] = sys.modules[name].__version__
     manifest = {
         "command": command,
         "config_hash": hashlib.sha256(canonical.encode()).hexdigest(),
-        "versions": {
-            "zenoline": __version__,
-            "python": ".".join(map(str, sys.version_info[:3])),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
+        "versions": versions,
         "quantities": list(columns),
         "rows": n_rows,
     }
@@ -99,25 +96,34 @@ def write_manifest(out_path, command, config, columns, n_rows):
 
 
 def _potential(name):
+    from . import scatter
+
     try:
         return scatter.PotentialSpec(family=_POTENTIALS[name])
     except KeyError:
         raise DomainError(f"unknown potential {name!r}") from None
 
 
+# the scatter commands load numpy through scatter; no other command does
 def _cmd_zeno(cfg):
+    from . import scatter
+
     curve = scatter.trace_zeno_analog(_potential(cfg["potential"]),
                                       parse_grid(cfg["B_grid"]))
     return curve.columns, curve.rows, curve.meta
 
 
 def _cmd_compressibility(cfg):
+    from . import scatter
+
     curve = scatter.compressibility_curve(
         _potential(cfg["potential"]), float(cfg["B"]), parse_grid(cfg["rho_grid"]))
     return curve.columns, curve.rows, curve.meta
 
 
 def _cmd_critical(cfg):
+    from . import scatter
+
     cs = scatter.critical_summary(_potential(cfg["potential"]), B=float(cfg["B"]))
     cols = ("Z_cr", "rho_cr_over_rho_B", "T_cr_over_T_B")
     return cols, [(cs.Z_cr, cs.rho_cr_over_rho_B, cs.T_cr_over_T_B)], \
@@ -130,6 +136,8 @@ def _cmd_isotherm(cfg):
     if cfg["mode"] == "ideal":
         pts = diagram.ideal_isotherm(grid, gamma0)
     elif cfg["mode"] == "imperfect":
+        import numpy as np
+
         eos = diagram.solve_phi(gamma0, np.geomspace(1.02, 1000.0, 400))
         pts = diagram.imperfect_isotherm(grid, eos, gamma0)
     else:

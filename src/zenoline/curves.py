@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DomainError
 
 __all__ = ["PhaseCurve"]
@@ -43,6 +41,8 @@ class PhaseCurve:
 
     def column(self, name):
         """Return one named column as a float array."""
+        import numpy as np
+
         try:
             j = self.columns.index(name)
         except ValueError:
@@ -50,4 +50,6 @@ class PhaseCurve:
         return np.array([row[j] for row in self.rows], dtype=float)
 
     def as_array(self):
+        import numpy as np
+
         return np.array(self.rows, dtype=float)

@@ -13,8 +13,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 from types import MappingProxyType
 
-import numpy as np
-
 from .curves import PhaseCurve
 from .errors import CausticError, DomainError, SolverError, ZenolineError
 from .roots import brentq
@@ -88,21 +86,20 @@ class FractalEos:
 
     def __init__(self, gamma, V, kappa, phi_vals, dphi_vals, V_cr):
         self.gamma = gamma
-        self.V = np.asarray(V, dtype=float)
-        self.kappa = np.asarray(kappa, dtype=float)
-        self.phi_vals = np.asarray(phi_vals, dtype=float)
-        self.dphi_vals = np.asarray(dphi_vals, dtype=float)
+        self.V = x = tuple(map(float, V))
+        self.kappa = tuple(map(float, kappa))
+        self.phi_vals = y = tuple(map(float, phi_vals))
+        self.dphi_vals = m = tuple(map(float, dphi_vals))
         self.V_cr = V_cr
         self._identity = False
-        if np.any(self.phi_vals <= 0) or np.any(self.dphi_vals <= 0):
+        if any(v <= 0 for v in y) or any(v <= 0 for v in m):
             raise DomainError("phi and phi' must be strictly positive")
-        if np.any(np.diff(self.phi_vals) <= 0):
+        if any(y1 <= y0 for y0, y1 in zip(y, y[1:])):
             raise DomainError("phi must be strictly increasing")
-        if abs(self.phi_vals[-1] / self.V[-1] - 1.0) > 1e-3:
+        if abs(y[-1] / x[-1] - 1.0) > 1e-3:
             raise DomainError("phi(V)/V does not reach 1 at the largest sample")
         # on the cell from x0: phi = y0 + s (m0 + s (c2 + s c3)), s = V - x0
-        x, y, m = self.V.tolist(), self.phi_vals.tolist(), self.dphi_vals.tolist()
-        self._knots, self._phi_knots, self._cells = x, y, []
+        self._cells = []
         for x0, x1, y0, y1, m0, m1 in zip(x, x[1:], y, y[1:], m, m[1:]):
             h, d = x1 - x0, (y1 - y0) / (x1 - x0)
             self._cells.append((x0, y0, m0, (3.0 * d - 2.0 * m0 - m1) / h,
@@ -118,9 +115,9 @@ class FractalEos:
         return obj
 
     def _cell(self, V):
-        if V < self._knots[0]:
+        if V < self.V[0]:
             raise DomainError(f"V = {V} below the solved range [{self.V[0]}, ...]")
-        x0, y0, m0, c2, c3 = self._cells[bisect_right(self._knots, V) - 1]
+        x0, y0, m0, c2, c3 = self._cells[bisect_right(self.V, V) - 1]
         return V - x0, y0, m0, c2, c3
 
     def phi(self, V):
@@ -149,8 +146,8 @@ class FractalEos:
         if y < self.phi_vals[0]:
             raise DomainError(f"phi value {y} below the solved range")
         # phi is exact at the samples, so the cell holding y brackets the root
-        i = bisect_right(self._phi_knots, y) - 1
-        return brentq(lambda v: self.phi(v) - y, self._knots[i], self._knots[i + 1],
+        i = bisect_right(self.phi_vals, y) - 1
+        return brentq(lambda v: self.phi(v) - y, self.V[i], self.V[i + 1],
                       xtol=1e-15, rtol=8.9e-16)
 
 
@@ -197,13 +194,13 @@ def solve_phi(gamma, V_grid):
     """
     if not 0.0 < gamma < 1.0:
         raise DomainError(f"solve_phi needs 0 < gamma < 1, got gamma={gamma}")
-    V_grid = np.asarray(sorted(V_grid), dtype=float)
+    V_grid = sorted(map(float, V_grid))
     if V_grid[0] <= 1.0:
         raise DomainError("V grid must stay above the Zeno-line pole 1/rho_B")
 
     slope = functools.partial(_w_prime, gamma)
     w_cr = 1e-6 ** gamma
-    V = float(V_grid[-1])
+    V = V_grid[-1]
     w = math.log(V * (1.0 - 1.0 / V) ** (gamma + 1.0)) ** gamma
     trace = [(V, w)]
     for V_next in V_grid[-2::-1]:
@@ -214,7 +211,7 @@ def solve_phi(gamma, V_grid):
                        xtol=1e-15)
             trace.append((V + h, _rk4_step(slope, V, w, h)))
             break
-        V, w = float(V_next), w_next
+        V, w = V_next, w_next
         trace.append((V, w))
     else:
         raise DomainError(f"V grid ends at {V}, above V_cr where kappa = -1e-6")
@@ -408,6 +405,14 @@ def _gamma_slope(gamma, mu):
     return z * dlog
 
 
+def _linspace(start, stop, num):
+    """num evenly spaced floats from start to stop, by numpy's linspace
+    arithmetic: start + i * step with step = (stop - start) / (num - 1),
+    and the last point set to stop."""
+    step = (stop - start) / (num - 1)
+    return [start + i * step for i in range(num - 1)] + [stop]
+
+
 def jamming_extension(mu_grid, eos, gamma0=GAMMA0, anchor_P=2.5, variant="ode"):
     """Continuation of the unit isotherm past the critical pressure.
 
@@ -457,7 +462,7 @@ def jamming_extension(mu_grid, eos, gamma0=GAMMA0, anchor_P=2.5, variant="ode"):
     P_b, Z_b, mu_b, g_b = rows[-1]
     if anchor_P <= P_b:
         raise DomainError(f"anchor pressure {anchor_P} not beyond breakpoint {P_b}")
-    for t in np.linspace(0.0, 1.0, 41)[1:]:
+    for t in _linspace(0.0, 1.0, 41)[1:]:
         rows.append((P_b + t * (anchor_P - P_b), Z_b + t * (1.0 - Z_b), mu_b, g_b))
     return PhaseCurve(
         columns=("P", "Z", "mu", "gamma"), rows=rows,
@@ -470,8 +475,7 @@ def liquid_summary(eos, zeno, Z_cr=0.29, rho_cr_ratio=0.273):
     connecting hyperbola Z = c/rho, and triple-point constants."""
     rho_cr = rho_cr_ratio * zeno.rho_B
     c = Z_cr * rho_cr
-    rho_samples = np.linspace(rho_cr, zeno.rho_B * 0.999, 25)
-    hyperbola = [(float(r), float(c / r)) for r in rho_samples]
+    hyperbola = [(r, c / r) for r in _linspace(rho_cr, zeno.rho_B * 0.999, 25)]
     t_rays = [0.9, 0.8, 0.7, 0.6]
     rays = [(t * zeno.T_B, zeno_density(zeno, t * zeno.T_B)) for t in t_rays]
     return {

@@ -5,12 +5,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy
 
 import zenoline
 from zenoline import cli
 from zenoline.errors import DomainError, SolverError
+
+
+def _fresh_interpreter(code):
+    """Run `code` in a new interpreter with the package on its path and
+    return its standard output."""
+    src = str(Path(zenoline.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True, timeout=120)
+    return proc.stdout
 
 
 class TestParseGrid:
@@ -58,7 +69,7 @@ class TestWriters:
         assert man["rows"] == 3
         assert man["command"] == "threshold"
         assert "zenoline" in man["versions"]
-        # polylog and zeta values come from scipy.special
+        # this process has loaded scipy, so the manifest names it
         assert man["versions"]["scipy"] == scipy.__version__
         # deterministic output: no clocks, hosts or paths
         assert not any("time" in k or "date" in k for k in man)
@@ -214,34 +225,61 @@ class TestCommandTable:
         keys = {k for _, flags in cli._COMMANDS.values() for k in flags}
         assert keys <= set(cli._DEFAULTS)
 
-    # each command at its defaults, and the imperfect isotherm
-    _BUDGET_RUNS = [pytest.param([name], id=name) for name in cli._COMMANDS] + [
-        pytest.param(["isotherm", "--mode", "imperfect", "--P-grid", "0.1:0.3:0.1"],
-                     id="isotherm-imperfect")]
+    # the numerical packages each run loads: the scatter commands compute
+    # with numpy arrays, isotherm and jamming with scipy.special (which
+    # loads numpy), and the rest with neither
+    _NUMPY = ["numpy"]
+    _SPECIAL = ["numpy", "scipy", "scipy.special"]
+    _BUDGET = {
+        "threshold": (["threshold"], []),
+        "partition": (["partition"], []),
+        "ensemble": (["ensemble"], []),
+        "reference": (["reference"], []),
+        "partition-n2000": (["partition", "--n", "2000"], []),
+        "zeno": (["zeno"], _NUMPY),
+        "compressibility": (["compressibility"], _NUMPY),
+        "critical": (["critical"], _NUMPY),
+        "isotherm": (["isotherm"], _SPECIAL),
+        "jamming": (["jamming"], _SPECIAL),
+        "isotherm-imperfect": (
+            ["isotherm", "--mode", "imperfect", "--P-grid", "0.1:0.3:0.1"], _SPECIAL),
+    }
 
-    @pytest.mark.parametrize("argv", _BUDGET_RUNS)
-    def test_scipy_import_budget(self, argv):
-        # only isotherm and jamming compute with scipy, through
-        # scipy.special; no command loads any other scipy subpackage
-        name = argv[0]
-        src = str(Path(zenoline.__file__).resolve().parent.parent)
+    def test_budget_covers_every_command(self):
+        assert {argv[0] for argv, _ in self._BUDGET.values()} == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("argv, expected", list(_BUDGET.values()),
+                             ids=list(_BUDGET))
+    def test_scipy_import_budget(self, argv, expected):
+        # a fresh interpreter runs the command; the loaded packages are the
+        # top-level numpy, scipy and mpmath and scipy's public subpackages
+        # (scipy.special brings scipy's private helpers and scipy.version)
         code = ("import contextlib, io, json, sys; from zenoline import cli\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 f"    code = cli.main({argv!r})\n"
-                "print(json.dumps([code, sorted(m for m in sys.modules "
-                "if m.split('.')[0] == 'scipy')]))")
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env, check=True, timeout=120)
-        code, loaded = json.loads(proc.stdout)
+                "print(json.dumps([code, list(sys.modules)]))")
+        code, modules = json.loads(_fresh_interpreter(code))
         assert code == cli.EXIT_OK
-        if name not in ("isotherm", "jamming"):
-            assert loaded == []
-        else:
-            # scipy.special pulls in scipy's private helpers and version
-            public = {m.split(".")[1] for m in loaded if "." in m} \
-                - {"version"}
-            assert {p for p in public if not p.startswith("_")} <= {"special"}
+        parts = [m.split(".") for m in modules]
+        loaded = {p[0] for p in parts if p[0] in ("numpy", "scipy", "mpmath")}
+        loaded |= {"scipy." + p[1] for p in parts if p[0] == "scipy" and len(p) > 1
+                   and not p[1].startswith("_") and p[1] != "version"}
+        assert sorted(loaded) == expected
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["threshold"], {}),
+        (["isotherm"], {"numpy": np.__version__, "scipy": scipy.__version__})],
+        ids=["threshold", "isotherm"])
+    def test_manifest_names_loaded_packages(self, argv, expected, tmp_path):
+        # the manifest names numpy and scipy exactly when the run loaded them
+        out = tmp_path / "out.csv"
+        _fresh_interpreter(
+            f"import sys; from zenoline import cli; "
+            f"sys.exit(cli.main({['--out', str(out)] + argv!r}))")
+        versions = json.loads((tmp_path / "out.csv.manifest.json").read_text())[
+            "versions"]
+        assert {k: v for k, v in versions.items() if k in ("numpy", "scipy")} \
+            == expected
 
     def test_flag_spelling(self):
         args = cli.build_parser().parse_args(

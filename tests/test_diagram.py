@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -81,7 +82,7 @@ class TestSolvePhi:
         assert eos.V_cr == pytest.approx(1.414, abs=5e-3)
         assert eos.V_cr == eos.V[0]
         assert np.all(np.diff(eos.phi_vals) > 0)
-        assert np.all(eos.dphi_vals > 0)
+        assert np.all(np.asarray(eos.dphi_vals) > 0)
         assert eos.phi_vals[-1] / eos.V[-1] == pytest.approx(1.0, abs=1e-3)
         # kappa is monotone along the trace and hits the boundary value
         assert np.all(np.diff(eos.kappa) < 0)
@@ -123,6 +124,22 @@ class TestSolvePhi:
         # a grid that stops short of V_cr cannot define it
         with pytest.raises(DomainError, match="above V_cr"):
             diagram.solve_phi(GAMMA0, np.geomspace(2.0, 1000.0, 50))
+
+    def test_samples_unchanged(self, eos):
+        # the samples are plain floats, the same floats as the numpy-array
+        # implementation traced on this grid (recorded with numpy 2.4.6 and
+        # scipy 1.17.1); a change here is a change of the trace's numbers
+        def digest(values):
+            return hashlib.sha256(
+                " ".join(v.hex() for v in values).encode()).hexdigest()
+
+        samples = (eos.V, eos.kappa, eos.phi_vals, eos.dphi_vals)
+        assert all(type(v) is float for seq in samples for v in seq)
+        assert [len(seq) for seq in samples] == [382] * 4
+        assert eos.V_cr.hex() == "0x1.6a7764117313bp+0"
+        assert [digest(seq)[:16] for seq in samples] == [
+            "a83a707ec21c4eac", "0d58e33e7bf84d87", "8b7538301dbfde2c",
+            "cc9c132dbc1bba41"]
 
     def test_v_cr_against_ivp(self, eos, ivp):
         assert eos.V_cr == pytest.approx(ivp.V_cr, rel=1e-7)
@@ -404,6 +421,32 @@ class TestJamming:
             diagram.jamming_extension([0.0, -0.1], eos, anchor_P=0.5)
         with pytest.raises(DomainError):
             diagram.jamming_extension([0.0, -0.1], eos, variant="spline")
+
+
+class TestLinspace:
+    """The pure-Python grids equal numpy's linspace float for float."""
+
+    @pytest.mark.parametrize("start, stop, num", [
+        (0.0, 1.0, 41), (0.273, 0.999, 25), (-0.5, 2.5, 7), (1e-3, 1e3, 100),
+        (3.0, -1.0, 13), (0.1, 0.1, 5), (0.0, 1.0, 2)])
+    def test_against_numpy(self, start, stop, num):
+        assert diagram._linspace(start, stop, num) == \
+            np.linspace(start, stop, num).tolist()
+
+    def test_jamming_stitch(self):
+        eos = diagram.FractalEos.identity(GAMMA0)
+        curve = diagram.jamming_extension([0.0, -0.1, -0.2], eos, anchor_P=2.5)
+        P_b, Z_b = curve.meta["breakpoint"]
+        stitch = [(P_b + t * (2.5 - P_b), Z_b + t * (1.0 - Z_b))
+                  for t in np.linspace(0.0, 1.0, 41)[1:].tolist()]
+        assert [row[:2] for row in curve.rows[-40:]] == stitch
+
+    def test_liquid_hyperbola(self, eos):
+        line = diagram.ZenoLine()
+        summary = diagram.liquid_summary(eos, line)
+        c = summary["hyperbola_constant"]
+        rhos = np.linspace(0.273 * line.rho_B, 0.999 * line.rho_B, 25).tolist()
+        assert summary["hyperbola"] == [(r, c / r) for r in rhos]
 
 
 class TestLiquidSummary:

@@ -60,6 +60,20 @@ class TestPolylog:
                 assert specfun.polylog(s, z) == pytest.approx(
                     oracles.polylog_series(s, z), rel=1e-9)
 
+    def test_very_negative_orders_against_mpmath(self):
+        # the power series runs to k = 365 and 233; k**s underflows to 0
+        # from k = 309 at s = -130 and from k = 144 at s = -150, and k**-s
+        # overflows from k = 114 at s = -150.  Measured against mpmath at
+        # 30 digits: 1.7e-15 and 7.7e-16 relative.
+        for s, z in ((-130.0, 0.5), (-150.0, 0.3)):
+            assert specfun.polylog(s, z) == pytest.approx(
+                oracles.polylog_mpmath(s, z), rel=3e-15)
+
+    def test_value_past_float_range(self):
+        # Li_-200(0.5) ~ 1e350
+        with pytest.raises(DomainError, match="leaves the float range"):
+            specfun.polylog(-200.0, 0.5)
+
     def test_large_order_direct_series(self):
         # k**s overflows after a few terms; the sum is z to rounding
         for s in (400.0, 1000.0):
@@ -152,13 +166,22 @@ def _fresh_interpreter(code):
 
 
 def test_import_leaves_mpmath_out():
-    """mpmath is a test-only oracle, and scipy is imported only inside
-    the functions that compute with it: importing the package, the CLI
-    included, must load neither."""
+    """mpmath is a test-only oracle, and numpy and scipy are imported only
+    inside the functions that compute with them: importing the package,
+    the CLI included, must load none of the three."""
     code = ("import sys, zenoline.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('mpmath', 'scipy')))")
+            "if m.split('.')[0] in ('mpmath', 'numpy', 'scipy')))")
     assert _fresh_interpreter(code) == "[]"
+
+
+def test_scatter_imported_on_first_use():
+    """zenoline.scatter computes with numpy arrays: the package imports it,
+    and numpy with it, on first attribute access."""
+    code = ("import sys, zenoline; before = 'numpy' in sys.modules; "
+            "zenoline.scatter.PotentialSpec('morse'); "
+            "print(before, 'numpy' in sys.modules)")
+    assert _fresh_interpreter(code) == "False True"
 
 
 def test_bose_moments_leave_quadpack_out():
