@@ -8,7 +8,6 @@ recording versions, the configuration hash, and the emitted quantities.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -38,11 +37,11 @@ def parse_grid(spec):
         raise DomainError(f"grid must be lo:hi:step, got {spec!r}") from None
     if step == 0 or (hi - lo) * step < 0:
         raise DomainError(f"grid {spec!r} is empty or not monotone")
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    values = [lo + i * step for i in range(n)]
-    if not values:
-        raise DomainError(f"grid {spec!r} is empty")
-    return values
+    cells = (hi - lo) / step
+    # NaN or infinite bounds and steps, and spans that overflow
+    if not all(map(math.isfinite, (lo, hi, step, cells))):
+        raise DomainError(f"grid {spec!r} has a non-finite bound, step or size")
+    return [lo + i * step for i in range(int(math.floor(cells + 1e-9)) + 1)]
 
 
 def _fmt(x):
@@ -76,6 +75,9 @@ def write_json(path, columns, rows, meta=None):
 def write_manifest(out_path, command, config, columns, n_rows):
     if out_path is None:
         return
+    # only a run that writes a manifest pays for loading OpenSSL
+    import hashlib
+
     canonical = json.dumps(config, sort_keys=True, default=str)
     versions = {"zenoline": __version__,
                 "python": ".".join(map(str, sys.version_info[:3]))}

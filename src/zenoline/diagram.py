@@ -460,7 +460,7 @@ def jamming_extension(mu_grid, eos, gamma0=GAMMA0, anchor_P=2.5, variant="ode"):
         if jammed:
             break
     P_b, Z_b, mu_b, g_b = rows[-1]
-    if anchor_P <= P_b:
+    if not anchor_P > P_b:
         raise DomainError(f"anchor pressure {anchor_P} not beyond breakpoint {P_b}")
     for t in _linspace(0.0, 1.0, 41)[1:]:
         rows.append((P_b + t * (anchor_P - P_b), Z_b + t * (1.0 - Z_b), mu_b, g_b))

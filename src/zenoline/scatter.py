@@ -136,9 +136,9 @@ class ScatterProblem:
     alpha: float
 
     def __post_init__(self):
-        if self.B <= 1.0:
+        if not self.B > 1.0:
             raise DomainError(f"impact parameter must exceed 1, got {self.B}")
-        if self.alpha < 0.0:
+        if not self.alpha >= 0.0:
             raise DomainError(f"alpha must be non-negative, got {self.alpha}")
 
 
@@ -146,9 +146,11 @@ class ScatterProblem:
 class StationaryPair:
     """The two stationary radii of E(r) and the well/barrier depths.
 
-    The energy landscape is stored flipped (wells turned upside down):
-    E_max is the well depth -min_r E and E_min the barrier depth
-    -max_r E, so both are non-negative and E_max >= E_min.
+    r_lo is the well and r_hi the barrier: E' < 0 at both ends of the
+    scan, so E falls to a minimum at r_lo and climbs to a maximum at
+    r_hi.  The landscape is stored flipped (wells turned upside down):
+    E_max = -E(r_lo) is the well depth and E_min = -E(r_hi) the barrier
+    depth, both non-negative with E_max >= E_min.
     """
 
     r_lo: float
@@ -301,7 +303,7 @@ def trace_zeno_analog(potential, B_grid):
     Per-point failures are recorded in ``meta['failures']`` and skipped.
     """
     B_list = list(B_grid)
-    if any(b <= 1.0 for b in B_list):
+    if not all(b > 1.0 for b in B_list):
         raise DomainError("all B values must exceed 1")
     if sorted(B_list) != B_list:
         raise DomainError("B grid must be increasing")
@@ -336,11 +338,10 @@ def stationary_pair(problem):
         raise DegenerateError(
             f"stationary points merged or absent at alpha = {problem.alpha}{hint}")
     r_lo, r_hi = roots[0], roots[-1]
-    e_lo = effective_energy(problem, r_lo)
-    e_hi = effective_energy(problem, r_hi)
-    # flipped convention: wells upside down
+    # flipped convention: the well at r_lo, the barrier at r_hi
     return StationaryPair(r_lo=r_lo, r_hi=r_hi,
-                          E_min=-max(e_lo, e_hi), E_max=-min(e_lo, e_hi))
+                          E_min=-effective_energy(problem, r_hi),
+                          E_max=-effective_energy(problem, r_lo))
 
 
 def compressibility_curve(potential, B, rho_grid, C2=1.0):
@@ -349,7 +350,7 @@ def compressibility_curve(potential, B, rho_grid, C2=1.0):
     Density maps to the attraction coefficient through alpha = C2 rho.
     Degenerate points are recorded in ``meta['failures']`` and skipped.
     """
-    if B < 10.0:
+    if not B >= 10.0:
         raise DomainError(f"B must be >= 10 for the plateau regime, got {B}")
 
     def one(rho):
@@ -362,11 +363,11 @@ def compressibility_curve(potential, B, rho_grid, C2=1.0):
                       meta={"B": B, "C2": C2, "failures": failures})
 
 
-def _ordinate(potential, B, alpha):
-    """Well-to-barrier energy gap scaled by B^2; its alpha -> 0 value
-    calibrates the temperature axis."""
-    pair = stationary_pair(ScatterProblem(potential, B, alpha))
-    return B * B * (pair.E_max - pair.E_min)
+def _z_slope(pair, B):
+    """dZ/dalpha at the alpha of the pair, exact: E is linear in alpha, so
+    at a stationary radius dE/dalpha = -r^4/(B^2 - r^2) (envelope theorem)."""
+    dE_max, dE_min = (r**4 / (B * B - r * r) for r in (pair.r_lo, pair.r_hi))
+    return (pair.E_min * dE_max - dE_min * pair.E_max) / pair.E_max**2
 
 
 def critical_summary(potential, B=100.0, C2=1.0):
@@ -374,49 +375,43 @@ def critical_summary(potential, B=100.0, C2=1.0):
 
     Construction: the density axis is normalized by rho_B = alpha*(B)/C2
     (the degeneracy intercept, where Z reaches 0); the critical point is
-    where the derivative of Z along the diagonal of the unit square
-    vanishes, dZ/dx = -1 with x = rho/rho_B; the temperature ratio is
-    the well-to-barrier energy gap at the critical density over its
-    zero-density value.  Every step is logged in ``notes``.
+    where Z falls with slope -1 along the diagonal of the unit square,
+    dZ/dx = -1 with x = rho/rho_B.  The slope is exact (`_z_slope`), so
+    each x costs one stationary pair; the crossing is scanned on a
+    35-point grid.  The temperature ratio is the well-to-barrier energy
+    gap at the critical density over its zero-density value.  Every
+    step is logged in ``notes``.
     """
     r_star = zeno_condition_root(potential, B)
     alpha_star = alpha_from_first_derivative(potential, B, r_star)
     rho_B = alpha_star / C2
 
-    def z_of_x(x):
-        pair = stationary_pair(ScatterProblem(potential, B, alpha_star * x))
-        return 1.0 - pair.E_min / pair.E_max
-
-    # bracket the dZ/dx = -1 crossing on a coarse grid first
-    h = 1e-4
+    def pair_at(x):
+        return stationary_pair(ScatterProblem(potential, B, alpha_star * x))
 
     def diag(x):
-        return (z_of_x(x + h) - z_of_x(x - h)) / (2.0 * h) + 1.0
+        return alpha_star * _z_slope(pair_at(x), B) + 1.0
 
-    xs = np.linspace(0.05, 0.9, 35)
-    ds = [diag(x) for x in xs]
-    x_cr = None
-    for i in range(len(xs) - 1):
-        if ds[i] * ds[i + 1] < 0.0:
-            x_cr = brentq(diag, xs[i], xs[i + 1], xtol=1e-8)
-            break
-    if x_cr is None:
+    roots = _scan_roots(np.vectorize(diag, otypes=[float]),
+                        np.linspace(0.05, 0.9, 35))
+    if not roots:
         raise BracketError("diagonal-derivative crossing dZ/dx = -1 not bracketed")
-    z_cr = z_of_x(x_cr)
-    ord_cr = _ordinate(potential, B, alpha_star * x_cr)
-    ord_0 = _ordinate(potential, B, alpha_star * 1e-9)
-    t_ratio = ord_cr / ord_0
+    x_cr = roots[0]
+    pair_cr = pair_at(x_cr)
+    # the gap B^2 (E_max - E_min); its alpha -> 0 value calibrates T
+    ord_cr, ord_0 = (B * B * (p.E_max - p.E_min) for p in (pair_cr, pair_at(1e-9)))
     notes = {
         "B": B,
         "C2": C2,
         "r_star": r_star,
         "alpha_star": alpha_star,
         "rho_B": rho_B,
-        "diagonal_criterion": "dZ/d(rho/rho_B) = -1, central difference h=1e-4",
+        "diagonal_criterion": "dZ/d(rho/rho_B) = -1, exact by the envelope theorem",
         "ordinate_zero_density": ord_0,
         "ordinate_critical": ord_cr,
         "temperature_calibration": "gap(rho_cr)/gap(0), gap = B^2 (E_max - E_min)",
         "reference_T_ratios": (0.39, 2.79),
     }
-    return CriticalSummary(Z_cr=z_cr, rho_cr_over_rho_B=x_cr,
-                           T_cr_over_T_B=t_ratio, notes=notes)
+    return CriticalSummary(Z_cr=1.0 - pair_cr.E_min / pair_cr.E_max,
+                           rho_cr_over_rho_B=x_cr, T_cr_over_T_B=ord_cr / ord_0,
+                           notes=notes)

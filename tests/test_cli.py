@@ -34,7 +34,9 @@ class TestParseGrid:
         assert grid == pytest.approx([0.5, 0.75, 1.0])
 
     def test_errors(self):
-        for bad in ("1:2", "a:b:c", "1:2:0", "2:1:1"):
+        for bad in ("1:2", "a:b:c", "1:2:0", "2:1:1", "nan:1:0.1", "1:nan:0.1",
+                    "1:2:nan", "inf:1:-1", "1:inf:1", "0:1:inf",
+                    "2:1e300:1e-300", "-1e308:1e308:1"):
             with pytest.raises(DomainError):
                 cli.parse_grid(bad)
 
@@ -141,6 +143,16 @@ class TestExitCodes:
         assert "unknown potential" in capsys.readouterr().err
         assert cli.main(["reference", "--table", "nope"]) == cli.EXIT_CONFIG
         capsys.readouterr()
+
+    def test_non_finite_input(self, capsys):
+        for argv, msg in (
+                (["zeno", "--B-grid", "nan:1:0.1"], "non-finite bound"),
+                (["zeno", "--B-grid", "2:1e300:1e-300"], "non-finite bound"),
+                (["zeno", "--B-grid", "0:1:inf"], "non-finite bound"),
+                (["compressibility", "--B", "nan"], "B must be >= 10"),
+                (["jamming", "--anchor-P", "nan"], "anchor pressure nan not beyond")):
+            assert cli.main(argv) == cli.EXIT_CONFIG
+            assert msg in capsys.readouterr().err
 
     def test_bad_config_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

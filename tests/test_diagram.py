@@ -417,8 +417,9 @@ class TestJamming:
         eos = diagram.FractalEos.identity(GAMMA0)
         with pytest.raises(DomainError):
             diagram.jamming_extension([-0.1, -0.2], eos)
-        with pytest.raises(DomainError):
-            diagram.jamming_extension([0.0, -0.1], eos, anchor_P=0.5)
+        for anchor_P in (0.5, math.nan):
+            with pytest.raises(DomainError):
+                diagram.jamming_extension([0.0, -0.1], eos, anchor_P=anchor_P)
         with pytest.raises(DomainError):
             diagram.jamming_extension([0.0, -0.1], eos, variant="spline")
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,13 @@ from zenoline.errors import (BracketError, DegenerateError, DomainError,
 import oracles
 
 LJ = scatter.PotentialSpec()
+FAMILIES = [scatter.PotentialSpec(f) for f in
+            ("lennard_jones", "generalized_lj", "morse", "buckingham")]
+
+
+def _alpha_star(pot, B=100.0):
+    return scatter.alpha_from_first_derivative(
+        pot, B, scatter.zeno_condition_root(pot, B))
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +103,9 @@ class TestEffectiveEnergy:
             scatter.ScatterProblem(LJ, 0.9, 0.1)
         with pytest.raises(DomainError):
             scatter.ScatterProblem(LJ, 10.0, -0.1)
+        for B, alpha in ((math.nan, 0.1), (10.0, math.nan)):
+            with pytest.raises(DomainError):
+                scatter.ScatterProblem(LJ, B, alpha)
 
 
 class TestAlphaRoutes:
@@ -187,6 +198,8 @@ class TestTrace:
             scatter.trace_zeno_analog(LJ, [0.5, 5.0])
         with pytest.raises(DomainError):
             scatter.trace_zeno_analog(LJ, [10.0, 5.0])
+        with pytest.raises(DomainError):
+            scatter.trace_zeno_analog(LJ, [math.nan])
 
 
 class TestStationaryPair:
@@ -197,12 +210,18 @@ class TestStationaryPair:
             assert abs(scatter.effective_energy_derivative(prob, r)) < 1e-9
 
     def test_flipped_depths(self):
-        prob = scatter.ScatterProblem(LJ, 100.0, 0.1)
-        pair = scatter.stationary_pair(prob)
-        assert pair.r_lo < pair.r_hi
-        assert 0.0 <= pair.E_min <= pair.E_max
-        assert pair.E_max == pytest.approx(
-            -scatter.effective_energy(prob, pair.r_lo), rel=1e-12)
+        # r_lo is the well and r_hi the barrier for every family, from
+        # near 0 to near the merge threshold
+        for pot, x in itertools.product(FAMILIES, (1e-9, 0.05, 0.5, 0.99)):
+            prob = scatter.ScatterProblem(pot, 100.0, _alpha_star(pot) * x)
+            pair = scatter.stationary_pair(prob)
+            assert pair.r_lo < pair.r_hi
+            assert 0.0 <= pair.E_min <= pair.E_max
+            assert pair.E_max == -scatter.effective_energy(prob, pair.r_lo)
+            assert pair.E_min == -scatter.effective_energy(prob, pair.r_hi)
+            e = [scatter.effective_energy(prob, r) for r in
+                 (0.99 * pair.r_lo, pair.r_lo, 1.01 * pair.r_lo)]
+            assert e[1] < min(e[0], e[2])
 
     def test_degenerate_beyond_merge(self):
         r_star = scatter.zeno_condition_root(LJ, 100.0)
@@ -252,8 +271,9 @@ class TestCompressibility:
         assert a.rows == b.rows
 
     def test_small_B_rejected(self):
-        with pytest.raises(DomainError):
-            scatter.compressibility_curve(LJ, 5.0, [0.1])
+        for B in (5.0, math.nan):
+            with pytest.raises(DomainError):
+                scatter.compressibility_curve(LJ, B, [0.1])
 
 
 class TestCriticalSummary:
@@ -282,5 +302,35 @@ class TestCriticalSummary:
                 scatter.ScatterProblem(LJ, 100.0, a_star * xx))
             return 1.0 - pair.E_min / pair.E_max
 
-        slope = oracles.central_difference(z, x, 1e-4)
-        assert slope == pytest.approx(-1.0, abs=1e-5)
+        slope = oracles.central_difference(z, x, 1e-5)
+        assert slope == pytest.approx(-1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("pot", FAMILIES, ids=lambda p: p.family)
+    def test_envelope_slope_matches_central_difference(self, pot):
+        # the central difference converges to the envelope slope as h^2;
+        # at h = 1e-5 it is within ~5e-9
+        a_star = _alpha_star(pot)
+
+        def pair(x):
+            return scatter.stationary_pair(
+                scatter.ScatterProblem(pot, 100.0, a_star * x))
+
+        def z(x):
+            p = pair(x)
+            return 1.0 - p.E_min / p.E_max
+
+        for x in (0.05, 0.27, 0.5, 0.9):
+            slope = a_star * scatter._z_slope(pair(x), 100.0)
+            assert slope == pytest.approx(
+                oracles.central_difference(z, x, 1e-5), rel=1e-8)
+
+    @pytest.mark.parametrize("pot", FAMILIES, ids=lambda p: p.family)
+    def test_one_scan_per_slope(self, pot, monkeypatch):
+        # one pair per slope: 35 on the grid, the brentq polish, and the
+        # pairs at x_cr and x -> 0
+        calls = []
+        pair = scatter.stationary_pair
+        monkeypatch.setattr(scatter, "stationary_pair",
+                            lambda problem: calls.append(problem) or pair(problem))
+        scatter.critical_summary(pot, B=100.0)
+        assert len(calls) <= 52

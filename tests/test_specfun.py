@@ -166,12 +166,13 @@ def _fresh_interpreter(code):
 
 
 def test_import_leaves_mpmath_out():
-    """mpmath is a test-only oracle, and numpy and scipy are imported only
-    inside the functions that compute with them: importing the package,
-    the CLI included, must load none of the three."""
+    """mpmath is a test-only oracle, numpy and scipy are imported only
+    inside the functions that compute with them, and hashlib (which loads
+    OpenSSL) only when a manifest is written: importing the package, the
+    CLI included, must load none of them."""
     code = ("import sys, zenoline.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('mpmath', 'numpy', 'scipy')))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('mpmath', 'numpy', 'scipy', 'hashlib', '_hashlib')))")
     assert _fresh_interpreter(code) == "[]"
 
 
