@@ -244,55 +244,23 @@ def critical_gamma(target_Z):
     return CriticalGamma(d=d, gamma=d - 1.0)
 
 
-# the activity solver stops once the bracket is this many units of
-# float64 rounding of its upper end wide
-_ACTIVITY_XTOL = 4.0 * 2.0**-52
-_ACTIVITY_STEPS = 100
+def _solve_activity(f, target):
+    """Activity a in [0, 1] with f(a) = target, by `brentq` on [0, 1].
 
-
-def _solve_activity(resid, lo=0.0, hi=1.0):
-    """Safeguarded Illinois (modified regula falsi) solve for the activity
-    a in (0, 1]; resid must be negative at lo and non-negative at hi.
-
-    Each step takes the Illinois point, which halves the residual kept
-    at an endpoint that stays put for two steps, and falls back to
-    bisection while the upper residual is infinite (an overcompressed
-    state).  Stops when resid hits zero or the bracket is a few ulps
-    wide, and returns the upper endpoint, whose residual is
-    non-negative.
+    f(0) is taken as 0, as for the polylogs, so a target > 0 with
+    f(1) >= target is bracketed.  The stop is relative, within 4 ulp of
+    a.  An unbracketed target or a failed solve raises SolverError
+    naming the bracket and the residual at both ends.
     """
-    f_lo, f_hi = resid(lo), resid(hi)
-    if f_lo > 0 or f_hi < 0:
+    def resid(a):
+        return f(a) - target if a else -target
+
+    try:
+        return brentq(resid, 0.0, 1.0, xtol=1e-300)
+    except (ValueError, RuntimeError) as exc:
         raise SolverError(
-            f"activity not bracketed: resid({lo}) = {f_lo:.3g}, "
-            f"resid({hi}) = {f_hi:.3g}")
-    side = 0
-    for _ in range(_ACTIVITY_STEPS):
-        width = hi - lo
-        if f_hi == 0 or width <= _ACTIVITY_XTOL * hi:
-            break
-        if math.isfinite(f_hi):
-            # keep the point half a tolerance inside, so that a step
-            # rounded onto an endpoint still closes the bracket
-            inset = 0.5 * _ACTIVITY_XTOL * hi
-            x = hi - f_hi * width / (f_hi - f_lo)
-            x = min(max(x, lo + inset), hi - inset)
-        else:
-            x = 0.5 * (lo + hi)
-            if x == lo or x == hi:
-                break
-        f = resid(x)
-        if f < 0:
-            lo, f_lo = x, f
-            if side < 0:
-                f_hi *= 0.5
-            side = -1
-        else:
-            hi, f_hi = x, f
-            if side > 0:
-                f_lo *= 0.5
-            side = 1
-    return hi
+            f"activity solve on [0, 1] failed: resid(0) = {-target:.3g}, "
+            f"resid(1) = {resid(1.0):.3g}: {exc}") from exc
 
 
 def ideal_isotherm(P_grid, gamma0=GAMMA0):
@@ -307,14 +275,7 @@ def ideal_isotherm(P_grid, gamma0=GAMMA0):
     for P in P_grid:
         if not (0.0 < P <= 1.0):
             raise DomainError(f"P must be in (0, 1], got {P}")
-        target = P * zp2
-
-        def resid(a):
-            if a == 0.0:
-                return -target
-            return polylog(gamma0 + 2.0, a) - target
-
-        a = _solve_activity(resid)
+        a = _solve_activity(lambda a: polylog(gamma0 + 2.0, a), P * zp2)
         # at a = 1 (P = 1, or just below it) Z divides by zeta(gamma0 + 1)
         if a == 1.0 and not gamma0 + 1.0 > 1.0:
             raise DomainError(
@@ -333,20 +294,33 @@ def imperfect_isotherm(P_grid, eos, gamma0=GAMMA0):
         phi(V) Li_{gamma0+1}(a) = phi'(V_cr) zeta(gamma0+2)
         phi'(V) Li_{gamma0+2}(a) = P phi'(V_cr) zeta(gamma0+2)
 
-    for the activity a and volume V = Z/P.  With the identity
-    deformation phi(V) = V this reduces exactly to the ideal isotherm.
-    A tabulated phi ends at V_cr, where the branch tops out at P_max < 1;
-    a P above P_max raises SolverError.
+    for the activity a and volume V = Z/P: the first equation gives
+    V(a), and `brentq` solves the second for a on [0, 1].  With the
+    identity deformation phi(V) = V this reduces exactly to the ideal
+    isotherm.  A tabulated phi ends at V_cr, where the branch tops out
+    at P_max < 1.  An activity above that top would put V below V_cr;
+    there V is held at V_cr, so the residual stays finite and increasing
+    on [0, 1] and every P <= P_max has its root at or below the top.  A
+    P above P_max raises SolverError.
     """
     zp2 = riemann_zeta(gamma0 + 2.0)
     c_cr = eos.dphi(eos.V_cr)
     scale = c_cr * zp2
-    P_max = 1.0
+    P_max, y_cr = 1.0, 0.0
     if not eos._identity:
-        li_top = scale / eos.phi(eos.V_cr)
-        a_top = _solve_activity(
-            lambda a: polylog(gamma0 + 1.0, a) - li_top if a else -li_top)
+        y_cr = eos.phi(eos.V_cr)
+        li_top = scale / y_cr
+        a_top = _solve_activity(lambda a: polylog(gamma0 + 1.0, a), li_top)
         P_max = polylog(gamma0 + 2.0, a_top) / zp2
+
+    def v_of(a):
+        # above the branch top the volume is held at V_cr
+        y = scale / polylog(gamma0 + 1.0, a)
+        return eos.inv_phi(y) if y > y_cr else eos.V_cr
+
+    def f(a):
+        return eos.dphi(v_of(a)) * polylog(gamma0 + 2.0, a)
+
     points = []
     for P in P_grid:
         if not (0.0 < P <= 1.0):
@@ -356,28 +330,13 @@ def imperfect_isotherm(P_grid, eos, gamma0=GAMMA0):
                 f"imperfect isotherm failed at P = {P}: above the top of the "
                 f"branch, P_max = {P_max:.6f} at V_cr = {eos.V_cr:.6f}")
         target = P * scale
-
-        def v_of(a):
-            return eos.inv_phi(scale / polylog(gamma0 + 1.0, a))
-
-        def resid(a):
-            if a == 0.0:
-                return -target
-            try:
-                v = v_of(a)
-            except DomainError:
-                # implied volume below the solved range: overcompressed,
-                # push the solver toward smaller activity
-                return math.inf
-            return eos.dphi(v) * polylog(gamma0 + 2.0, a) - target
-
         try:
-            a = _solve_activity(resid)
-            final = resid(a)
-            if not math.isfinite(final) or abs(final) > 1e-8 * target:
+            a = _solve_activity(f, target)
+            final = f(a) - target
+            if abs(final) > 1e-8 * target:
                 raise SolverError(
-                    f"residual {final:.3g} at a = {a}: the implied volume "
-                    f"leaves the solved range, P = {P} is not resolvable")
+                    f"residual {final:.3g} at a = {a} exceeds 1e-8 of the "
+                    f"target {target:.6g}")
             V = v_of(a)
         except ZenolineError as exc:
             raise SolverError(f"imperfect isotherm failed at P = {P}: {exc}") from exc
@@ -460,8 +419,9 @@ def jamming_extension(mu_grid, eos, gamma0=GAMMA0, anchor_P=2.5, variant="ode"):
         if jammed:
             break
     P_b, Z_b, mu_b, g_b = rows[-1]
-    if not anchor_P > P_b:
-        raise DomainError(f"anchor pressure {anchor_P} not beyond breakpoint {P_b}")
+    if not P_b < anchor_P < math.inf:
+        raise DomainError(
+            f"anchor pressure {anchor_P} not beyond breakpoint {P_b} or not finite")
     for t in _linspace(0.0, 1.0, 41)[1:]:
         rows.append((P_b + t * (anchor_P - P_b), Z_b + t * (1.0 - Z_b), mu_b, g_b))
     return PhaseCurve(

@@ -136,8 +136,9 @@ class ScatterProblem:
     alpha: float
 
     def __post_init__(self):
-        if not self.B > 1.0:
-            raise DomainError(f"impact parameter must exceed 1, got {self.B}")
+        if not 1.0 < self.B < math.inf:
+            raise DomainError(
+                f"impact parameter B must be finite and exceed 1, got {self.B}")
         if not self.alpha >= 0.0:
             raise DomainError(f"alpha must be non-negative, got {self.alpha}")
 
@@ -303,8 +304,8 @@ def trace_zeno_analog(potential, B_grid):
     Per-point failures are recorded in ``meta['failures']`` and skipped.
     """
     B_list = list(B_grid)
-    if not all(b > 1.0 for b in B_list):
-        raise DomainError("all B values must exceed 1")
+    if not all(1.0 < b < math.inf for b in B_list):
+        raise DomainError("all B values must be finite and exceed 1")
     if sorted(B_list) != B_list:
         raise DomainError("B grid must be increasing")
 
@@ -350,8 +351,9 @@ def compressibility_curve(potential, B, rho_grid, C2=1.0):
     Density maps to the attraction coefficient through alpha = C2 rho.
     Degenerate points are recorded in ``meta['failures']`` and skipped.
     """
-    if not B >= 10.0:
-        raise DomainError(f"B must be >= 10 for the plateau regime, got {B}")
+    if not 10.0 <= B < math.inf:
+        raise DomainError(
+            f"B must be >= 10 for the plateau regime and finite, got {B}")
 
     def one(rho):
         pair = stationary_pair(ScatterProblem(potential, B, C2 * rho))
@@ -382,6 +384,8 @@ def critical_summary(potential, B=100.0, C2=1.0):
     gap at the critical density over its zero-density value.  Every
     step is logged in ``notes``.
     """
+    if not math.isfinite(B):
+        raise DomainError(f"B must be finite, got {B}")
     r_star = zeno_condition_root(potential, B)
     alpha_star = alpha_from_first_derivative(potential, B, r_star)
     rho_B = alpha_star / C2

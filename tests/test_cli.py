@@ -150,7 +150,11 @@ class TestExitCodes:
                 (["zeno", "--B-grid", "2:1e300:1e-300"], "non-finite bound"),
                 (["zeno", "--B-grid", "0:1:inf"], "non-finite bound"),
                 (["compressibility", "--B", "nan"], "B must be >= 10"),
-                (["jamming", "--anchor-P", "nan"], "anchor pressure nan not beyond")):
+                (["compressibility", "--B", "inf"], "B must be >= 10"),
+                (["critical", "--B", "inf"], "B must be finite, got inf"),
+                (["critical", "--B", "nan"], "B must be finite, got nan"),
+                (["jamming", "--anchor-P", "nan"], "anchor pressure nan not beyond"),
+                (["jamming", "--anchor-P", "inf"], "anchor pressure inf not beyond")):
             assert cli.main(argv) == cli.EXIT_CONFIG
             assert msg in capsys.readouterr().err
 

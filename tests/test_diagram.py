@@ -182,39 +182,24 @@ class TestCriticalGamma:
 
 class TestActivitySolver:
     def test_unbracketed_raises(self):
-        with pytest.raises(SolverError):
-            diagram._solve_activity(lambda a: a + 0.5)
-        with pytest.raises(SolverError):
-            diagram._solve_activity(lambda a: a - 2.0)
+        with pytest.raises(SolverError, match=r"resid\(0\) = -2, resid\(1\) = -1"):
+            diagram._solve_activity(lambda a: a, 2.0)
 
     def test_upper_endpoint_of_smooth_root(self):
         calls = []
 
-        def resid(a):
+        def f(a):
             calls.append(a)
-            return math.expm1(3.0 * a) - 0.7
+            return math.expm1(3.0 * a)
 
-        a = diagram._solve_activity(resid)
+        a = diagram._solve_activity(f, 0.7)
         root = math.log1p(0.7) / 3.0
-        assert resid(a) >= 0.0
         assert abs(a - root) <= 4 * math.ulp(root)
-        # a bisection to adjacent floats takes ~54 residuals
+        # a bisection to adjacent floats takes ~54 evaluations
         assert len(calls) <= 15
 
-    def test_infinite_residual_bisects_to_the_edge(self):
-        # finite and negative below the edge, infinite above it: the
-        # overcompressed branch of the imperfect isotherm
-        edge = 0.3
-
-        def resid(a):
-            return a - 1.0 if a < edge else math.inf
-
-        a = diagram._solve_activity(resid)
-        assert resid(a) == math.inf
-        assert edge <= a <= edge + 4 * math.ulp(edge)
-
     def test_exact_zero_at_upper_end(self):
-        assert diagram._solve_activity(lambda a: a - 1.0) == 1.0
+        assert diagram._solve_activity(lambda a: 2.0 * a, 2.0) == 1.0
 
 
 class TestIdealIsotherm:
@@ -303,6 +288,43 @@ class TestImperfectIsotherm:
         # just below the top the volume sits just above V_cr
         top = diagram.imperfect_isotherm([0.9899], eos)[0]
         assert eos.V_cr < top.Z / top.P_r < 1.001 * eos.V_cr
+
+    def test_every_pressure_up_to_the_top_resolves(self, eos, monkeypatch):
+        def above_top(P):
+            try:
+                diagram.imperfect_isotherm([P], eos)
+            except SolverError as exc:
+                return "above the top of the branch" in str(exc)
+            return False
+
+        lo, hi = 0.98, 1.0
+        while math.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if above_top(mid) else (mid, hi)
+        p_max = lo
+        raised = []
+        inv_phi = diagram.FractalEos.inv_phi
+
+        def counted(self, y):
+            try:
+                return inv_phi(self, y)
+            except DomainError:
+                raised.append(y)
+                raise
+
+        monkeypatch.setattr(diagram.FractalEos, "inv_phi", counted)
+        grid = [p_max - 1e-13 + i * 1e-13 / 9 for i in range(9)] + [p_max]
+        pts = diagram.imperfect_isotherm(grid, eos)
+        zp2 = specfun.riemann_zeta(GAMMA0 + 2.0)
+        c_cr = eos.dphi(eos.V_cr)
+        for pt in pts:
+            V = pt.Z / pt.P_r
+            assert V >= eos.V_cr
+            assert eos.phi(V) * specfun.polylog(GAMMA0 + 1.0, pt.a) == \
+                pytest.approx(c_cr * zp2, rel=1e-8)
+            assert eos.dphi(V) * specfun.polylog(GAMMA0 + 2.0, pt.a) == \
+                pytest.approx(pt.P_r * c_cr * zp2, rel=1e-8)
+        assert raised == []
 
     def test_deformation_effect(self, eos):
         # the deformed and undeformed isotherms agree in the dilute
@@ -417,7 +439,7 @@ class TestJamming:
         eos = diagram.FractalEos.identity(GAMMA0)
         with pytest.raises(DomainError):
             diagram.jamming_extension([-0.1, -0.2], eos)
-        for anchor_P in (0.5, math.nan):
+        for anchor_P in (0.5, math.nan, math.inf):
             with pytest.raises(DomainError):
                 diagram.jamming_extension([0.0, -0.1], eos, anchor_P=anchor_P)
         with pytest.raises(DomainError):

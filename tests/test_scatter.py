@@ -103,7 +103,7 @@ class TestEffectiveEnergy:
             scatter.ScatterProblem(LJ, 0.9, 0.1)
         with pytest.raises(DomainError):
             scatter.ScatterProblem(LJ, 10.0, -0.1)
-        for B, alpha in ((math.nan, 0.1), (10.0, math.nan)):
+        for B, alpha in ((math.nan, 0.1), (math.inf, 0.1), (10.0, math.nan)):
             with pytest.raises(DomainError):
                 scatter.ScatterProblem(LJ, B, alpha)
 
@@ -198,8 +198,9 @@ class TestTrace:
             scatter.trace_zeno_analog(LJ, [0.5, 5.0])
         with pytest.raises(DomainError):
             scatter.trace_zeno_analog(LJ, [10.0, 5.0])
-        with pytest.raises(DomainError):
-            scatter.trace_zeno_analog(LJ, [math.nan])
+        for B in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                scatter.trace_zeno_analog(LJ, [B])
 
 
 class TestStationaryPair:
@@ -271,8 +272,8 @@ class TestCompressibility:
         assert a.rows == b.rows
 
     def test_small_B_rejected(self):
-        for B in (5.0, math.nan):
-            with pytest.raises(DomainError):
+        for B in (5.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="B must be >= 10"):
                 scatter.compressibility_curve(LJ, B, [0.1])
 
 
