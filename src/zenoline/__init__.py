@@ -7,6 +7,7 @@ partition machinery behind condensate thresholds.
 
 __version__ = "0.1.0"
 
+from . import diagram, ensemble, partition, scatter, specfun
 from .curves import PhaseCurve
 from .errors import (AccuracyError, BracketError, CausticError,
                      DegenerateError, DivergenceError, DomainError,
@@ -31,15 +32,3 @@ __all__ = [
     "diagram",
     "ensemble",
 ]
-
-# scatter computes with numpy arrays; it is imported on first use, so
-# that importing the package loads no numpy
-from . import diagram, ensemble, partition, specfun  # noqa: E402
-
-
-def __getattr__(name):
-    if name == "scatter":
-        import importlib
-
-        return importlib.import_module(".scatter", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,7 +12,7 @@ import json
 import math
 import sys
 
-from . import __version__, diagram, ensemble, partition
+from . import __version__, diagram, ensemble, partition, scatter
 from .errors import DomainError, ResourceError, ZenolineError
 
 EXIT_OK = 0
@@ -98,34 +98,25 @@ def write_manifest(out_path, command, config, columns, n_rows):
 
 
 def _potential(name):
-    from . import scatter
-
     try:
         return scatter.PotentialSpec(family=_POTENTIALS[name])
     except KeyError:
         raise DomainError(f"unknown potential {name!r}") from None
 
 
-# the scatter commands load numpy through scatter; no other command does
 def _cmd_zeno(cfg):
-    from . import scatter
-
     curve = scatter.trace_zeno_analog(_potential(cfg["potential"]),
                                       parse_grid(cfg["B_grid"]))
     return curve.columns, curve.rows, curve.meta
 
 
 def _cmd_compressibility(cfg):
-    from . import scatter
-
     curve = scatter.compressibility_curve(
         _potential(cfg["potential"]), float(cfg["B"]), parse_grid(cfg["rho_grid"]))
     return curve.columns, curve.rows, curve.meta
 
 
 def _cmd_critical(cfg):
-    from . import scatter
-
     cs = scatter.critical_summary(_potential(cfg["potential"]), B=float(cfg["B"]))
     cols = ("Z_cr", "rho_cr_over_rho_B", "T_cr_over_T_B")
     return cols, [(cs.Z_cr, cs.rho_cr_over_rho_B, cs.T_cr_over_T_B)], \

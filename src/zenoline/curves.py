@@ -1,4 +1,4 @@
-"""Sampled-curve container shared by all tracers."""
+"""Sampled-curve container and grid shared by all tracers."""
 
 from __future__ import annotations
 
@@ -6,7 +6,15 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError
 
-__all__ = ["PhaseCurve"]
+__all__ = ["PhaseCurve", "linspace"]
+
+
+def linspace(start, stop, num):
+    """num evenly spaced floats from start to stop, by numpy's linspace
+    arithmetic: start + i * step with step = (stop - start) / (num - 1),
+    and the last point set to stop."""
+    step = (stop - start) / (num - 1)
+    return [start + i * step for i in range(num - 1)] + [stop]
 
 
 @dataclass

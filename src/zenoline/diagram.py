@@ -13,7 +13,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .curves import PhaseCurve
+from .curves import PhaseCurve, linspace
 from .errors import CausticError, DomainError, SolverError, ZenolineError
 from .roots import brentq
 from .specfun import polylog, riemann_zeta
@@ -364,14 +364,6 @@ def _gamma_slope(gamma, mu):
     return z * dlog
 
 
-def _linspace(start, stop, num):
-    """num evenly spaced floats from start to stop, by numpy's linspace
-    arithmetic: start + i * step with step = (stop - start) / (num - 1),
-    and the last point set to stop."""
-    step = (stop - start) / (num - 1)
-    return [start + i * step for i in range(num - 1)] + [stop]
-
-
 def jamming_extension(mu_grid, eos, gamma0=GAMMA0, anchor_P=2.5, variant="ode"):
     """Continuation of the unit isotherm past the critical pressure.
 
@@ -422,7 +414,7 @@ def jamming_extension(mu_grid, eos, gamma0=GAMMA0, anchor_P=2.5, variant="ode"):
     if not P_b < anchor_P < math.inf:
         raise DomainError(
             f"anchor pressure {anchor_P} not beyond breakpoint {P_b} or not finite")
-    for t in _linspace(0.0, 1.0, 41)[1:]:
+    for t in linspace(0.0, 1.0, 41)[1:]:
         rows.append((P_b + t * (anchor_P - P_b), Z_b + t * (1.0 - Z_b), mu_b, g_b))
     return PhaseCurve(
         columns=("P", "Z", "mu", "gamma"), rows=rows,
@@ -435,7 +427,7 @@ def liquid_summary(eos, zeno, Z_cr=0.29, rho_cr_ratio=0.273):
     connecting hyperbola Z = c/rho, and triple-point constants."""
     rho_cr = rho_cr_ratio * zeno.rho_B
     c = Z_cr * rho_cr
-    hyperbola = [(r, c / r) for r in _linspace(rho_cr, zeno.rho_B * 0.999, 25)]
+    hyperbola = [(r, c / r) for r in linspace(rho_cr, zeno.rho_B * 0.999, 25)]
     t_rays = [0.9, 0.8, 0.7, 0.6]
     rays = [(t * zeno.T_B, zeno_density(zeno, t * zeno.T_B)) for t in t_rays]
     return {

@@ -5,20 +5,26 @@ coefficient alpha, the effective energy is
 
     E(r) = (-alpha r^4 + r^2 U(r)) / (B^2 - r^2).
 
-Its stationary structure (a well and a barrier that merge at a critical
-alpha) maps onto the Zeno-line analog and the compressibility factor
-Z = 1 - E_min/E_max, from which the critical-point summary is read off.
+E is linear in alpha, so the numerator of E'(r) is
+2 r^3 (r^2 - 2 B^2) (alpha - A(r)), where the level function
+A(r) = `alpha_from_first_derivative` does not depend on alpha.  Inside
+r < B, E' has the sign of A - alpha: the stationary radii at alpha are
+the roots of A(r) = alpha, and the well and the barrier merge at the
+maximum r* of A, alpha* = A(r*).  Each of these radii is one `brentq`
+on a bracket whose end signs are checked first (`stationary_pair`
+says what that proves).
+
+The stationary structure maps onto the Zeno-line analog and the
+compressibility factor Z = 1 - E_min/E_max, from which the
+critical-point summary is read off.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .curves import PhaseCurve
+from .curves import PhaseCurve, linspace
 from .errors import DegenerateError, DomainError, PoleError, BracketError
 from .roots import brentq
 
@@ -38,10 +44,8 @@ __all__ = [
     "critical_summary",
 ]
 
-
-def _exp(x):
-    # math.exp on scalars keeps the scalar path bit-for-bit unchanged
-    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
+# brentq tolerances of every radius and of the critical density
+_XTOL, _RTOL = 1e-14, 8.9e-16
 
 
 def _generalized_lj(r, p):
@@ -55,7 +59,7 @@ def _generalized_lj(r, p):
 
 def _morse(r, p):
     a, r0 = p.get("a", 6.0), p.get("r0", 2.0 ** (1.0 / 6.0))
-    e = _exp(-a * (r - r0))
+    e = math.exp(-a * (r - r0))
     return (e * e - 2.0 * e,
             -2.0 * a * e * e + 2.0 * a * e,
             4.0 * a * a * e * e - 2.0 * a * a * e)
@@ -63,7 +67,7 @@ def _morse(r, p):
 
 def _buckingham(r, p):
     a_, b_, c_ = p.get("A", 5e5), p.get("B", 12.0), p.get("C", 2.0)
-    e = _exp(-b_ * r)
+    e = math.exp(-b_ * r)
     return (a_ * e - c_ * r**-6,
             -a_ * b_ * e + 6.0 * c_ * r**-7,
             a_ * b_ * b_ * e - 42.0 * c_ * r**-8)
@@ -108,8 +112,8 @@ class PotentialSpec:
         return 0.5
 
     def derivatives(self, r):
-        """(U, U', U'') at r > 0, a float or elementwise on an array."""
-        if np.any(r <= 0) if isinstance(r, np.ndarray) else r <= 0:
+        """(U, U', U'') at r > 0."""
+        if r <= 0:
             raise DomainError(f"r must be positive, got {r}")
         return _DERIVATIVES[self.family](r, self.params)
 
@@ -121,6 +125,19 @@ class PotentialSpec:
 
     def d2u(self, r):
         return self.derivatives(r)[2]
+
+
+def _check_B(B):
+    """B must be finite and exceed 1, and 8 B^6 must be finite too: the
+    denominator of `alpha_from_second_derivative` forms it near r = B,
+    the highest power of B (or of r < B) in this module."""
+    if not 1.0 < B < math.inf:
+        raise DomainError(
+            f"impact parameter B must be finite and exceed 1, got {B}")
+    B2 = B * B
+    if 8.0 * B2 * B2 * B2 == math.inf:
+        raise DomainError(
+            f"impact parameter B = {B} is too large: 8 B^6 overflows a float")
 
 
 @dataclass(frozen=True)
@@ -136,9 +153,7 @@ class ScatterProblem:
     alpha: float
 
     def __post_init__(self):
-        if not 1.0 < self.B < math.inf:
-            raise DomainError(
-                f"impact parameter B must be finite and exceed 1, got {self.B}")
+        _check_B(self.B)
         if not self.alpha >= 0.0:
             raise DomainError(f"alpha must be non-negative, got {self.alpha}")
 
@@ -147,8 +162,8 @@ class ScatterProblem:
 class StationaryPair:
     """The two stationary radii of E(r) and the well/barrier depths.
 
-    r_lo is the well and r_hi the barrier: E' < 0 at both ends of the
-    scan, so E falls to a minimum at r_lo and climbs to a maximum at
+    r_lo is the well and r_hi the barrier: E' < 0 below r_lo and above
+    r_hi, so E falls to a minimum at r_lo and climbs to a maximum at
     r_hi.  The landscape is stored flipped (wells turned upside down):
     E_max = -E(r_lo) is the well depth and E_min = -E(r_hi) the barrier
     depth, both non-negative with E_max >= E_min.
@@ -191,15 +206,6 @@ def effective_energy(problem, r):
     return (-problem.alpha * r**4 + r * r * u) / (B * B - r * r)
 
 
-def _dE_numerator(problem, r):
-    """Numerator of E'(r) over the common factor (B^2 - r^2)^2."""
-    B2 = problem.B * problem.B
-    u, up, _ = problem.potential.derivatives(r)
-    return (2.0 * B2 * r * u
-            + 2.0 * problem.alpha * r**3 * (r * r - 2.0 * B2)
-            + r * r * (B2 - r * r) * up)
-
-
 def effective_energy_derivative(problem, r):
     """Analytic dE/dr."""
     if r <= 0:
@@ -207,25 +213,34 @@ def effective_energy_derivative(problem, r):
     B2 = problem.B * problem.B
     if r == problem.B:
         raise PoleError(f"derivative has a pole at r = B = {problem.B}")
-    return _dE_numerator(problem, r) / (B2 - r * r) ** 2
+    u, up, _ = problem.potential.derivatives(r)
+    num = (2.0 * B2 * r * u
+           + 2.0 * problem.alpha * r**3 * (r * r - 2.0 * B2)
+           + r * r * (B2 - r * r) * up)
+    return num / (B2 - r * r) ** 2
+
+
+def _level(potential, B, r):
+    """A(r), the alpha at which r is a stationary point of E."""
+    B2 = B * B
+    u, up, _ = potential.derivatives(r)
+    return (-2.0 * B2 * u - B2 * r * up + r**3 * up) \
+        / (2.0 * r * r * (r * r - 2.0 * B2))
 
 
 def alpha_from_first_derivative(potential, B, r):
     """The alpha making r a stationary point of E (first derivative
-    condition solved for alpha)."""
+    condition solved for alpha): the level function A(r)."""
+    _check_B(B)
     if not (potential.r_floor < r < B):
         raise DomainError(f"r = {r} outside ({potential.r_floor}, {B})")
-    B2 = B * B
-    den = 2.0 * r * r * (r * r - 2.0 * B2)
-    if den == 0.0:
-        raise DomainError(f"singular configuration r^2 = 2 B^2 at r = {r}")
-    u, up, _ = potential.derivatives(r)
-    return (-2.0 * B2 * u - B2 * r * up + r**3 * up) / den
+    return _level(potential, B, r)
 
 
 def alpha_from_second_derivative(potential, B, r):
     """The alpha making r an inflection of E (second derivative
     condition solved for alpha)."""
+    _check_B(B)
     if not (potential.r_floor < r < B):
         raise DomainError(f"r = {r} outside ({potential.r_floor}, {B})")
     B2 = B * B
@@ -242,28 +257,13 @@ def alpha_from_second_derivative(potential, B, r):
 
 def _zeno_residual(potential, B, r):
     """Eliminant of the two alpha expressions: vanishes where the well
-    and barrier merge (E' = E'' = 0 at the same r)."""
+    and barrier merge (E' = E'' = 0 at the same r).  It is
+    A'(r) (2 r^2 (r^2 - 2 B^2))^2 / (2 r (B^2 - r^2)), so inside r < B it
+    has the sign of A'."""
     B2 = B * B
     u, up, upp = potential.derivatives(r)
     return (-8.0 * B2 * u + 2.0 * B2 * r * up + r**3 * up
             + 2.0 * B2 * r * r * upp - r**4 * upp)
-
-
-def _scan_roots(f, grid):
-    """Roots of f on an increasing grid, in increasing order.
-
-    f takes a float or an array.  It is evaluated on the whole grid at
-    once; a grid point where f is exactly 0 counts as a root (the last
-    point excepted) and each sign-change cell is polished by brentq.
-    """
-    vals = f(grid)
-    roots = []
-    for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)):
-        if vals[i] == 0.0:
-            roots.append(grid[i])
-        else:
-            roots.append(brentq(f, grid[i], grid[i + 1], xtol=1e-14, rtol=8.9e-16))
-    return roots
 
 
 def _trace(one, points):
@@ -279,22 +279,30 @@ def _trace(one, points):
 
 
 def zeno_condition_root(potential, B, bracket=(1.0, 2.0)):
-    """Radius r* at which the stationary points of E(r) merge.
+    """Radius r* at which the stationary points of E(r) merge: a maximum
+    of the level function A, where A' and the merge residual vanish.
 
-    Scans the bracket on a dense log grid, bisects every sign change,
-    and returns the smallest root (warning on multiplicity).
+    One brentq on the residual over the bracket.  Its certificate is the
+    sign of A' at the two ends: A must rise at the low end and fall at
+    the high one, or BracketError names the bracket and both residuals.
+    That proves a local maximum of A in the bracket (an odd number of
+    extrema there), not that it is the only extremum.
     """
+    _check_B(B)
     lo, hi = bracket
     if not (potential.r_floor <= lo < hi <= B):
         raise DomainError(f"bracket {bracket} outside ({potential.r_floor}, {B})")
-    roots = _scan_roots(lambda r: _zeno_residual(potential, B, r),
-                        np.geomspace(lo, hi, 400))
-    if not roots:
-        raise BracketError(f"no sign change of the merge condition in {bracket}")
-    if len(roots) > 1:
-        warnings.warn(f"multiple merge-condition roots in {bracket}: {roots}; "
-                      "returning the smallest", stacklevel=2)
-    return roots[0]
+
+    def residual(r):
+        return _zeno_residual(potential, B, r)
+
+    f_lo, f_hi = residual(lo), residual(hi)
+    if not f_lo > 0.0 > f_hi:
+        raise BracketError(
+            f"no maximum of A certified in {bracket}: the merge residual, "
+            f"of the sign of A', is {f_lo:.6g} at r = {lo} and {f_hi:.6g} at "
+            f"r = {hi}, not positive then negative")
+    return brentq(residual, lo, hi, xtol=_XTOL, rtol=_RTOL)
 
 
 def trace_zeno_analog(potential, B_grid):
@@ -304,8 +312,8 @@ def trace_zeno_analog(potential, B_grid):
     Per-point failures are recorded in ``meta['failures']`` and skipped.
     """
     B_list = list(B_grid)
-    if not all(1.0 < b < math.inf for b in B_list):
-        raise DomainError("all B values must be finite and exceed 1")
+    for B in B_list:
+        _check_B(B)
     if sorted(B_list) != B_list:
         raise DomainError("B grid must be increasing")
 
@@ -323,22 +331,46 @@ def trace_zeno_analog(potential, B_grid):
 def stationary_pair(problem):
     """Locate the well and barrier radii of E(r) and the flipped depths.
 
-    Raises DegenerateError when alpha is at or beyond the merge
-    threshold so the two stationary points no longer exist.
+    The radii are the roots of A(r) = alpha on either side of the merge
+    radius r* (`zeno_condition_root`): the well by one brentq on
+    (1.0001 r_floor, r*), the barrier by one on (r*, 0.9999 B).
+    Raises DegenerateError when alpha >= alpha* = A(r*), so that the
+    two stationary points have merged or do not exist.
+
+    Certificate: A - alpha is negative at the two outer ends and
+    positive at r*.  So A - alpha, and with it E', changes sign in each
+    bracket, and each radius is a true stationary point: a minimum of E
+    at r_lo, a maximum at r_hi.  If an outer end is not negative,
+    BracketError names the bracket and the values of A - alpha at its
+    ends.  The certificate does not prove that A is unimodal: were A to
+    turn more than once inside a bracket, A = alpha could have three
+    roots there and brentq would return one of them.  For
+    ``generalized_lj`` with m = 3 at B = 10, A has a second extremum, a
+    minimum near r = 8.1 beyond the barrier, where A ~ -4e-5 stays
+    below every alpha >= 0; the certificate holds and the pair is the
+    one an exhaustive root search gives (tested against an mpmath
+    oracle).
     """
-    pot, B = problem.potential, problem.B
-    roots = _scan_roots(lambda r: _dE_numerator(problem, r),
-                        np.geomspace(pot.r_floor * 1.0001, B * 0.9999, 800))
-    if len(roots) < 2:
-        try:
-            a_star = alpha_from_first_derivative(
-                pot, B, zeno_condition_root(pot, B))
-            hint = f"; merge threshold alpha*({B:g}) = {a_star:.6g}"
-        except Exception:  # noqa: BLE001 - hint only
-            hint = ""
+    pot, B, alpha = problem.potential, problem.B, problem.alpha
+    r_star = zeno_condition_root(pot, B)
+    a_star = _level(pot, B, r_star)
+    if not alpha < a_star:
         raise DegenerateError(
-            f"stationary points merged or absent at alpha = {problem.alpha}{hint}")
-    r_lo, r_hi = roots[0], roots[-1]
+            f"stationary points merged or absent at alpha = {alpha}; "
+            f"merge threshold alpha*({B:g}) = {a_star:.6g}")
+
+    def f(r):
+        return _level(pot, B, r) - alpha
+
+    lo, hi = pot.r_floor * 1.0001, B * 0.9999
+    f_lo, f_hi = f(lo), f(hi)
+    if not (f_lo < 0.0 and f_hi < 0.0):
+        raise BracketError(
+            f"stationary pair not certified on ({lo:g}, {r_star!r}, {hi:g}): "
+            f"A - alpha is {f_lo:.6g}, {a_star - alpha:.6g}, {f_hi:.6g} there, "
+            "not negative, positive, negative")
+    r_lo = brentq(f, lo, r_star, xtol=_XTOL, rtol=_RTOL)
+    r_hi = brentq(f, r_star, hi, xtol=_XTOL, rtol=_RTOL)
     # flipped convention: the well at r_lo, the barrier at r_hi
     return StationaryPair(r_lo=r_lo, r_hi=r_hi,
                           E_min=-effective_energy(problem, r_hi),
@@ -354,6 +386,7 @@ def compressibility_curve(potential, B, rho_grid, C2=1.0):
     if not 10.0 <= B < math.inf:
         raise DomainError(
             f"B must be >= 10 for the plateau regime and finite, got {B}")
+    _check_B(B)
 
     def one(rho):
         pair = stationary_pair(ScatterProblem(potential, B, C2 * rho))
@@ -379,13 +412,15 @@ def critical_summary(potential, B=100.0, C2=1.0):
     (the degeneracy intercept, where Z reaches 0); the critical point is
     where Z falls with slope -1 along the diagonal of the unit square,
     dZ/dx = -1 with x = rho/rho_B.  The slope is exact (`_z_slope`), so
-    each x costs one stationary pair; the crossing is scanned on a
-    35-point grid.  The temperature ratio is the well-to-barrier energy
-    gap at the critical density over its zero-density value.  Every
-    step is logged in ``notes``.
+    each x costs one stationary pair.  The crossing is the first sign
+    change of dZ/dx + 1 on a 35-point grid in x from 0.05 to 0.9, walked
+    upward and polished by brentq.  The temperature ratio is the
+    well-to-barrier energy gap at the critical density over its
+    zero-density value.  Every step is logged in ``notes``.
     """
     if not math.isfinite(B):
         raise DomainError(f"B must be finite, got {B}")
+    _check_B(B)
     r_star = zeno_condition_root(potential, B)
     alpha_star = alpha_from_first_derivative(potential, B, r_star)
     rho_B = alpha_star / C2
@@ -396,11 +431,19 @@ def critical_summary(potential, B=100.0, C2=1.0):
     def diag(x):
         return alpha_star * _z_slope(pair_at(x), B) + 1.0
 
-    roots = _scan_roots(np.vectorize(diag, otypes=[float]),
-                        np.linspace(0.05, 0.9, 35))
-    if not roots:
+    grid = linspace(0.05, 0.9, 35)
+    f_a = diag(grid[0])
+    for a, b in zip(grid, grid[1:]):
+        if f_a == 0.0:
+            x_cr = a
+            break
+        f_b = diag(b)
+        if f_a * f_b < 0.0:
+            x_cr = brentq(diag, a, b, xtol=_XTOL, rtol=_RTOL)
+            break
+        f_a = f_b
+    else:
         raise BracketError("diagonal-derivative crossing dZ/dx = -1 not bracketed")
-    x_cr = roots[0]
     pair_cr = pair_at(x_cr)
     # the gap B^2 (E_max - E_min); its alpha -> 0 value calibrates T
     ord_cr, ord_0 = (B * B * (p.E_max - p.E_min) for p in (pair_cr, pair_at(1e-9)))

@@ -5,8 +5,10 @@ code it checks: Euler-Maclaurin summation for zeta, the pentagonal
 recurrence for partition totals, exhaustive enumeration for restricted
 counts, truncated power series and mpmath at raised precision for
 polylogarithms and the Bose integrals, trapezoid sums and QUADPACK for
-integrals, central differences for derivatives, and an adaptive
-DOP853 solve in kappa for the phi(V) trace.  mpmath is a
+integrals, central differences for derivatives, an adaptive
+DOP853 solve in kappa for the phi(V) trace, and an mpmath sign scan
+refined by findroot for the stationary radii of the scattering
+energy.  mpmath is a
 test-only dependency (the ``test`` extra); the library itself does not
 import it.  scipy's C brentq is the oracle for the library's
 step-for-step port of Brent's method (``zenoline.roots``); the library
@@ -254,3 +256,52 @@ def phi_isotherm_ivp(gamma, P_list, V_max=1000.0):
         V = brentq_scipy(lambda v: pressure(v) - P, V_cr, V_max, xtol=1e-14, rtol=1e-15)
         Z.append(P * V)
     return PhiIsotherm(V_cr=V_cr, P_max=pressure(V_cr), Z=Z)
+
+
+def _pair_potential_mp(family, params, r):
+    """U(r) of a scatter potential family at the mpf r, from the closed
+    forms in the `zenoline.scatter.PotentialSpec` docstring."""
+    mp = mpmath
+    if family in ("lennard_jones", "generalized_lj"):
+        m = mp.mpf(params.get("m", 6.0) if family == "generalized_lj" else 6)
+        return 4 * (r ** (-2 * m) - r ** (-m))
+    if family == "morse":
+        a = mp.mpf(params.get("a", 6.0))
+        r0 = mp.mpf(params.get("r0", 2.0 ** (1.0 / 6.0)))
+        e = mp.exp(-a * (r - r0))
+        return e * e - 2 * e
+    if family == "buckingham":
+        a, b, c = (mp.mpf(params.get(k, v)) for k, v in
+                   (("A", 5e5), ("B", 12.0), ("C", 2.0)))
+        return a * mp.exp(-b * r) - c * r ** -6
+    raise ValueError(family)
+
+
+def level_roots_mpmath(potential, B, alpha, n=200, dps=30):
+    """All roots of A(r) = alpha on (r_floor, B), sorted, where
+    A(r) = (-2 B^2 U - B^2 r U' + r^3 U') / (2 r^2 (r^2 - 2 B^2)) is the
+    alpha that makes r a stationary point of the effective energy.
+
+    Evaluated in mpmath at `dps` digits, with U' by mpmath's numerical
+    differentiation of U: A - alpha is sampled on an n-point geometric
+    grid strictly inside (r_floor, B), and each sign change is refined
+    by mpmath.findroot's bracketing Anderson-Bjorck solver.  Two roots
+    inside one grid cell are missed, so a test that compares counts
+    fails rather than passes on them."""
+    with mpmath.workdps(dps):
+        B_, a_ = mpmath.mpf(B), mpmath.mpf(alpha)
+
+        def u(r):
+            return _pair_potential_mp(potential.family, potential.params, r)
+
+        def f(r):
+            up = mpmath.diff(u, r)
+            num = -2 * B_**2 * u(r) - B_**2 * r * up + r**3 * up
+            return num / (2 * r**2 * (r**2 - 2 * B_**2)) - a_
+
+        lo, hi = mpmath.mpf(potential.r_floor) * 1.0001, B_ * mpmath.mpf(0.9999)
+        grid = [lo * (hi / lo) ** (mpmath.mpf(i) / (n - 1)) for i in range(n)]
+        vals = [f(r) for r in grid]
+        return [float(mpmath.findroot(f, (a, b), solver="anderson"))
+                for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:])
+                if fa * fb < 0]

@@ -153,6 +153,11 @@ class TestExitCodes:
                 (["compressibility", "--B", "inf"], "B must be >= 10"),
                 (["critical", "--B", "inf"], "B must be finite, got inf"),
                 (["critical", "--B", "nan"], "B must be finite, got nan"),
+                (["compressibility", "--B", "1e200"],
+                 "B = 1e+200 is too large: 8 B^6 overflows"),
+                (["critical", "--B", "1e60"], "B = 1e+60 is too large"),
+                (["zeno", "--B-grid", "5:1e308:1e308"],
+                 "B = 1e+308 is too large: 8 B^6 overflows"),
                 (["jamming", "--anchor-P", "nan"], "anchor pressure nan not beyond"),
                 (["jamming", "--anchor-P", "inf"], "anchor pressure inf not beyond")):
             assert cli.main(argv) == cli.EXIT_CONFIG
@@ -241,10 +246,8 @@ class TestCommandTable:
         keys = {k for _, flags in cli._COMMANDS.values() for k in flags}
         assert keys <= set(cli._DEFAULTS)
 
-    # the numerical packages each run loads: the scatter commands compute
-    # with numpy arrays, isotherm and jamming with scipy.special (which
-    # loads numpy), and the rest with neither
-    _NUMPY = ["numpy"]
+    # the numerical packages each run loads: isotherm and jamming compute
+    # with scipy.special (which loads numpy), and the rest with neither
     _SPECIAL = ["numpy", "scipy", "scipy.special"]
     _BUDGET = {
         "threshold": (["threshold"], []),
@@ -252,9 +255,9 @@ class TestCommandTable:
         "ensemble": (["ensemble"], []),
         "reference": (["reference"], []),
         "partition-n2000": (["partition", "--n", "2000"], []),
-        "zeno": (["zeno"], _NUMPY),
-        "compressibility": (["compressibility"], _NUMPY),
-        "critical": (["critical"], _NUMPY),
+        "zeno": (["zeno"], []),
+        "compressibility": (["compressibility"], []),
+        "critical": (["critical"], []),
         "isotherm": (["isotherm"], _SPECIAL),
         "jamming": (["jamming"], _SPECIAL),
         "isotherm-imperfect": (
@@ -284,8 +287,9 @@ class TestCommandTable:
 
     @pytest.mark.parametrize("argv, expected", [
         (["threshold"], {}),
+        (["zeno"], {}),
         (["isotherm"], {"numpy": np.__version__, "scipy": scipy.__version__})],
-        ids=["threshold", "isotherm"])
+        ids=["threshold", "zeno", "isotherm"])
     def test_manifest_names_loaded_packages(self, argv, expected, tmp_path):
         # the manifest names numpy and scipy exactly when the run loaded them
         out = tmp_path / "out.csv"

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from zenoline import diagram, specfun
+from zenoline import curves, diagram, specfun
 from zenoline.errors import CausticError, DomainError, SolverError
 
 import oracles
@@ -451,9 +451,9 @@ class TestLinspace:
 
     @pytest.mark.parametrize("start, stop, num", [
         (0.0, 1.0, 41), (0.273, 0.999, 25), (-0.5, 2.5, 7), (1e-3, 1e3, 100),
-        (3.0, -1.0, 13), (0.1, 0.1, 5), (0.0, 1.0, 2)])
+        (3.0, -1.0, 13), (0.1, 0.1, 5), (0.0, 1.0, 2), (0.05, 0.9, 35)])
     def test_against_numpy(self, start, stop, num):
-        assert diagram._linspace(start, stop, num) == \
+        assert curves.linspace(start, stop, num) == \
             np.linspace(start, stop, num).tolist()
 
     def test_jamming_stitch(self):

@@ -1,10 +1,13 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zenoline import scatter
+from zenoline import cli, scatter
 from zenoline.errors import (BracketError, DegenerateError, DomainError,
                              PoleError)
 
@@ -43,14 +46,6 @@ class TestPotentials:
                 assert pot.du(r) == pytest.approx(fd1, rel=1e-7, abs=1e-7)
                 assert pot.d2u(r) == pytest.approx(fd2, rel=1e-7, abs=1e-6)
 
-    def test_array_matches_scalar(self):
-        rs = np.geomspace(0.6, 50.0, 64)
-        for pot in self.families:
-            u, up, upp = pot.derivatives(rs)
-            for fn, arr in ((pot.u, u), (pot.du, up), (pot.d2u, upp)):
-                np.testing.assert_allclose(arr, [fn(r) for r in rs],
-                                           rtol=1e-14, atol=0.0)
-
     def test_params_set_the_well(self):
         _, glj, _, morse, _, buck = self.families
         assert glj.u(2.0 ** 0.2) == pytest.approx(-1.0, rel=1e-14)
@@ -72,8 +67,6 @@ class TestPotentials:
             LJ.u(0.0)
         with pytest.raises(DomainError):
             LJ.du(-1.0)
-        with pytest.raises(DomainError):
-            LJ.derivatives(np.array([1.0, 0.0]))
 
 
 class TestEffectiveEnergy:
@@ -107,6 +100,16 @@ class TestEffectiveEnergy:
             with pytest.raises(DomainError):
                 scatter.ScatterProblem(LJ, B, alpha)
 
+    def test_B_whose_powers_overflow(self):
+        # 8 B^6 is the highest power formed; it overflows from B ~ 1.7e51
+        scatter.ScatterProblem(LJ, 1e51, 0.1)
+        for B in (1e52, 1e200, 1e308):
+            with pytest.raises(DomainError,
+                               match=re.escape(f"B = {B!r} is too large")):
+                scatter.ScatterProblem(LJ, B, 0.1)
+            with pytest.raises(DomainError, match="too large"):
+                scatter.alpha_from_second_derivative(LJ, B, 2.0)
+
 
 class TestAlphaRoutes:
     def test_first_route_makes_r_stationary(self):
@@ -138,6 +141,17 @@ class TestAlphaRoutes:
             a2 = scatter.alpha_from_second_derivative(LJ, B, r_star)
             assert a1 == pytest.approx(a2, rel=1e-8)
 
+    @pytest.mark.parametrize("pot", FAMILIES, ids=lambda p: p.family)
+    def test_merge_residual_has_the_sign_of_A_prime(self, pot):
+        # the certificates of the root solves read the sign of A' off it
+        for B in (2.0, 10.0, 100.0):
+            for r in (0.6, 0.9, 1.2, 1.25, 1.3, 1.4, 1.8, 0.5 * B, 0.99 * B):
+                slope = oracles.central_difference(
+                    lambda x: scatter.alpha_from_first_derivative(pot, B, x),
+                    r, 1e-6 * r)
+                assert math.copysign(1.0, slope) == \
+                    math.copysign(1.0, scatter._zeno_residual(pot, B, r))
+
     def test_domain(self):
         with pytest.raises(DomainError):
             scatter.alpha_from_first_derivative(LJ, 10.0, 0.2)
@@ -165,20 +179,17 @@ class TestZenoRoot:
         assert values[0] == pytest.approx(0.216930, abs=2e-5)
         assert values[1] == pytest.approx(0.234049, abs=2e-5)
 
-    def test_scan_counts_exact_grid_zero(self):
-        # f vanishes exactly at the grid point 1.0 and changes sign in
-        # the cell (1.5, 2.0); both are roots
-        grid = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
-        roots = scatter._scan_roots(lambda r: (r - 1.0) * (r - 1.75), grid)
-        assert len(roots) == 2
-        assert roots[0] == 1.0
-        assert roots[1] == pytest.approx(1.75, abs=1e-14)
-
     def test_no_root_in_bad_bracket(self):
         with pytest.raises(BracketError):
             scatter.zeno_condition_root(LJ, 100.0, bracket=(3.0, 5.0))
         with pytest.raises(DomainError):
             scatter.zeno_condition_root(LJ, 100.0, bracket=(0.1, 2.0))
+
+    def test_certificate_names_bracket_and_ends(self):
+        # on (0.6, 1.0) A only rises, so no maximum is certified there
+        with pytest.raises(BracketError, match=r"in \(0\.6, 1\.0\).* at r = 0\.6 "
+                           r"and -?\d.* at r = 1\.0, not positive then negative"):
+            scatter.zeno_condition_root(LJ, 100.0, bracket=(0.6, 1.0))
 
 
 class TestTrace:
@@ -201,6 +212,8 @@ class TestTrace:
         for B in (math.nan, math.inf):
             with pytest.raises(DomainError):
                 scatter.trace_zeno_analog(LJ, [B])
+        with pytest.raises(DomainError, match=r"B = 1e\+308 is too large"):
+            scatter.trace_zeno_analog(LJ, [5.0, 1e308])
 
 
 class TestStationaryPair:
@@ -229,6 +242,55 @@ class TestStationaryPair:
         a_star = scatter.alpha_from_first_derivative(LJ, 100.0, r_star)
         with pytest.raises(DegenerateError):
             scatter.stationary_pair(scatter.ScatterProblem(LJ, 100.0, 1.2 * a_star))
+
+    @pytest.mark.parametrize("pot", FAMILIES, ids=lambda p: p.family)
+    @pytest.mark.parametrize("B", [10.0, 100.0])
+    def test_radii_against_mpmath(self, pot, B):
+        a_star = _alpha_star(pot, B)
+        for x in (1e-6, 0.01, 0.2, 0.5, 0.8, 0.95):
+            pair = scatter.stationary_pair(
+                scatter.ScatterProblem(pot, B, a_star * x))
+            roots = oracles.level_roots_mpmath(pot, B, a_star * x)
+            assert len(roots) == 2
+            assert pair.r_lo == pytest.approx(roots[0], rel=1e-13, abs=0.0)
+            assert pair.r_hi == pytest.approx(roots[1], rel=1e-13, abs=0.0)
+
+    def test_non_unimodal_level_function(self):
+        # generalized_lj with m = 3 at B = 10: A has a maximum near 1.87
+        # and a minimum near 8.14, where A ~ -4e-5 < alpha; the
+        # certificate holds and the pair is the two roots of A = alpha
+        pot = scatter.PotentialSpec("generalized_lj", {"m": 3.0})
+        a_star = _alpha_star(pot, 10.0)
+        for x in (1e-6, 0.1, 0.5, 0.9, 0.99):
+            pair = scatter.stationary_pair(
+                scatter.ScatterProblem(pot, 10.0, a_star * x))
+            roots = oracles.level_roots_mpmath(pot, 10.0, a_star * x)
+            assert len(roots) == 2
+            assert (pair.r_lo, pair.r_hi) == pytest.approx(
+                tuple(roots), rel=1e-13, abs=0.0)
+
+    def test_certificate_failure_names_bracket(self):
+        # Morse at B = 1000: U underflows to 0 far out, so at alpha = 0
+        # A - alpha is -0.0, not negative, at the outer end of the barrier
+        # bracket and nothing certifies a barrier
+        pot = scatter.PotentialSpec("morse")
+        with pytest.raises(BracketError, match=r"not certified on \(0\.50005, "
+                           r".*, 999\.9\): A - alpha is .*, -?0 there"):
+            scatter.stationary_pair(scatter.ScatterProblem(pot, 1000.0, 0.0))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(family=st.sampled_from([p.family for p in FAMILIES]),
+           B=st.floats(2.0, 1000.0), x=st.floats(1e-6, 0.999))
+    def test_level_holds_at_both_radii(self, family, B, x):
+        # A(r) = alpha at both radii, to rounding in A: relative to
+        # alpha* rather than alpha, since A is steep at the well
+        pot = scatter.PotentialSpec(family)
+        a_star = _alpha_star(pot, B)
+        pair = scatter.stationary_pair(scatter.ScatterProblem(pot, B, a_star * x))
+        assert pair.r_lo < scatter.zeno_condition_root(pot, B) < pair.r_hi
+        for r in (pair.r_lo, pair.r_hi):
+            assert abs(scatter.alpha_from_first_derivative(pot, B, r)
+                       - a_star * x) <= 1e-12 * a_star
 
     def test_zero_alpha_limit(self):
         # alpha -> 0: the barrier vanishes, so Z -> 1
@@ -275,6 +337,21 @@ class TestCompressibility:
         for B in (5.0, math.nan, math.inf):
             with pytest.raises(DomainError, match="B must be >= 10"):
                 scatter.compressibility_curve(LJ, B, [0.1])
+        with pytest.raises(DomainError, match=r"B = 1e\+200 is too large"):
+            scatter.compressibility_curve(LJ, 1e200, [0.1])
+
+    def test_buckingham_failures_explained(self):
+        # every density of the default grid at or past alpha*(100) fails
+        # as degenerate, and every density below it succeeds
+        pot = scatter.PotentialSpec("buckingham")
+        a_star = _alpha_star(pot)
+        grid = cli.parse_grid(cli._DEFAULTS["rho_grid"])
+        curve = scatter.compressibility_curve(pot, 100.0, grid)
+        assert len(curve.meta["failures"]) == 22
+        for rho, msg in curve.meta["failures"]:
+            assert rho >= a_star
+            assert msg.startswith("DegenerateError(") and f"{a_star:.6g}" in msg
+        assert [row[0] for row in curve.rows] == [r for r in grid if r < a_star]
 
 
 class TestCriticalSummary:
@@ -327,11 +404,13 @@ class TestCriticalSummary:
 
     @pytest.mark.parametrize("pot", FAMILIES, ids=lambda p: p.family)
     def test_one_scan_per_slope(self, pot, monkeypatch):
-        # one pair per slope: 35 on the grid, the brentq polish, and the
-        # pairs at x_cr and x -> 0
+        # one pair per slope: the grid up to the first sign change (x_cr
+        # is near 0.27-0.33, below the 10th-13th of 35 points), the brentq
+        # polish, and the pairs at x_cr and x -> 0; the whole grid would
+        # take 35 before the polish
         calls = []
         pair = scatter.stationary_pair
         monkeypatch.setattr(scatter, "stationary_pair",
                             lambda problem: calls.append(problem) or pair(problem))
         scatter.critical_summary(pot, B=100.0)
-        assert len(calls) <= 52
+        assert len(calls) <= 24

@@ -176,13 +176,14 @@ def test_import_leaves_mpmath_out():
     assert _fresh_interpreter(code) == "[]"
 
 
-def test_scatter_imported_on_first_use():
-    """zenoline.scatter computes with numpy arrays: the package imports it,
-    and numpy with it, on first attribute access."""
-    code = ("import sys, zenoline; before = 'numpy' in sys.modules; "
-            "zenoline.scatter.PotentialSpec('morse'); "
-            "print(before, 'numpy' in sys.modules)")
-    assert _fresh_interpreter(code) == "False True"
+def test_scatter_leaves_numpy_out():
+    """zenoline.scatter computes in floats: the package imports it
+    eagerly, and a stationary pair loads no numpy."""
+    code = ("import sys, zenoline; "
+            "s = zenoline.scatter; p = s.PotentialSpec('morse'); "
+            "s.stationary_pair(s.ScatterProblem(p, 10.0, 0.1)); "
+            "print('numpy' in sys.modules)")
+    assert _fresh_interpreter(code) == "False"
 
 
 def test_bose_moments_leave_quadpack_out():
