@@ -13,6 +13,7 @@ import math
 import sys
 
 from . import __version__, diagram, ensemble, partition, scatter
+from .curves import geomspace
 from .errors import DomainError, ResourceError, ZenolineError
 
 EXIT_OK = 0
@@ -129,9 +130,7 @@ def _cmd_isotherm(cfg):
     if cfg["mode"] == "ideal":
         pts = diagram.ideal_isotherm(grid, gamma0)
     elif cfg["mode"] == "imperfect":
-        import numpy as np
-
-        eos = diagram.solve_phi(gamma0, np.geomspace(1.02, 1000.0, 400))
+        eos = diagram.solve_phi(gamma0, geomspace(1.02, 1000.0, 400))
         pts = diagram.imperfect_isotherm(grid, eos, gamma0)
     else:
         raise DomainError(f"unknown isotherm mode {cfg['mode']!r}")

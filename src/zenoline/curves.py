@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
 
-__all__ = ["PhaseCurve", "linspace"]
+__all__ = ["PhaseCurve", "linspace", "geomspace"]
 
 
 def linspace(start, stop, num):
@@ -15,6 +16,19 @@ def linspace(start, stop, num):
     and the last point set to stop."""
     step = (stop - start) / (num - 1)
     return [start + i * step for i in range(num - 1)] + [stop]
+
+
+def geomspace(start, stop, num):
+    """num floats from start to stop in geometric progression, for
+    0 < start, stop, by numpy's geomspace arithmetic: 10^y over the
+    ``linspace`` of log10(start) to log10(stop), with both ends set to
+    start and stop.  log10 and the power are the C library's; numpy
+    builds that take them from SIMD kernels (AVX-512) can differ by one
+    ulp at some interior points."""
+    if not (start > 0 and stop > 0):
+        raise DomainError(f"geomspace needs positive ends, got {start}, {stop}")
+    logs = linspace(math.log10(start), math.log10(stop), num)
+    return [start] + [10.0**y for y in logs[1:-1]] + [stop]
 
 
 @dataclass

@@ -16,7 +16,7 @@ from types import MappingProxyType
 from .curves import PhaseCurve, linspace
 from .errors import CausticError, DomainError, SolverError, ZenolineError
 from .roots import brentq
-from .specfun import polylog, riemann_zeta
+from .specfun import polylog, polylog_ds, riemann_zeta
 
 __all__ = [
     "ZenoLine",
@@ -349,19 +349,18 @@ def _z_ideal(gamma, mu):
     return polylog(gamma + 2.0, a) / polylog(gamma + 1.0, a)
 
 
-# central-difference step in gamma of _gamma_slope; at mu = 0 it takes
-# Li at order gamma - h + 1 and z = 1, so the ode variant needs gamma0 > h
-_SLOPE_STEP = 1e-4
-
-
 def _gamma_slope(gamma, mu):
-    """d(gamma)/d(mu) along the maximal-entropy constraint at T_r = 1;
-    the sign convention makes gamma shrink as mu decreases from zero."""
-    h = _SLOPE_STEP
-    z = _z_ideal(gamma, mu)
-    dlog = (math.log(_z_ideal(gamma + h, mu))
-            - math.log(_z_ideal(gamma - h, mu))) / (2.0 * h)
-    return z * dlog
+    """d(gamma)/d(mu) along the maximal-entropy constraint at T_r = 1: the
+    derivative in gamma of Z = Li_{gamma+2}/Li_{gamma+1} at z = e^mu,
+    (Li'_{gamma+2} - Z Li'_{gamma+1}) / Li_{gamma+1}, with Li' the
+    analytic derivative in the order.  At mu = 0 these are zeta and zeta',
+    finite for every gamma > 0.  The sign convention makes gamma shrink as
+    mu decreases from zero."""
+    s1, s2 = gamma + 1.0, gamma + 2.0
+    a = math.exp(mu)
+    l1 = polylog(s1, a)
+    z = polylog(s2, a) / l1
+    return (polylog_ds(s2, a) - z * polylog_ds(s1, a)) / l1
 
 
 def jamming_extension(mu_grid, eos, gamma0=GAMMA0, anchor_P=2.5, variant="ode"):
@@ -385,10 +384,6 @@ def jamming_extension(mu_grid, eos, gamma0=GAMMA0, anchor_P=2.5, variant="ode"):
     if not gamma0 + 1.0 > 1.0:
         raise DomainError(
             f"need gamma0 + 1 > 1 for zeta(gamma0 + 1), got gamma0={gamma0}")
-    if variant == "ode" and not gamma0 - _SLOPE_STEP + 1.0 > 1.0:
-        raise DomainError(
-            f"the ode variant needs gamma0 > {_SLOPE_STEP:g}, the step of its "
-            f"d(gamma)/d(mu) central difference; got gamma0={gamma0}")
 
     zp2 = riemann_zeta(gamma0 + 2.0)
     gamma = gamma0

@@ -300,10 +300,8 @@ def ncr_dimension1(n):
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    from scipy import special as sc
-
     i1 = specfun.bose_integral(0.5, 0.0).value
-    i2 = -0.5 * math.sqrt(math.pi) * float(sc.zeta(0.5))
+    i2 = -0.5 * math.sqrt(math.pi) * specfun.zeta(0.5)
     w = (2.0 * n) ** (1.0 / 3.0) * i1 ** (-1.0 / 3.0) * i2
     if w < 4.0:
         raise DomainError(

@@ -1,7 +1,9 @@
 """Independent reference implementations used only by the tests.
 
 Each oracle deliberately uses a different algorithm from the library
-code it checks: Euler-Maclaurin summation for zeta, the pentagonal
+code it checks: a fixed-cut Euler-Maclaurin sum and mpmath for zeta and
+zeta', mpmath.diff of mpmath.polylog for the order derivative of Li_s
+and the jamming slope (and an RK4 run driven by it), the pentagonal
 recurrence for partition totals, exhaustive enumeration for restricted
 counts, truncated power series and mpmath at raised precision for
 polylogarithms and the Bose integrals, trapezoid sums and QUADPACK for
@@ -57,6 +59,67 @@ def polylog_mpmath(s, z, dps=30):
     after the cancellation at |s - n| = 1e-8."""
     with mpmath.workdps(dps):
         return float(mpmath.polylog(s, z))
+
+
+def zeta_mpmath(s, derivative=0, dps=30):
+    """zeta(s), or zeta'(s) with derivative=1, by mpmath at `dps` digits,
+    rounded to float."""
+    with mpmath.workdps(dps):
+        return float(mpmath.zeta(mpmath.mpf(s), derivative=derivative))
+
+
+# step of the mpmath.diff oracles: mpmath's own step fails at integer
+# orders (at s = 1, z = 0.9 it is 5.5e-10 off the direct sum
+# -sum_k ln(k) z^k / k^s); a fixed central step of 1e-12 at 30 digits
+# leaves ~18 digits and agrees with that sum to 1e-19
+_DIFF_STEP = mpmath.mpf(10) ** -12
+
+
+def polylog_ds_mpmath(s, z, dps=30):
+    """d Li_s(z)/ds by mpmath.diff of mpmath.polylog at `dps` digits, with
+    the float s and z taken exactly."""
+    with mpmath.workdps(dps):
+        return float(mpmath.diff(lambda t: mpmath.polylog(t, mpmath.mpf(z)),
+                                 mpmath.mpf(s), h=_DIFF_STEP))
+
+
+def _z_ratio_mp(gamma, a):
+    return mpmath.polylog(gamma + 2, a) / mpmath.polylog(gamma + 1, a)
+
+
+def gamma_slope_mpmath(gamma, mu, dps=30):
+    """d/d(gamma) of Z = Li_{gamma+2}(a) / Li_{gamma+1}(a), by mpmath.diff
+    of mpmath.polylog at `dps` digits, with the orders gamma + 1 and
+    gamma + 2 exact.  a is the float math.exp(mu), as the library forms
+    it: near mu = 0 its rounding moves the slope far more than 1e-16."""
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(math.exp(mu))
+        return float(mpmath.diff(lambda g: _z_ratio_mp(g, a),
+                                 mpmath.mpf(gamma), h=_DIFF_STEP))
+
+
+def jamming_gamma_mpmath(mu_grid, gamma0, dps=30):
+    """gamma(mu) of the jamming continuation by the classical RK4 step on
+    the grid, driven by ``gamma_slope_mpmath`` and carried in mpmath at
+    `dps` digits; the gamma column rounded to float."""
+    with mpmath.workdps(dps):
+        g = mpmath.mpf(gamma0)
+        out = [float(g)]
+        for m0, m1 in zip(mu_grid, mu_grid[1:]):
+            a, b = mpmath.mpf(m0), mpmath.mpf(m1)
+            h = b - a
+
+            def slope(gg, mm):
+                a = mpmath.exp(mm)
+                return mpmath.diff(lambda t: _z_ratio_mp(t, a), gg, h=_DIFF_STEP)
+
+            k1 = slope(g, a)
+            k2 = slope(g + h * k1 / 2, a + h / 2)
+            k3 = slope(g + h * k2 / 2, a + h / 2)
+            k4 = slope(g + h * k3, b)
+            g = g + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
+            out.append(float(g))
+        return out
 
 
 def bose_mpmath(gamma, kappa, dps=30):

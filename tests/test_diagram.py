@@ -1,6 +1,10 @@
 import hashlib
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +19,8 @@ GAMMA0 = diagram.GAMMA0
 
 @pytest.fixture(scope="module")
 def eos():
-    return diagram.solve_phi(GAMMA0, np.geomspace(1.02, 1000.0, 400))
+    # the grid of `zenoline isotherm --mode imperfect`
+    return diagram.solve_phi(GAMMA0, curves.geomspace(1.02, 1000.0, 400))
 
 
 @pytest.fixture(scope="module")
@@ -126,9 +131,9 @@ class TestSolvePhi:
             diagram.solve_phi(GAMMA0, np.geomspace(2.0, 1000.0, 50))
 
     def test_samples_unchanged(self, eos):
-        # the samples are plain floats, the same floats as the numpy-array
-        # implementation traced on this grid (recorded with numpy 2.4.6 and
-        # scipy 1.17.1); a change here is a change of the trace's numbers
+        # the samples are plain floats, pinned as traced with the
+        # pure-Python zeta on the pure-Python geomspace grid; a change here
+        # is a change of the trace's numbers
         def digest(values):
             return hashlib.sha256(
                 " ".join(v.hex() for v in values).encode()).hexdigest()
@@ -136,10 +141,10 @@ class TestSolvePhi:
         samples = (eos.V, eos.kappa, eos.phi_vals, eos.dphi_vals)
         assert all(type(v) is float for seq in samples for v in seq)
         assert [len(seq) for seq in samples] == [382] * 4
-        assert eos.V_cr.hex() == "0x1.6a7764117313bp+0"
+        assert eos.V_cr.hex() == "0x1.6a776411730d3p+0"
         assert [digest(seq)[:16] for seq in samples] == [
-            "a83a707ec21c4eac", "0d58e33e7bf84d87", "8b7538301dbfde2c",
-            "cc9c132dbc1bba41"]
+            "f6366a9330f223fe", "45805569c42c73d1", "44deda79856a5fff",
+            "1357d68f53a848b0"]
 
     def test_v_cr_against_ivp(self, eos, ivp):
         assert eos.V_cr == pytest.approx(ivp.V_cr, rel=1e-7)
@@ -415,14 +420,21 @@ class TestJamming:
             with pytest.raises(DomainError):
                 diagram.jamming_extension([0.0, -0.1], eos, gamma0=g0)
 
-    def test_ode_gamma0_below_difference_step_rejected(self):
+    def test_ode_small_gamma0(self):
+        # the analytic slope at mu = 0 is (zeta'(g+2) - Z zeta'(g+1)) /
+        # zeta(g+1), finite for every g > 0 and tending to zeta(2) as
+        # g -> 0; from there the trace jams within the first step
         eos = diagram.FractalEos.identity(GAMMA0)
-        for g0 in (1e-15, 5e-5, 1e-4, math.nextafter(1e-4, 1.0)):
-            with pytest.raises(DomainError, match="step"):
-                diagram.jamming_extension([0.0, -0.1], eos, gamma0=g0)
-        curve = diagram.jamming_extension([0.0, -0.1], eos, gamma0=1e-15,
-                                          variant="linear")
-        assert curve.meta["jammed"]
+        for g0 in (1e-15, 5e-5, 1e-4):
+            assert diagram._gamma_slope(g0, 0.0) == pytest.approx(
+                oracles.gamma_slope_mpmath(g0, 0.0), rel=1e-13)
+            for variant in ("ode", "linear"):
+                curve = diagram.jamming_extension([0.0, -0.1], eos, gamma0=g0,
+                                                  variant=variant)
+                assert curve.meta["jammed"]
+                assert curve.rows[1][3] == 0.0
+        assert diagram._gamma_slope(1e-15, 0.0) == pytest.approx(math.pi**2 / 6,
+                                                                 rel=1e-14)
 
     def test_rk4_step_is_fourth_order_taylor(self):
         # for y' = y one step multiplies y by the degree-4 Taylor
@@ -432,8 +444,22 @@ class TestJamming:
             got = diagram._rk4_step(lambda x, y: y, 0.3, 2.0, h)
             assert got == pytest.approx(want, rel=1e-15)
 
-    def test_slope_near_unity_at_origin(self):
-        assert diagram._gamma_slope(GAMMA0, 0.0) == pytest.approx(1.0, abs=0.1)
+    @pytest.mark.parametrize("gamma, mu", [
+        (GAMMA0, 0.0), (GAMMA0, -0.05), (0.12, -0.3), (0.0, -0.2),
+        (-0.01, -0.4), (0.24, -1e-9), (0.3, -0.5), (0.5, -0.7), (1.0, -0.2)])
+    def test_slope_against_mpmath(self, gamma, mu):
+        # dZ/d(gamma) from the analytic order derivative of Li_s, on the
+        # pole-pair (|gamma| < 0.25), generic and power-series branches
+        assert diagram._gamma_slope(gamma, mu) == pytest.approx(
+            oracles.gamma_slope_mpmath(gamma, mu), rel=1e-13)
+
+    def test_gamma_column_against_mpmath_rk4(self):
+        # the same RK4 steps driven by mpmath.diff of mpmath.polylog
+        mu_grid = [0.0, -0.1, -0.2]
+        curve = diagram.jamming_extension(mu_grid, diagram.FractalEos.identity(GAMMA0))
+        want = oracles.jamming_gamma_mpmath(mu_grid, GAMMA0)
+        got = [row[3] for row in curve.rows[:3]]
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_domain(self):
         eos = diagram.FractalEos.identity(GAMMA0)
@@ -470,6 +496,40 @@ class TestLinspace:
         c = summary["hyperbola_constant"]
         rhos = np.linspace(0.273 * line.rho_B, 0.999 * line.rho_B, 25).tolist()
         assert summary["hyperbola"] == [(r, c / r) for r in rhos]
+
+
+GEOM_GRIDS = [(1.02, 1000.0, 400), (2.0, 1000.0, 50), (1e-3, 1e3, 100),
+              (0.5, 0.001, 37)]
+
+
+class TestGeomspace:
+    """The pure-Python geometric grid is numpy's geomspace arithmetic."""
+
+    def test_against_numpy_baseline_kernels(self):
+        # numpy dispatches log10 and power to SIMD kernels above its
+        # baseline (AVX-512 ones differ from the C library by an ulp at ~5%
+        # of points); with those disabled, its floats are bit-identical
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+
+        code = ("import json, numpy as np; print(json.dumps("
+                f"[np.geomspace(*g).tolist() for g in {GEOM_GRIDS!r}]))")
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=env, check=True, timeout=120).stdout
+        for grid, want in zip(GEOM_GRIDS, json.loads(out)):
+            assert curves.geomspace(*grid) == want
+
+    @pytest.mark.parametrize("start, stop, num", GEOM_GRIDS)
+    def test_within_one_ulp_of_numpy(self, start, stop, num):
+        got = curves.geomspace(start, stop, num)
+        want = np.geomspace(start, stop, num).tolist()
+        assert (got[0], got[-1]) == (start, stop) == (want[0], want[-1])
+        assert all(abs(a - b) <= math.ulp(b) for a, b in zip(got, want))
+
+    def test_domain(self):
+        for start, stop in ((0.0, 1.0), (1.0, -2.0), (math.nan, 1.0)):
+            with pytest.raises(DomainError):
+                curves.geomspace(start, stop, 5)
 
 
 class TestLiquidSummary:

@@ -1,11 +1,16 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenoline import partition, specfun
 from zenoline.errors import DomainError, ResourceError, SolverError
 
 import oracles
+
+
+_PENTAGONAL = oracles.pentagonal_partition_totals(600)
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +29,13 @@ class TestTable:
         totals = oracles.pentagonal_partition_totals(200)
         for n in range(1, 201):
             assert table200.total(n) == totals[n]
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 600))
+    def test_row_sums_match_pentagonal_property(self, n):
+        # the streamed row of p_k(n), summed over k, against Euler's
+        # pentagonal recurrence for p(n)
+        assert sum(partition.pk_row(n)) == _PENTAGONAL[n]
 
     def test_p100(self, table200):
         assert table200.total(100) == oracles.pentagonal_partition_totals(100)[100]
