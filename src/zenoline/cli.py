@@ -80,16 +80,12 @@ def write_manifest(out_path, command, config, columns, n_rows):
     import hashlib
 
     canonical = json.dumps(config, sort_keys=True, default=str)
-    versions = {"zenoline": __version__,
-                "python": ".".join(map(str, sys.version_info[:3]))}
-    # the numerical packages the run loaded, and only those
-    for name in ("numpy", "scipy"):
-        if name in sys.modules:
-            versions[name] = sys.modules[name].__version__
     manifest = {
         "command": command,
         "config_hash": hashlib.sha256(canonical.encode()).hexdigest(),
-        "versions": versions,
+        # the runtime is the standard library: no other package moves a number
+        "versions": {"zenoline": __version__,
+                     "python": ".".join(map(str, sys.version_info[:3]))},
         "quantities": list(columns),
         "rows": n_rows,
     }

@@ -62,16 +62,9 @@ class PhaseCurve:
         return len(self.rows)
 
     def column(self, name):
-        """Return one named column as a float array."""
-        import numpy as np
-
+        """Return one named column as a list of floats."""
         try:
             j = self.columns.index(name)
         except ValueError:
             raise DomainError(f"no column {name!r} in {self.columns}") from None
-        return np.array([row[j] for row in self.rows], dtype=float)
-
-    def as_array(self):
-        import numpy as np
-
-        return np.array(self.rows, dtype=float)
+        return [float(row[j]) for row in self.rows]

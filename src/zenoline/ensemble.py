@@ -107,7 +107,8 @@ def gibbs_parameter(spectrum, E):
     """Inverse-temperature analog b_E with mean level energy E.
 
     The weighted mean sum(lambda e^(-b lambda)) / sum(e^(-b lambda)) is
-    strictly decreasing in b, so a bracketed bisection always converges.
+    strictly decreasing in b: doubling the bracket ends outward from
+    (-1, 1) brackets b_E, and ``brentq`` solves for it.
     """
     levels = spectrum.levels
     if not (levels[0] < E < levels[-1]):

@@ -6,7 +6,6 @@ import sys
 from pathlib import Path
 
 import pytest
-import scipy
 
 import zenoline
 from zenoline import cli
@@ -69,9 +68,8 @@ class TestWriters:
         assert man["quantities"] == ["a", "b"]
         assert man["rows"] == 3
         assert man["command"] == "threshold"
-        assert "zenoline" in man["versions"]
-        # this process has loaded scipy, so the manifest names it
-        assert man["versions"]["scipy"] == scipy.__version__
+        # the runtime is the standard library, whatever this process loaded
+        assert set(man["versions"]) == {"zenoline", "python"}
         # deterministic output: no clocks, hosts or paths
         assert not any("time" in k or "date" in k for k in man)
 
@@ -288,8 +286,7 @@ class TestCommandTable:
     @pytest.mark.parametrize("argv", [["threshold"], ["zeno"], ["isotherm"]],
                              ids=["threshold", "zeno", "isotherm"])
     def test_manifest_names_loaded_packages(self, argv, tmp_path):
-        # the manifest names numpy and scipy exactly when the run loaded
-        # them, and no default run loads either
+        # a fresh-process manifest names neither numpy nor scipy
         out = tmp_path / "out.csv"
         _fresh_interpreter(
             f"import sys; from zenoline import cli; "

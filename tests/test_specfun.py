@@ -271,10 +271,10 @@ def _fresh_interpreter(code):
 
 
 def test_import_leaves_mpmath_out():
-    """mpmath is a test-only oracle, numpy and scipy are imported only
-    inside the functions that compute with them, and hashlib (which loads
-    OpenSSL) only when a manifest is written: importing the package, the
-    CLI included, must load none of them."""
+    """mpmath is a test-only oracle, numpy is imported nowhere, scipy
+    only inside ``improper_quad``, and hashlib (which loads OpenSSL)
+    only when a manifest is written: importing the package, the CLI
+    included, must load none of them."""
     code = ("import sys, zenoline.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
             "('mpmath', 'numpy', 'scipy', 'hashlib', '_hashlib')))")
@@ -344,12 +344,12 @@ class TestBoseIntegral:
                     gamma + 1.0, math.exp(kappa))
                 assert abs(res.value - expect) <= 10.0 * (1e-12 + 1e-10 * abs(expect))
 
-    def test_est_error_bounds_truth(self):
+    def test_value_near_truth(self):
         for gamma, kappa in ((1.0, 0.0), (0.5, 0.0), (1.0, -2.0), (1.2, -0.5)):
             res = specfun.bose_integral(gamma, kappa)
             truth = specfun.gamma_fn(gamma + 1.0) * specfun.polylog(
                 gamma + 1.0, math.exp(kappa))
-            assert abs(res.value - truth) <= res.est_error + 1e-13 * abs(truth)
+            assert abs(res.value - truth) <= 1e-13 * (abs(res.value) + abs(truth))
 
     def test_boltzmann_limit(self):
         res = specfun.bose_integral(1.0, -30.0)
@@ -419,7 +419,7 @@ class TestFiniteN:
 
 class TestClosedFormsAgainstMpmath:
     """The Bose integrals are closed forms in Gamma, zeta and Li; each
-    must match mpmath to 1e-13 relative, the bound est_error reports."""
+    must match mpmath to 1e-13 relative."""
 
     REL = 1e-13
 
@@ -432,7 +432,6 @@ class TestClosedFormsAgainstMpmath:
                     want = oracles.finite_n_mpmath(gamma, b, bk / b, n)
                     assert abs(res.value - want) <= self.REL * abs(want), \
                         (gamma, b, bk / b, n)
-                    assert res.est_error == specfun._CLOSED_FORM_REL * abs(res.value)
 
     @pytest.mark.parametrize("point", [
         # cancellation of the singular terms of the two polylogs, and
@@ -485,11 +484,3 @@ class TestImproperQuad:
         head = oracles.trapezoid_integral(oracles.w_integrand, 0.0, 5.0)
         tail = 1.0 / 5.0
         assert res.value == pytest.approx(head + tail, rel=1e-6)
-
-
-class TestSettings:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            specfun.QuadratureSettings(abs_tol=0.0)
-        with pytest.raises(DomainError):
-            specfun.QuadratureSettings(max_subdivisions=0)
