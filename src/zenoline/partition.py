@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 
 from . import specfun
 from .errors import DomainError, ResourceError, SolverError
@@ -79,16 +80,20 @@ class PartitionTable:
         self.k_max = k_max
         self._rows = rows  # _rows[k][n] = p_k(n)
 
-    def count(self, n, k):
-        """p_k(n); zero outside the triangle k <= n."""
+    def _check_n(self, n):
         if not (0 <= n <= self.n_max):
             raise DomainError(f"n={n} outside table range [0, {self.n_max}]")
+
+    def count(self, n, k):
+        """p_k(n); zero outside the triangle k <= n."""
+        self._check_n(n)
         if not (0 <= k <= self.k_max):
             raise DomainError(f"k={k} outside table range [0, {self.k_max}]")
         return self._rows[k][n]
 
     def row(self, n):
         """All p_k(n) for k = 1..min(n, k_max)."""
+        self._check_n(n)
         top = min(n, self.k_max)
         return [self._rows[k][n] for k in range(1, top + 1)]
 
@@ -100,8 +105,10 @@ class PartitionTable:
 
 
 def _check_table_size(n_max, k_max):
-    """Reject a p_k(n) computation outside 1 <= k_max <= n_max or past
-    the size guards; the streamed row is held to the table's guards."""
+    """Reject a p_k(n) table outside 1 <= k_max <= n_max or past the
+    size guards.  `pk_row` is held to the same guards as the table of
+    its n; the streamed threshold scan, which keeps only two rows, is
+    held to the n cap alone."""
     if not (1 <= k_max <= n_max):
         raise DomainError(f"need 1 <= k_max <= n_max, got k_max={k_max}, n_max={n_max}")
     if n_max > _N_CAP:
@@ -114,12 +121,24 @@ def _check_table_size(n_max, k_max):
 
 def _pk_rows(n_max, k_max):
     """Yield the rows [p_k(0), ..., p_k(n_max)] for k = 1..k_max, each
-    from the one before by p_k(n) = p_k(n-k) + p_{k-1}(n-1)."""
+    from the one before by p_k(n) = p_k(n-k) + p_{k-1}(n-1).
+
+    A row is filled k cells at a time.  For k <= n < 2k the first term
+    is zero, so those cells are copied rather than added: the row then
+    holds the same int objects as the row before it, which saves half of
+    a square table's bigint allocations and a third of its memory.  From
+    n = 2k on, each chunk of k cells adds the chunk before it, already
+    final, to the shifted previous row in one C-level map.  Slice ends
+    are clamped to n_max + 1, so a row never changes length."""
+    size = n_max + 1
     prev = [1] + [0] * n_max
     for k in range(1, k_max + 1):
-        cur = [0] * (n_max + 1)
-        for n in range(k, n_max + 1):
-            cur[n] = cur[n - k] + prev[n - 1]
+        cur = [0] * size
+        top = min(2 * k, size)
+        cur[k:top] = prev[k - 1:top - 1]
+        for n in range(2 * k, size, k):
+            end = min(n + k, size)
+            cur[n:end] = map(add, cur[n - k:end - k], prev[n - 1:end - 1])
         yield cur
         prev = cur
 
@@ -157,7 +176,10 @@ def _log2_bigint(x):
 def _argmax_pk_streaming(n, patience=60):
     """Smallest argmax of p_k(n) over k, by streaming one k-row at a
     time through the recurrence.  p_k(n) is unimodal in k, so the scan
-    stops after `patience` consecutive declines."""
+    stops after `patience` consecutive declines.  Only two rows are
+    held, so the scan is held to the n cap but not to the cell cap."""
+    if n > _N_CAP:
+        raise ResourceError(f"n={n} exceeds cap {_N_CAP}")
     best_k, best_v, declines = 1, 0, 0
     for k, row in enumerate(_pk_rows(n, n), start=1):
         v = row[n]

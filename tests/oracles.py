@@ -4,9 +4,10 @@ Each oracle deliberately uses a different algorithm from the library
 code it checks: a fixed-cut Euler-Maclaurin sum and mpmath for zeta and
 zeta', mpmath.diff of mpmath.polylog for the order derivative of Li_s
 and the jamming slope (and an RK4 run driven by it), the pentagonal
-recurrence for partition totals, exhaustive enumeration for restricted
-counts, truncated power series and mpmath at raised precision for
-polylogarithms and the Bose integrals, trapezoid sums and QUADPACK for
+recurrence for partition totals, exhaustive enumeration and the
+parts-at-most-k recurrence for restricted counts, truncated power
+series and mpmath at raised precision for polylogarithms and the Bose
+integrals, trapezoid sums and QUADPACK for
 integrals, central differences for derivatives, an adaptive
 DOP853 solve in kappa for the phi(V) trace, and an mpmath sign scan
 refined by findroot for the stationary radii of the scattering
@@ -230,6 +231,21 @@ def enumerate_partition_counts(n):
 
     walk(n, n, 0)
     return counts[1:]
+
+
+def partition_counts_bounded(n_max, k_max):
+    """p_k(n) for 0 <= k <= k_max, 0 <= n <= n_max, as rows c[k][n],
+    from the parts-at-most-k recurrence q_k(m) = q_{k-1}(m) + q_k(m-k)
+    (q_k(m) counts the partitions of m into at most k parts) and
+    p_k(n) = q_k(n-k): a partition into exactly k parts less one from
+    each part is one into at most k parts."""
+    q = [1] + [0] * n_max  # q_0
+    counts = [list(q)]
+    for k in range(1, k_max + 1):
+        for m in range(k, n_max + 1):
+            q[m] += q[m - k]
+        counts.append([q[n - k] if n >= k else 0 for n in range(n_max + 1)])
+    return counts
 
 
 def trapezoid_integral(f, a, b, n=200_001):

@@ -176,6 +176,11 @@ class TestExitCodes:
         assert cli.main(["partition", "--n", "7000"]) == cli.EXIT_RESOURCE
         assert "cells exceeds cap" in capsys.readouterr().err
 
+    def test_threshold_n_cap_resource_error(self, capsys):
+        # the streamed threshold scan is held to the n cap
+        assert cli.main(["threshold", "--n", "20001"]) == cli.EXIT_RESOURCE
+        assert "resource guard" in capsys.readouterr().err
+
     def test_partition_nonpositive_n(self, capsys):
         for n in ("0", "-3"):
             assert cli.main(["partition", "--n", n]) == cli.EXIT_CONFIG

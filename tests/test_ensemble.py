@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenoline import ensemble, partition
 from zenoline.errors import DomainError, ResourceError
@@ -30,6 +32,24 @@ class TestEnumerate:
             expect = oracles.occupation_vectors(levels, n, e)
             assert census.states == len(expect)
             assert sorted(seen) == sorted(expect)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(halves=st.lists(st.integers(1, 8), min_size=1, max_size=4),
+           n=st.integers(0, 6), e_quarters=st.integers(0, 100))
+    def test_product_space_property(self, halves, n, e_quarters):
+        # levels on the half-integer grid and budgets on the quarter grid
+        # keep every energy sum exact; equal levels are allowed
+        levels = tuple(sorted(0.5 * h for h in halves))
+        e_max = 0.25 * e_quarters
+        seen = []
+        census = ensemble.enumerate_states(ensemble.SpectrumSpec(levels), n, e_max,
+                                           collect=seen.append)
+        expect = oracles.occupation_vectors(levels, n, e_max)
+        assert sorted(seen) == sorted(expect)
+        assert census.states == len(expect)
+        assert sum(census.level_totals) == n * census.states
+        assert list(census.level_totals) == \
+            [sum(vec[i] for vec in expect) for i in range(len(levels))]
 
     def test_conservation_per_state(self):
         levels = (1.0, 2.0, 3.0)

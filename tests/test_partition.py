@@ -63,6 +63,14 @@ class TestTable:
         for n in (1, 2, 8, 57, 200):
             assert partition.pk_row(n) == table200.row(n)
 
+    def test_row_range_checked(self):
+        table = partition.build_partition_table(10, 10)
+        assert table.row(0) == []
+        assert len(table.row(10)) == 10 and sum(table.row(10)) == 42
+        for n in (-1, 11):
+            with pytest.raises(DomainError):
+                table.row(n)
+
     def test_pk_row_guards(self):
         for n in (0, -3):
             with pytest.raises(DomainError):
@@ -71,6 +79,60 @@ class TestTable:
         for n in (30000, 7000):
             with pytest.raises(ResourceError):
                 partition.pk_row(n)
+
+
+def _assert_matches_oracle(n_max, k_max):
+    table = partition.build_partition_table(n_max, k_max)
+    expect = oracles.partition_counts_bounded(n_max, k_max)
+    for k in range(k_max + 1):
+        for n in range(n_max + 1):
+            assert table.count(n, k) == expect[k][n], (n, k)
+
+
+class TestBoundedOracle:
+    """Every cell against the parts-at-most-k recurrence, a different
+    recurrence from the library's."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_every_cell_property(self, data):
+        n_max = data.draw(st.integers(1, 60))
+        k_max = data.draw(st.integers(1, n_max))
+        _assert_matches_oracle(n_max, k_max)
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3])
+    def test_tiny_tables(self, n_max):
+        for k_max in range(1, n_max + 1):
+            _assert_matches_oracle(n_max, k_max)
+
+    @pytest.mark.parametrize("n_max,k_max", [(10, 4), (12, 5), (28, 7), (36, 13),
+                                             (40, 27), (58, 31)])
+    def test_ragged_chunk_edges(self, n_max, k_max):
+        # n_max + 1 is prime, so the last chunk of every row with k >= 2
+        # is short, and the rows with 2k > n_max + 1 are copies only
+        _assert_matches_oracle(n_max, k_max)
+
+    def test_pk_row(self):
+        expect = oracles.partition_counts_bounded(60, 60)
+        for n in range(1, 61):
+            assert partition.pk_row(n) == [expect[k][n] for k in range(1, n + 1)]
+
+    def test_pk_row_2000(self):
+        expect = oracles.partition_counts_bounded(2000, 2000)
+        assert partition.pk_row(2000) == [expect[k][2000] for k in range(1, 2001)]
+
+    def test_triangle_shares_objects(self):
+        # p_k(n) = p_{k-1}(n-1) for k <= n < 2k is copied, not added, so
+        # the table holds one int object for both cells.  CPython caches
+        # small ints, so only values above 256 show the sharing.
+        table = partition.build_partition_table(80, 80)
+        checked = 0
+        for k in range(1, 81):
+            for n in range(k, min(2 * k, 81)):
+                if table.count(n, k) > 256:
+                    assert table.count(n, k) is table.count(n - 1, k - 1), (n, k)
+                    checked += 1
+        assert checked > 100
 
 
 class TestEntropy:
@@ -106,6 +168,12 @@ class TestThreshold:
             best = max(row)
             smallest = next(i + 1 for i, v in enumerate(row) if v == best)
             assert partition.condensate_threshold(n, table200).k0_exact == smallest
+
+    def test_streamed_scan_n_cap(self):
+        # the scan holds two rows, so only the n cap applies: n = 20000
+        # is above the cell cap of a table but still allowed
+        with pytest.raises(ResourceError):
+            partition.condensate_threshold(20001)
 
     def test_two_term_formula(self):
         th = partition.condensate_threshold(100)
