@@ -50,20 +50,18 @@ class OccupationCensus:
 
     states: int
     level_totals: tuple
-    L0: float = 0.0
 
     def __post_init__(self):
         if self.states < 0:
             raise DomainError("state count cannot be negative")
 
 
-def enumerate_states(spectrum, N, E_max, b_E=0.0, collect=None):
+def enumerate_states(spectrum, N, E_max, collect=None):
     """Count all occupation vectors with sum N_i = N and
     sum lambda_i N_i <= E_max, all vectors equiprobable.
 
     ``collect``, if given, is called with each vector (a tuple).  The
-    census carries per-level occupation totals and the normalization
-    L0 = sum_i e^(-b_E lambda_i).
+    census carries per-level occupation totals.
     """
     if N < 0:
         raise DomainError(f"N must be non-negative, got {N}")
@@ -99,8 +97,7 @@ def enumerate_states(spectrum, N, E_max, b_E=0.0, collect=None):
             vec[i] = 0
 
     recurse(0, N, float(E_max), [0] * s)
-    L0 = sum(math.exp(-b_E * lam) for lam in levels)
-    return OccupationCensus(states=counter[0], level_totals=tuple(totals), L0=L0)
+    return OccupationCensus(states=counter[0], level_totals=tuple(totals))
 
 
 def gibbs_parameter(spectrum, E):
@@ -108,17 +105,26 @@ def gibbs_parameter(spectrum, E):
 
     The weighted mean sum(lambda e^(-b lambda)) / sum(e^(-b lambda)) is
     strictly decreasing in b: doubling the bracket ends outward from
-    (-1, 1) brackets b_E, and ``brentq`` solves for it.
+    (-1, 1) brackets b_E, and ``brentq`` solves for it.  The weights are
+    taken relative to the lowest level, e^(-b (lambda - lambda_0)).
+    Where those overflow (b < 0 on a wide spectrum), they are taken
+    relative to the highest level instead, so that every weight is <= 1.
     """
     levels = spectrum.levels
     if not (levels[0] < E < levels[-1]):
         raise DomainError(f"E = {E} outside the attainable range "
                           f"({levels[0]}, {levels[-1]})")
 
-    def mean(b):
-        lam0 = levels[0]
-        w = [math.exp(-b * (lam - lam0)) for lam in levels]
+    def weighted(b, shift):
+        w = [math.exp(-b * (lam - shift)) for lam in levels]
         return sum(lam * wi for lam, wi in zip(levels, w)) / sum(w)
+
+    def mean(b):
+        try:
+            m = weighted(b, levels[0])
+        except OverflowError:
+            m = math.inf
+        return m if m < math.inf else weighted(b, levels[-1])
 
     lo, hi = -1.0, 1.0
     for _ in range(200):
@@ -161,7 +167,7 @@ def concentration_report(spectrum, N_list, E, psi=default_psi):
             if any(abs(n - p) > half for n, p in zip(vec, predicted)):
                 outside[0] += 1
 
-        census = enumerate_states(spectrum, N, N * E, b_E=b_E, collect=check)
+        census = enumerate_states(spectrum, N, N * E, collect=check)
         means = [t / census.states for t in census.level_totals]
         entries.append({
             "N": N,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from operator import add
 
 from . import specfun
@@ -37,6 +38,8 @@ _ALPHA = -2.0 * math.log(_C / 2.0)
 
 _N_CAP = 20000
 _CELL_CAP = 40_000_000
+# the streamed threshold scan stops after this many declines of p_k(n)
+_PATIENCE = 60
 
 
 @dataclass(frozen=True)
@@ -123,22 +126,21 @@ def _pk_rows(n_max, k_max):
     """Yield the rows [p_k(0), ..., p_k(n_max)] for k = 1..k_max, each
     from the one before by p_k(n) = p_k(n-k) + p_{k-1}(n-1).
 
-    A row is filled k cells at a time.  For k <= n < 2k the first term
-    is zero, so those cells are copied rather than added: the row then
-    holds the same int objects as the row before it, which saves half of
-    a square table's bigint allocations and a third of its memory.  From
-    n = 2k on, each chunk of k cells adds the chunk before it, already
-    final, to the shifted previous row in one C-level map.  Slice ends
-    are clamped to n_max + 1, so a row never changes length."""
-    size = n_max + 1
+    For k <= n < 2k the first term is zero, so those cells are copied
+    from the row before: they hold the same int objects, which saves
+    half of a square table's bigint allocations and a third of its
+    memory.  The cells from n = 2k on are one C-level ``extend``: it
+    appends cur[n-k] + prev[n-1] in order of n, and the list iterator
+    under ``islice`` reads the row's length at every step, so it reaches
+    the cells that ``extend`` has just appended, k places behind the
+    one it is writing.  ``extend`` over-allocates, so the row is then
+    copied to its exact size (a shallow copy: the ints stay shared)."""
     prev = [1] + [0] * n_max
     for k in range(1, k_max + 1):
-        cur = [0] * size
-        top = min(2 * k, size)
-        cur[k:top] = prev[k - 1:top - 1]
-        for n in range(2 * k, size, k):
-            end = min(n + k, size)
-            cur[n:end] = map(add, cur[n - k:end - k], prev[n - 1:end - 1])
+        cur = [0] * k
+        cur += prev[k - 1:min(2 * k - 1, n_max)]
+        cur.extend(map(add, islice(cur, k, None), prev[2 * k - 1:n_max]))
+        cur = cur[:]
         yield cur
         prev = cur
 
@@ -173,10 +175,10 @@ def _log2_bigint(x):
     return e + math.log2(x >> e)
 
 
-def _argmax_pk_streaming(n, patience=60):
+def _argmax_pk_streaming(n):
     """Smallest argmax of p_k(n) over k, by streaming one k-row at a
     time through the recurrence.  p_k(n) is unimodal in k, so the scan
-    stops after `patience` consecutive declines.  Only two rows are
+    stops after _PATIENCE consecutive declines.  Only two rows are
     held, so the scan is held to the n cap but not to the cell cap."""
     if n > _N_CAP:
         raise ResourceError(f"n={n} exceeds cap {_N_CAP}")
@@ -187,7 +189,7 @@ def _argmax_pk_streaming(n, patience=60):
             best_v, best_k, declines = v, k, 0
         else:
             declines += 1
-            if declines >= patience:
+            if declines >= _PATIENCE:
                 break
     return best_k
 

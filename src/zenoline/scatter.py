@@ -25,7 +25,8 @@ import math
 from dataclasses import dataclass, field
 
 from .curves import PhaseCurve, linspace
-from .errors import DegenerateError, DomainError, PoleError, BracketError
+from .errors import (BracketError, DegenerateError, DomainError, PoleError,
+                     SolverError)
 from .roots import brentq
 
 __all__ = [
@@ -44,8 +45,10 @@ __all__ = [
     "critical_summary",
 ]
 
-# brentq tolerances of every radius and of the critical density
+# brentq tolerances of every radius and of the critical density, and
+# its iteration cap
 _XTOL, _RTOL = 1e-14, 8.9e-16
+_MAXITER = 100
 
 
 def _generalized_lj(r, p):
@@ -350,6 +353,10 @@ def stationary_pair(problem):
     below every alpha >= 0; the certificate holds and the pair is the
     one an exhaustive root search gives (tested against an mpmath
     oracle).
+
+    For B past ~1e26 the barrier bracket is so wide, and A - alpha so
+    flat across it, that brentq can exhaust its iterations; SolverError
+    then names the brackets, A - alpha at their ends and the cap.
     """
     pot, B, alpha = problem.potential, problem.B, problem.alpha
     r_star = zeno_condition_root(pot, B)
@@ -369,8 +376,14 @@ def stationary_pair(problem):
             f"stationary pair not certified on ({lo:g}, {r_star!r}, {hi:g}): "
             f"A - alpha is {f_lo:.6g}, {a_star - alpha:.6g}, {f_hi:.6g} there, "
             "not negative, positive, negative")
-    r_lo = brentq(f, lo, r_star, xtol=_XTOL, rtol=_RTOL)
-    r_hi = brentq(f, r_star, hi, xtol=_XTOL, rtol=_RTOL)
+    try:
+        r_lo = brentq(f, lo, r_star, xtol=_XTOL, rtol=_RTOL, maxiter=_MAXITER)
+        r_hi = brentq(f, r_star, hi, xtol=_XTOL, rtol=_RTOL, maxiter=_MAXITER)
+    except RuntimeError:
+        raise SolverError(
+            f"stationary pair not converged on ({lo:g}, {r_star!r}, {hi:g}): "
+            f"A - alpha is {f_lo:.6g}, {a_star - alpha:.6g}, {f_hi:.6g} there, "
+            f"and brentq reached its cap of {_MAXITER} iterations") from None
     # flipped convention: the well at r_lo, the barrier at r_hi
     return StationaryPair(r_lo=r_lo, r_hi=r_hi,
                           E_min=-effective_energy(problem, r_hi),

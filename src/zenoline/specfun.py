@@ -495,7 +495,7 @@ def polylog(s, z):
 
     - z = 1: zeta(s) for s > 1 (DivergenceError for s <= 1).
     - 0 < z <= 0.6: the defining power series sum_k z^k / k^s, summed
-      until the geometric tail bound falls below 1e-17 of the sum.
+      until its next term falls below 1e-17 (1 - z) of the sum.
     - 0.6 < z < 1: the log series in mu = ln z, Gamma(1 - s)(-mu)^(s-1)
       + sum_k zeta(s - k) mu^k / k!, with the pure-Python ``zeta``
       for the coefficients.  Within 0.25 of a positive integer n, the
@@ -506,7 +506,7 @@ def polylog(s, z):
     The log series agrees with mpmath at 30 digits to 2e-15 relative for
     s in [0.1, 4.5] (integer and near-integer orders included) and to
     1e-14 for s in [-3, 12], on z from 0.6 to the last float below 1.
-    Below s = -76 the power series forms a term whose k^s underflows
+    Where k^s underflows (s << 0), the power series forms the term
     from k^(-s/2) twice.  Against mpmath at 30 digits, Li_-130(0.5) =
     4.6e240 is 1.7e-15 relative off, Li_-150(0.3) = 3.8e250 is 7.7e-16
     off, and 389 random pairs with s in [-170, -60], z in (0, 0.6] are
@@ -560,63 +560,40 @@ def polylog_ds(s, z):
     return value
 
 
-# the power series runs to k = 10001, and 10001**s is a normal float for
-# s >= -76.9; below _LOW_ORDER it takes _power_series_low
-_LOW_ORDER = -76.0
+# the power series stops at k = 10000 whatever its terms
+_MAX_TERMS = 10_000
 
 
 def _power_series(s, z):
-    """Li_s(z) for 0 <= z <= 0.6 by the defining series sum_k z^k / k^s."""
-    if s < _LOW_ORDER:
-        return _power_series_low(s, z)
-    # |tail| <= term * z / (1 - z) for s >= 0, and the k^-s factor only
-    # helps the bound for s > 0.
-    s_neg = min(s, 0.0)
+    """Li_s(z) for 0 < z <= 0.6 by the defining series sum_k z^k / k^s.
+
+    Each term is formed once: z^k / k^s, or z^k k^(-s/2) k^(-s/2) where
+    k^s is below the smallest normal float (s << 0, where k**-s itself
+    overflows while the terms still count: from k = 114 at s = -150).
+    The sum stops before the first term below 1e-17 (1 - z) of it.  All
+    terms are positive and unimodal in k, so the sum is past the peak
+    there, and every later term is smaller still: below half an ulp of
+    the sum, so that adding it would not change a bit.
+    """
     one_minus_z = 1 - z
-    total = 0.0
-    term = z
-    k = 1
-    while True:
+    tiny = sys.float_info.min
+    total = power = z  # the first term, z / 1^s, is always added
+    for k in range(2, _MAX_TERMS + 1):
+        power *= z
         try:
-            total += term / k**s
+            p = k**s
         except OverflowError:
             # k^s is past the float range (only for large s > 0);
             # this term and every later one are below 1e-308 of z^k
             break
-        k += 1
-        term *= z
-        size = abs(total)
-        if term / k**s_neg < \
-                1e-17 * (size if size > 1e-300 else 1e-300) * one_minus_z:
+        if p >= tiny:
+            term = power / p
+        else:
+            r = k ** (-0.5 * s)  # an OverflowError here reaches polylog
+            term = power * r * r
+        if term < 1e-17 * (total if total > 1e-300 else 1e-300) * one_minus_z:
             break
-        if k > 10_000:
-            break
-    return total
-
-
-def _power_series_low(s, z):
-    """_power_series for s < _LOW_ORDER, where k**s can underflow.
-
-    Where k**s is below the smallest normal float, z^k / k^s is formed as
-    z^k k^(-s/2) k^(-s/2): k**-s itself overflows where the terms still
-    count (from k = 114 for s = -150).  Where k**s is a normal float, the
-    terms and the stopping test are those of ``_power_series``, float for
-    float.
-    """
-    one_minus_z = 1 - z
-    total = 0.0
-    term = z
-    k = 1
-    while True:
-        total += _over_power(term, k, s)
-        k += 1
-        term *= z
-        size = abs(total)
-        if _over_power(term, k, s) < \
-                1e-17 * (size if size > 1e-300 else 1e-300) * one_minus_z:
-            break
-        if k > 10_000:
-            break
+        total += term
     return total
 
 
@@ -630,29 +607,24 @@ def _over_power(x, k, s):
 
 
 def _power_series_ds(s, z):
-    """d Li_s(z)/ds = -sum_k ln(k) z^k / k^s for 0 < z <= 0.6, with the
-    terms of ``_power_series_low``, each times ln k.  The ratio of
-    consecutive terms tends to z from above, so the sum stops where the
-    next term falls below 5e-18 (1 - z) of it."""
+    """d Li_s(z)/ds = -sum_k ln(k) z^k / k^s for 0 < z <= 0.6, each term
+    formed once, as in ``_power_series``, times ln k.  The ratio of
+    consecutive terms tends to z from above, so the sum stops before the
+    first term after k = 2 that is below 5e-18 (1 - z) of it.  An
+    OverflowError of k^s, or of k^(-s/2), ends the sum."""
     one_minus_z = 1 - z
     total = 0.0
-    term = z
-    k = 1
-    while True:
-        k += 1
-        term *= z
+    power = z
+    for k in range(2, _MAX_TERMS + 1):
+        power *= z
         try:
-            total -= math.log(k) * _over_power(term, k, s)
-            following = math.log(k + 1) * _over_power(term * z, k + 1, s)
+            term = math.log(k) * _over_power(power, k, s)
         except OverflowError:
-            # k^s is past the float range (only for large s > 0); this
-            # term and every later one are below 1e-308 of z^k
             break
-        size = abs(total)
-        if following < 5e-18 * (size if size > 1e-300 else 1e-300) * one_minus_z:
+        if k > 2 and term < \
+                5e-18 * (-total if total < -1e-300 else 1e-300) * one_minus_z:
             break
-        if k > 10_000:
-            break
+        total -= term
     return total
 
 

@@ -231,6 +231,19 @@ class TestExitCodes:
         assert cli.main(["isotherm", "--gamma0", "400"]) == cli.EXIT_OK
         capsys.readouterr()
 
+    def test_critical_unconverged_radius(self, capsys):
+        # at B = 1e30 brentq cannot close the barrier bracket in its cap
+        for name in ("lj", "morse", "buckingham", "generalized_lj"):
+            assert cli.main(["critical", "--B", "1e30", "--potential", name]) \
+                == cli.EXIT_NUMERIC
+            assert "cap of 100 iterations" in capsys.readouterr().err
+
+    def test_ensemble_wide_spectrum(self, capsys):
+        # the Gibbs bracket probe b = -1 weighs level 1000 by e^999
+        assert cli.main(["ensemble", "--levels", "1,1000", "--E", "999.9",
+                         "--N-list", "2"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1].startswith("2,2,")
+
     def test_numeric_error(self, capsys, monkeypatch):
         def boom(cfg):
             raise SolverError("synthetic solver failure")
@@ -304,3 +317,72 @@ class TestCommandTable:
         args = cli.build_parser().parse_args(
             ["jamming", "--mu-grid", "0:-0.1:-0.1", "--anchor-P", "3"])
         assert (args.mu_grid, args.anchor_P) == ("0:-0.1:-0.1", "3")
+
+
+class TestGoldenOutput:
+    """The stdout of fixed invocations, pinned by sha256.
+
+    A change that is not meant to move a number leaves every digest as
+    it is.  A deliberate move of digits updates this table in its own
+    change and says so.  The floats come from this interpreter's
+    CPython and the C library's libm, so the digests hold for the
+    platform they were computed on (CPython 3.11, glibc x86-64), as
+    the pinned samples of ``test_diagram.py::test_samples_unchanged``
+    do.
+    """
+
+    _DIGESTS = [
+        (("zeno",),
+         "89572bece3b4ab2d81f6a5f31d687be28903da5593c486f1f093554d38eb6a59"),
+        (("compressibility",),
+         "cb0e03325f40dc106c1158fd74a6ed42733fdf255b03d406f2c3bb7cd4f0ef59"),
+        (("critical",),
+         "b36ec7913ef8f28a96b3c1d6e5e4b98a42b1540bc8f96b9743a7730fa045bf2d"),
+        (("isotherm",),
+         "f9c757b4627b2d97a555c734672149247d5bf14504e0ccd489db8e4325bbc74f"),
+        (("jamming",),
+         "52dd12892113803be4e6c617cfbab8aa2800b82785c69cc08ed7bc8f31861323"),
+        (("partition",),
+         "f5309cadcdb7e7547b06ae403ee0d984c098389aaad10c572c9dc2d8ee8104e1"),
+        (("threshold",),
+         "49ae2af2cc7f08a9384d79324f935ad1539a2795ed282bfd047ae64c6a5c4ffa"),
+        (("ensemble",),
+         "02f147ab2a73960a80321dc6b12b0371bb551d1a862fe1822c417290f3296d6f"),
+        (("reference",),
+         "0ccbcbc7d41d463554c72885fff26a5ef733fad5a487b5d19af1d42519446db2"),
+        (("partition", "--n", "2000"),
+         "b50c70639cf7e4524890d8ce1b025fff6179704f96955b8eec76c0997b768760"),
+        (("threshold", "--n", "2000"),
+         "5c25c0808e48c72eda21cb92091ffa9720296a7872cecafa90e4c17749b2bf94"),
+        (("isotherm", "--mode", "imperfect", "--P-grid", "0.05:0.95:0.05"),
+         "90765e7b95a153b42c0a17b91579592a8c524ea514e19bfa58615a3fcd44108c"),
+        (("isotherm", "--P-grid", "0.001:0.6:0.001"),
+         "8bdf860cdbc8327313a46ad5c8677b68a59a41d172ea87145bd4158c1fc270b7"),
+        (("jamming", "--variant", "linear"),
+         "d09a2934627ff8ae60fe1f38c71e20c2a274373b5c012211413b22e08656954d"),
+        (("zeno", "--potential", "morse"),
+         "f7b2d323d270e27751f8095c2414a1e2a3da0eeaf1c8e6a0a0b8d77d8597d5e6"),
+        (("compressibility", "--potential", "morse"),
+         "7d0888938b0230b1be17e09bae30f0abc81d7fe9374f2a6650772f1dfcedd078"),
+        (("critical", "--potential", "morse"),
+         "d314fe1babad3eadfc2bbb355b105fb8cfbee5c824c59c630c8fe948dc5ac2fa"),
+        (("zeno", "--potential", "buckingham"),
+         "dac464f991a6de799da9c795a616490f28036582a84216857b8753f7393d0072"),
+        (("compressibility", "--potential", "buckingham"),
+         "2c31199746170e4d45cf5fb991972e5d8c0b9c52e4ed6816c48753b2f205e3ef"),
+        (("critical", "--potential", "buckingham"),
+         "efac64832c228f68a6482394760ddbcf913665e61b4b990bf802df2d19693c09"),
+        (("zeno", "--potential", "generalized_lj"),
+         "89572bece3b4ab2d81f6a5f31d687be28903da5593c486f1f093554d38eb6a59"),
+        (("compressibility", "--potential", "generalized_lj"),
+         "cb0e03325f40dc106c1158fd74a6ed42733fdf255b03d406f2c3bb7cd4f0ef59"),
+        (("critical", "--potential", "generalized_lj"),
+         "b36ec7913ef8f28a96b3c1d6e5e4b98a42b1540bc8f96b9743a7730fa045bf2d"),
+    ]
+
+    @pytest.mark.parametrize("argv, digest", _DIGESTS,
+                             ids=[" ".join(a) for a, _ in _DIGESTS])
+    def test_stdout_digest(self, argv, digest, capsys):
+        assert cli.main(list(argv)) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

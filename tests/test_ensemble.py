@@ -111,6 +111,15 @@ class TestGibbs:
             ensemble.SpectrumSpec((1.0, 2.0, 3.0, 4.0)), 2.0)
         assert b == pytest.approx(0.4196, abs=2e-4)
 
+    @pytest.mark.parametrize("e", [1.1, 500.0, 999.9])
+    def test_two_level_closed_form_on_a_wide_spectrum(self, e):
+        # mean(b) = E on two levels: b = ln((l1 - E)/(E - l0))/(l1 - l0).
+        # At E = 999.9 the bracket probe b = -1 weighs the top level by
+        # e^999 relative to the bottom one, past the float range
+        b = ensemble.gibbs_parameter(ensemble.SpectrumSpec((1.0, 1000.0)), e)
+        assert b == pytest.approx(math.log((1000.0 - e) / (e - 1.0)) / 999.0,
+                                  rel=1e-10, abs=0.0)
+
     def test_domain(self):
         spec = ensemble.SpectrumSpec((1.0, 2.0))
         with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -108,8 +109,8 @@ class TestBoundedOracle:
     @pytest.mark.parametrize("n_max,k_max", [(10, 4), (12, 5), (28, 7), (36, 13),
                                              (40, 27), (58, 31)])
     def test_ragged_chunk_edges(self, n_max, k_max):
-        # n_max + 1 is prime, so the last chunk of every row with k >= 2
-        # is short, and the rows with 2k > n_max + 1 are copies only
+        # n_max + 1 is prime, so no row length is a multiple of its k,
+        # and the rows with 2k > n_max + 1 are copies only
         _assert_matches_oracle(n_max, k_max)
 
     def test_pk_row(self):
@@ -133,6 +134,13 @@ class TestBoundedOracle:
                     assert table.count(n, k) is table.count(n - 1, k - 1), (n, k)
                     checked += 1
         assert checked > 100
+
+    def test_rows_allocated_to_size(self):
+        # extend over-allocates a row it appends to; every row of the table
+        # must take no more memory than a list built to its length
+        table = partition.build_partition_table(300, 300)
+        size = sys.getsizeof([0] * 301)
+        assert [sys.getsizeof(row) for row in table._rows] == [size] * 301
 
 
 class TestEntropy:

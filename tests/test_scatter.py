@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from zenoline import cli, scatter
 from zenoline.errors import (BracketError, DegenerateError, DomainError,
-                             PoleError)
+                             PoleError, SolverError)
 
 import oracles
 
@@ -297,6 +297,14 @@ class TestStationaryPair:
         pair = scatter.stationary_pair(scatter.ScatterProblem(LJ, 100.0, 1e-10))
         assert pair.E_min / pair.E_max < 1e-4
 
+    def test_unconverged_radius_is_a_solver_error(self):
+        # at B = 1e30 the barrier bracket is 1e30 wide and A - alpha is
+        # flat across it, so brentq runs out of iterations
+        with pytest.raises(SolverError, match=r"not converged on \(0\.50005, "
+                           r"1\.27.*, 9\.999e\+29\): A - alpha is -.*, 0\.189577, "
+                           r"-0\.05 there, .* cap of 100 iterations"):
+            scatter.stationary_pair(scatter.ScatterProblem(LJ, 1e30, 0.05))
+
 
 class TestCompressibility:
     def test_bounds_and_complement(self):
@@ -332,6 +340,12 @@ class TestCompressibility:
         a = scatter.compressibility_curve(LJ, 100.0, grid)
         b = scatter.compressibility_curve(LJ, 100.0, grid)
         assert a.rows == b.rows
+
+    def test_unconverged_point_recorded(self):
+        curve = scatter.compressibility_curve(LJ, 1e30, [0.01])
+        assert curve.rows == []
+        (rho, msg), = curve.meta["failures"]
+        assert rho == 0.01 and msg.startswith("SolverError(")
 
     def test_small_B_rejected(self):
         for B in (5.0, math.nan, math.inf):

@@ -247,6 +247,35 @@ class TestPolylogDerivative:
             specfun.polylog_ds(-200.0, 0.5)
 
 
+class TestPowerSeries:
+    """The power series branch, z <= 0.6, at random orders on both sides
+    of s = -76.9, below which k^s underflows before the series ends and
+    the terms take k^(-s/2) twice.  mpmath's own series stops at an
+    absolute tolerance, so the oracles carry the digits of z on top."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(s=st.one_of(st.floats(-90.0, -60.0), st.floats(-3.0, 12.0)),
+           z=st.floats(0.0, 0.6, exclude_min=True))
+    def test_polylog_against_mpmath(self, s, z):
+        want = oracles.polylog_mpmath(s, z, dps=30 + math.ceil(-math.log10(z)))
+        assert abs(specfun.polylog(s, z) - want) <= 5e-15 * want
+
+    # z from 1e-150: below ~1.5e-154, z^2 is subnormal and the first
+    # term, ln 2 z^2 / 2^s, keeps only the digits of a subnormal
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(s=st.one_of(st.floats(-90.0, -60.0), st.floats(-3.0, 12.0)),
+           z=st.floats(1e-150, 0.6))
+    def test_derivative_against_mpmath(self, s, z):
+        dps = 40 + 2 * math.ceil(-math.log10(z)) + math.ceil(max(0.0, 0.31 * s))
+        want = oracles.polylog_ds_mpmath(s, z, dps=dps)
+        assert abs(specfun.polylog_ds(s, z) - want) <= 5e-15 * abs(want)
+
+    @pytest.mark.parametrize("s", [-100.0, 0.5, 2.2, 900.0])
+    def test_smallest_argument(self, s):
+        # the first term, z / 1^s, is always added: the sum is z itself
+        assert specfun.polylog(s, 5e-324) == 5e-324
+
+
 @pytest.mark.parametrize("s", [-130.0, -150.0, -175.0])
 @pytest.mark.parametrize("z", [0.3, 0.5, 0.61, 0.9])
 def test_polylog_large_negative_order(s, z):
