@@ -92,6 +92,8 @@ class FractalEos:
         self.dphi_vals = m = tuple(map(float, dphi_vals))
         self.V_cr = V_cr
         self._identity = False
+        # gamma0 -> (P_max, phi(V_cr)), the top of that isotherm's branch
+        self._tops = {}
         if any(v <= 0 for v in y) or any(v <= 0 for v in m):
             raise DomainError("phi and phi' must be strictly positive")
         if any(y1 <= y0 for y0, y1 in zip(y, y[1:])):
@@ -301,17 +303,21 @@ def imperfect_isotherm(P_grid, eos, gamma0=GAMMA0):
     at P_max < 1.  An activity above that top would put V below V_cr;
     there V is held at V_cr, so the residual stays finite and increasing
     on [0, 1] and every P <= P_max has its root at or below the top.  A
-    P above P_max raises SolverError.
+    P above P_max raises SolverError.  P_max is solved once per gamma0
+    and kept on ``eos``.
     """
     zp2 = riemann_zeta(gamma0 + 2.0)
     c_cr = eos.dphi(eos.V_cr)
     scale = c_cr * zp2
     P_max, y_cr = 1.0, 0.0
     if not eos._identity:
-        y_cr = eos.phi(eos.V_cr)
-        li_top = scale / y_cr
-        a_top = _solve_activity(lambda a: polylog(gamma0 + 1.0, a), li_top)
-        P_max = polylog(gamma0 + 2.0, a_top) / zp2
+        top = eos._tops.get(gamma0)
+        if top is None:
+            y_cr = eos.phi(eos.V_cr)
+            a_top = _solve_activity(lambda a: polylog(gamma0 + 1.0, a),
+                                    scale / y_cr)
+            top = eos._tops[gamma0] = (polylog(gamma0 + 2.0, a_top) / zp2, y_cr)
+        P_max, y_cr = top
 
     def v_of(a):
         # above the branch top the volume is held at V_cr

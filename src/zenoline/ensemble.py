@@ -8,6 +8,7 @@ Maxwell-Boltzmann limit of the Bose integrals.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from . import specfun
@@ -25,11 +26,15 @@ __all__ = [
 ]
 
 _STATE_GUARD = 100_000_000
+# margin, relative to R lambda_b + |budget| + 1, that certifies a run of
+# the last free level; the rounding of the two budget tests and of
+# n_safe is a few units of 2^-53 of the same scale
+_RUN_MARGIN = 2.0 ** -40
 
 
 @dataclass(frozen=True)
 class SpectrumSpec:
-    """A discrete positive spectrum, levels sorted ascending."""
+    """A discrete positive spectrum, levels finite and sorted ascending."""
 
     levels: tuple
 
@@ -37,6 +42,8 @@ class SpectrumSpec:
         levels = tuple(float(x) for x in self.levels)
         if not levels:
             raise DomainError("spectrum must have at least one level")
+        if not all(math.isfinite(x) for x in levels):
+            raise DomainError(f"all levels must be finite, got {levels}")
         if any(x <= 0 for x in levels):
             raise DomainError("all levels must be positive")
         if any(b < a for a, b in zip(levels, levels[1:])):
@@ -46,58 +53,145 @@ class SpectrumSpec:
 
 @dataclass(frozen=True)
 class OccupationCensus:
-    """Aggregate over all admissible occupation vectors."""
+    """Aggregate over all admissible occupation vectors; ``outside``
+    counts those outside the band, if one was given."""
 
     states: int
     level_totals: tuple
+    outside: int = 0
 
     def __post_init__(self):
         if self.states < 0:
             raise DomainError("state count cannot be negative")
+        if not 0 <= self.outside <= self.states:
+            raise DomainError("outside count must lie in [0, states]")
 
 
-def enumerate_states(spectrum, N, E_max, collect=None):
+def _inside_range(centre, half, N):
+    """(lo, hi): the m in 0..N with not abs(m - centre) > half.  fl(m -
+    centre) is monotone in m, so they form one interval, found by
+    bisection on the same float tests.  A NaN centre or half puts every
+    m inside, as it does in the test."""
+    if centre != centre or half != half:
+        return 0, N
+    span = range(N + 1)
+    lo = bisect_left(span, True, key=lambda m: m - centre >= -half)
+    hi = bisect_left(span, True, key=lambda m: m - centre > half) - 1
+    return lo, hi
+
+
+def enumerate_states(spectrum, N, E_max, collect=None, band=None):
     """Count all occupation vectors with sum N_i = N and
     sum lambda_i N_i <= E_max, all vectors equiprobable.
 
-    ``collect``, if given, is called with each vector (a tuple).  The
-    census carries per-level occupation totals.
+    ``collect``, if given, is called with each vector (a tuple), in
+    descending lexicographic order.  The census carries per-level
+    occupation totals.  ``band`` = (centres, half), if given, makes the
+    census also count the vectors with any abs(N_i - centres[i]) > half.
+
+    Levels 0..s-3 are walked as a tree, each value pruned as soon as the
+    cheapest completion overruns the budget.  Below each node the last
+    free level takes a run of values n and the top level R - n.  The
+    run's cost R lambda_b - n (lambda_b - lambda_a) falls with n, so from
+    n_safe on it is below the budget by a margin that both float tests
+    pass; only the n below n_safe are tested one by one.  Count, totals
+    and the in-band count of the certified part are arithmetic series
+    and one interval intersection.
     """
     if N < 0:
         raise DomainError(f"N must be non-negative, got {N}")
+    budget = float(E_max)
+    if not math.isfinite(budget):
+        # an infinite budget less a cost that overflows is NaN
+        raise DomainError(f"E_max must be finite, got {E_max}")
     levels = spectrum.levels
     s = len(levels)
-    totals = [0] * s
-    counter = [0]
+    if band is None:
+        # abs(n - nan) > half is false: no vector is outside
+        centres, half = (math.nan,) * s, math.nan
+    else:
+        centres, half = tuple(band[0]), band[1]
+        if len(centres) != s:
+            raise DomainError(f"band has {len(centres)} centres for {s} levels")
+    if s == 1:
+        if not N * levels[0] <= budget + 1e-12:
+            return OccupationCensus(0, (0,))
+        if collect is not None:
+            collect((N,))
+        return OccupationCensus(1, (N,), int(abs(N - centres[0]) > half))
 
-    def recurse(i, remaining, budget, vec):
-        if counter[0] > _STATE_GUARD:
+    lam_a, lam_b = levels[-2], levels[-1]
+    gap = lam_b - lam_a
+    a_lo, a_hi = _inside_range(centres[-2], half, N)
+    b_lo, b_hi = _inside_range(centres[-1], half, N)
+    prefix = [0] * (s - 2)
+    totals = [0] * s
+    states = outside = 0
+
+    def run(R, budget, out):
+        nonlocal states, outside
+        thr = budget + 1e-12
+        top = R * lam_b
+        excess = top - thr + _RUN_MARGIN * (top + abs(budget) + 1.0)
+        if excess <= 0.0:
+            n_safe = 0
+        elif gap > 0.0 and excess / gap <= R:
+            n_safe = math.ceil(excess / gap)
+        else:
+            # equal levels, or even n = R is too close to call
+            n_safe = R + 1
+        count = R + 1 - n_safe
+        n_sum = (R + n_safe) * count // 2
+        if out:
+            inside = 0
+        else:
+            lo = max(n_safe, a_lo, R - b_hi)
+            hi = min(R, a_hi, R - b_lo)
+            inside = max(hi - lo + 1, 0)
+        if collect is not None:
+            head = tuple(prefix)
+            for n in range(R, n_safe - 1, -1):
+                collect(head + (n, R - n))
+        for n in range(n_safe - 1, -1, -1):
+            rest = R - n
+            cost = n * lam_a
+            if cost + rest * lam_b > thr:
+                break
+            if rest * lam_b <= budget - cost + 1e-12:
+                count += 1
+                n_sum += n
+                if not out and a_lo <= n <= a_hi and b_lo <= rest <= b_hi:
+                    inside += 1
+                if collect is not None:
+                    collect(head + (n, rest))
+        totals[-2] += n_sum
+        totals[-1] += count * R - n_sum
+        states += count
+        outside += count - inside
+        if states > _STATE_GUARD:
             raise ResourceError(
                 f"state count exceeds guard {_STATE_GUARD}; use a sampling scheme")
-        if i == s - 1:
-            # last level takes the remainder if the budget allows
-            if remaining * levels[i] <= budget + 1e-12:
-                counter[0] += 1
-                vec[i] = remaining
-                for j, n_j in enumerate(vec):
-                    totals[j] += n_j
-                if collect is not None:
-                    collect(tuple(vec))
-                vec[i] = 0
+
+    def walk(i, R, budget, out):
+        if i == s - 2:
+            run(R, budget, out)
             return
         # levels ascend, so the cheapest completion with n_i fixed puts
         # everything else on level i+1; prune subtrees that cannot fit
-        for n_i in range(remaining, -1, -1):
-            rest = remaining - n_i
-            cost = n_i * levels[i]
-            if cost + rest * levels[i + 1] > budget + 1e-12:
+        lam, lam_next, centre = levels[i], levels[i + 1], centres[i]
+        thr = budget + 1e-12
+        for n_i in range(R, -1, -1):
+            rest = R - n_i
+            cost = n_i * lam
+            if cost + rest * lam_next > thr:
                 break
-            vec[i] = n_i
-            recurse(i + 1, rest, budget - cost, vec)
-            vec[i] = 0
+            prefix[i] = n_i
+            before = states
+            walk(i + 1, rest, budget - cost, out or abs(n_i - centre) > half)
+            totals[i] += n_i * (states - before)
 
-    recurse(0, N, float(E_max), [0] * s)
-    return OccupationCensus(states=counter[0], level_totals=tuple(totals))
+    walk(0, N, budget, False)
+    return OccupationCensus(states, tuple(totals), outside)
 
 
 def gibbs_parameter(spectrum, E):
@@ -161,13 +255,7 @@ def concentration_report(spectrum, N_list, E, psi=default_psi):
         B = N / L0
         half = B * math.sqrt(L0 * ln_L0) * psi(L0)
         predicted = [B * math.exp(-b_E * lam) for lam in levels]
-        outside = [0]
-
-        def check(vec):
-            if any(abs(n - p) > half for n, p in zip(vec, predicted)):
-                outside[0] += 1
-
-        census = enumerate_states(spectrum, N, N * E, collect=check)
+        census = enumerate_states(spectrum, N, N * E, band=(predicted, half))
         means = [t / census.states for t in census.level_totals]
         entries.append({
             "N": N,
@@ -175,7 +263,7 @@ def concentration_report(spectrum, N_list, E, psi=default_psi):
             "empirical_means": means,
             "predicted": predicted,
             "band_halfwidth": half,
-            "outside_fraction": outside[0] / census.states,
+            "outside_fraction": census.outside / census.states,
         })
     fracs = [e["outside_fraction"] for e in entries]
     return {

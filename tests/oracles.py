@@ -18,6 +18,7 @@ step-for-step port of Brent's method (``zenoline.roots``); the library
 no longer imports scipy.optimize.
 """
 
+import itertools
 import math
 from collections import namedtuple
 
@@ -55,10 +56,20 @@ def polylog_series(s, z, tol=1e-14):
             return total
 
 
-def polylog_mpmath(s, z, dps=30):
+def _digits_below_one(z):
+    """ceil(-log10 z), the decimal orders of magnitude of z below 1; 0
+    for z >= 1."""
+    return max(0, math.ceil(-math.log10(z))) if z > 0 else 0
+
+
+def polylog_mpmath(s, z, dps=None):
     """Li_s(z) for 0 < z <= 1 by mpmath at `dps` significant digits,
     rounded to float; exact at integer orders, and 30 digits leave 22
-    after the cancellation at |s - n| = 1e-8."""
+    after the cancellation at |s - n| = 1e-8.  mpmath's series stops at
+    an absolute tolerance, so the default carries the digits of z on top
+    of 30."""
+    if dps is None:
+        dps = 30 + _digits_below_one(z)
     with mpmath.workdps(dps):
         return float(mpmath.polylog(s, z))
 
@@ -77,9 +88,13 @@ def zeta_mpmath(s, derivative=0, dps=30):
 _DIFF_STEP = mpmath.mpf(10) ** -12
 
 
-def polylog_ds_mpmath(s, z, dps=30):
+def polylog_ds_mpmath(s, z, dps=None):
     """d Li_s(z)/ds by mpmath.diff of mpmath.polylog at `dps` digits, with
-    the float s and z taken exactly."""
+    the float s and z taken exactly.  The default is 40 digits, plus
+    twice the digits of z, which mpmath's absolute stop would lose, plus
+    0.31 s (about log10 2^s) at positive orders."""
+    if dps is None:
+        dps = 40 + 2 * _digits_below_one(z) + math.ceil(0.31 * max(s, 0.0))
     with mpmath.workdps(dps):
         return float(mpmath.diff(lambda t: mpmath.polylog(t, mpmath.mpf(z)),
                                  mpmath.mpf(s), h=_DIFF_STEP))
@@ -278,6 +293,20 @@ def occupation_vectors(levels, n, e_max):
 
     walk(0, [])
     return out
+
+
+def banded_states(levels, n, e_max, centres, half):
+    """(count, per-level totals, outside) of the vectors in {0..n}^s with
+    sum n and energy <= e_max, by plain filtering of the product space;
+    a vector is outside when any abs(v_i - centres[i]) > half."""
+    count, totals, outside = 0, [0] * len(levels), 0
+    for vec in itertools.product(range(n + 1), repeat=len(levels)):
+        if sum(vec) == n and \
+                sum(v * lam for v, lam in zip(vec, levels)) <= e_max + 1e-12:
+            count += 1
+            totals = [t + v for t, v in zip(totals, vec)]
+            outside += any(abs(v - c) > half for v, c in zip(vec, centres))
+    return count, tuple(totals), outside
 
 
 PhiIsotherm = namedtuple("PhiIsotherm", ["V_cr", "P_max", "Z"])

@@ -244,6 +244,12 @@ class TestExitCodes:
                          "--N-list", "2"]) == cli.EXIT_OK
         assert capsys.readouterr().out.splitlines()[1].startswith("2,2,")
 
+    def test_ensemble_non_finite_levels(self, capsys):
+        for levels in ("1,inf", "1,nan,3"):
+            assert cli.main(["ensemble", "--levels", levels, "--E", "2",
+                             "--N-list", "2"]) == cli.EXIT_CONFIG
+            assert "all levels must be finite" in capsys.readouterr().err
+
     def test_numeric_error(self, capsys, monkeypatch):
         def boom(cfg):
             raise SolverError("synthetic solver failure")

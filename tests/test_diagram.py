@@ -331,6 +331,22 @@ class TestImperfectIsotherm:
                 pytest.approx(pt.P_r * c_cr * zp2, rel=1e-8)
         assert raised == []
 
+    def test_branch_top_solved_once(self, monkeypatch):
+        # a fresh eos: the module's fixture has its branch top cached
+        eos = diagram.solve_phi(GAMMA0, curves.geomspace(1.02, 1000.0, 400))
+        calls = []
+
+        def counted(s, z):
+            calls.append((s, z))
+            return specfun.polylog(s, z)
+
+        monkeypatch.setattr(diagram, "polylog", counted)
+        first = diagram.imperfect_isotherm([0.5], eos)
+        n_first = len(calls)
+        second = diagram.imperfect_isotherm([0.5], eos)
+        assert n_first - (len(calls) - n_first) == 16
+        assert second == first
+
     def test_deformation_effect(self, eos):
         # the deformed and undeformed isotherms agree in the dilute
         # limit and separate strongly as the critical pressure nears

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -33,23 +34,30 @@ class TestEnumerate:
             assert census.states == len(expect)
             assert sorted(seen) == sorted(expect)
 
-    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(halves=st.lists(st.integers(1, 8), min_size=1, max_size=4),
-           n=st.integers(0, 6), e_quarters=st.integers(0, 100))
-    def test_product_space_property(self, halves, n, e_quarters):
+           n=st.integers(0, 6), e_quarters=st.integers(0, 100),
+           centre_quarters=st.lists(st.integers(-4, 28), min_size=4, max_size=4),
+           half_quarters=st.integers(-1, 16))
+    def test_product_space_property(self, halves, n, e_quarters,
+                                    centre_quarters, half_quarters):
         # levels on the half-integer grid and budgets on the quarter grid
         # keep every energy sum exact; equal levels are allowed
         levels = tuple(sorted(0.5 * h for h in halves))
         e_max = 0.25 * e_quarters
+        centres = [0.25 * c for c in centre_quarters[:len(levels)]]
+        half = 0.25 * half_quarters
         seen = []
-        census = ensemble.enumerate_states(ensemble.SpectrumSpec(levels), n, e_max,
-                                           collect=seen.append)
-        expect = oracles.occupation_vectors(levels, n, e_max)
-        assert sorted(seen) == sorted(expect)
-        assert census.states == len(expect)
-        assert sum(census.level_totals) == n * census.states
-        assert list(census.level_totals) == \
-            [sum(vec[i] for vec in expect) for i in range(len(levels))]
+        census = ensemble.enumerate_states(
+            ensemble.SpectrumSpec(levels), n, e_max, collect=seen.append,
+            band=(centres, half))
+        count, totals, outside = oracles.banded_states(levels, n, e_max,
+                                                       centres, half)
+        assert (census.states, census.level_totals, census.outside) == \
+            (count, totals, outside)
+        # the walk visits vectors in descending lexicographic order
+        assert seen == sorted(oracles.occupation_vectors(levels, n, e_max),
+                              reverse=True)
 
     def test_conservation_per_state(self):
         levels = (1.0, 2.0, 3.0)
@@ -81,6 +89,15 @@ class TestEnumerate:
         with pytest.raises(ResourceError):
             ensemble.enumerate_states(spec, 6, 100.0)
 
+    def test_guard_on_the_running_count(self, monkeypatch):
+        spec = ensemble.SpectrumSpec((1.0, 2.0, 3.0, 4.0))
+        states = ensemble.enumerate_states(spec, 6, 100.0).states
+        monkeypatch.setattr(ensemble, "_STATE_GUARD", states)
+        assert ensemble.enumerate_states(spec, 6, 100.0).states == states
+        monkeypatch.setattr(ensemble, "_STATE_GUARD", states - 1)
+        with pytest.raises(ResourceError, match=f"guard {states - 1}"):
+            ensemble.enumerate_states(spec, 6, 100.0)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             ensemble.SpectrumSpec(())
@@ -90,6 +107,102 @@ class TestEnumerate:
             ensemble.SpectrumSpec((0.0, 1.0))
         with pytest.raises(DomainError):
             ensemble.enumerate_states(ensemble.SpectrumSpec((1.0,)), -1, 1.0)
+        with pytest.raises(DomainError, match="3 centres for 2 levels"):
+            ensemble.enumerate_states(ensemble.SpectrumSpec((1.0, 2.0)), 2, 4.0,
+                                      band=([1.0, 1.0, 1.0], 1.0))
+
+    @pytest.mark.parametrize("levels", [(1.0, math.inf), (1.0, math.nan, 3.0),
+                                        (-math.inf, 1.0), (math.nan,)])
+    def test_non_finite_levels(self, levels):
+        with pytest.raises(DomainError, match="all levels must be finite"):
+            ensemble.SpectrumSpec(levels)
+
+
+# (levels, [(N, states, level_totals, outside)]) of the benchmark's
+# exact_counts spectra for seeds 1-5, with the budget N E at
+# E = 1.885 and the band of concentration_report, as counted by a
+# per-state walk with a per-vector band test
+BENCHMARK_CENSUSES = [
+    ((1.0248786148843942, 1.5191023664469652, 2.038906989093864,
+      2.536794545371862, 3.0050667745424793, 3.5464265013601115), [
+        (4, 26, (44, 30, 16, 8, 4, 2), 1),
+        (12, 1016, (4708, 3231, 1852, 1124, 750, 527), 1),
+        (36, 100670, (1377103, 924143, 530138, 345459, 256276, 191001), 6)]),
+    ((1.0169231041262077, 1.522392775258073, 2.0268292258676373,
+      2.5442751551968983, 3.0349961514302346, 3.5111156552427167), [
+        (4, 26, (44, 30, 16, 8, 4, 2), 1),
+        (12, 1016, (4708, 3231, 1852, 1124, 750, 527), 1),
+        (36, 101642, (1392194, 927483, 539113, 346499, 253152, 200671), 6)]),
+    ((1.0063527872755373, 1.5368327873412124, 2.048791866670405,
+      2.51329872511949, 3.0457258109786154, 3.5279275885991463), [
+        (4, 26, (44, 30, 16, 8, 4, 2), 1),
+        (12, 1016, (4708, 3231, 1852, 1124, 750, 527), 1),
+        (36, 100848, (1392289, 909764, 526005, 355051, 251718, 195701), 6)]),
+    ((1.0279123066190858, 1.508765239063345, 2.0154460686600095,
+      2.5055391026428717, 3.032386622038444, 3.527845056966028), [
+        (4, 27, (44, 32, 17, 9, 4, 2), 1),
+        (12, 1020, (4709, 3258, 1856, 1139, 751, 527), 1),
+        (36, 105375, (1418812, 967211, 568379, 371207, 264379, 203512), 6)]),
+    ((1.004828384603858, 1.546637963839683, 2.0176647920271797,
+      2.511906473926906, 3.0328577023296543, 3.513313252752728), [
+        (4, 26, (44, 30, 16, 8, 4, 2), 1),
+        (12, 1019, (4726, 3231, 1853, 1136, 750, 532), 1),
+        (36, 103450, (1419272, 923856, 556317, 363348, 260113, 201294), 6)]),
+]
+
+
+class TestBandedCensus:
+    @pytest.mark.parametrize("levels,entries", BENCHMARK_CENSUSES)
+    def test_benchmark_spectra(self, levels, entries):
+        spec = ensemble.SpectrumSpec(levels)
+        rep = ensemble.concentration_report(spec, [4, 12, 36], 1.885)
+        for (N, states, totals, outside), entry in zip(entries, rep["entries"]):
+            band = (entry["predicted"], entry["band_halfwidth"])
+            census = ensemble.enumerate_states(spec, N, N * 1.885, band=band)
+            assert (census.states, census.level_totals, census.outside) == \
+                (states, totals, outside)
+            assert entry["outside_fraction"] == outside / states
+
+    @pytest.mark.parametrize("levels", [
+        (1.0, 2.0, 1e308), (1.0, 1e308, 1.5e308), (1e-320, 2.0),
+        (1.0, 1.0, 1.0, 1.0), (1.5,), (1.0, 2.5), (2.0, 2.0)])
+    @pytest.mark.parametrize("N", [0, 1, 4, 8])
+    def test_edge_spectra(self, levels, N):
+        spec = ensemble.SpectrumSpec(levels)
+        for e_max in (0.0, 2.0 * N, 2.5 * N + 0.5, 1e308):
+            for centres, half in (([N / 2] * len(levels), 1.0),
+                                  ([0.0] * len(levels), 0.0),
+                                  ([math.nan] + [1.0] * (len(levels) - 1), 2.0),
+                                  ([math.inf] * len(levels), math.inf)):
+                census = ensemble.enumerate_states(spec, N, e_max,
+                                                   band=(centres, half))
+                assert (census.states, census.level_totals, census.outside) \
+                    == oracles.banded_states(levels, N, e_max, centres, half)
+
+    @pytest.mark.parametrize("e_max", [math.inf, -math.inf, math.nan])
+    def test_non_finite_budget(self, e_max):
+        # with an infinite budget, budget - n lambda is NaN once n lambda
+        # overflows, which no test of the walk can order
+        spec = ensemble.SpectrumSpec((1.0, 1e308, 1.5e308))
+        with pytest.raises(DomainError, match="E_max must be finite"):
+            ensemble.enumerate_states(spec, 8, e_max)
+
+    def test_collect_order_digest(self):
+        # the vectors and their order, as a per-state walk produced them
+        spec = ensemble.SpectrumSpec((1.0, 1.25, 1.25, 2.0, 3.5))
+        seen = []
+        census = ensemble.enumerate_states(spec, 9, 15.0, collect=seen.append)
+        assert (census.states, census.level_totals) == (332, (836, 764, 764, 477, 147))
+        digest = hashlib.sha256("\n".join(map(repr, seen)).encode()).hexdigest()
+        assert digest == \
+            "23725e075eebde0106e11f3db3b31891080a47093b931c9fc5b8573cb70544ed"
+
+    def test_without_band_nothing_is_outside(self):
+        spec = ensemble.SpectrumSpec((1.0, 2.0, 3.0))
+        census = ensemble.enumerate_states(spec, 6, 12.0)
+        assert census.outside == 0
+        assert census == ensemble.enumerate_states(
+            spec, 6, 12.0, band=([2.0, 2.0, 2.0], math.inf))
 
 
 class TestGibbs:
@@ -147,6 +260,35 @@ class TestConcentration:
         h4 = rep["entries"][0]["band_halfwidth"]
         h8 = rep["entries"][1]["band_halfwidth"]
         assert h8 == pytest.approx(2.0 * h4, rel=1e-12)
+
+    def test_one_census_per_N_through_the_module_attribute(self, monkeypatch):
+        # the benchmark's tracer wraps ensemble.enumerate_states and
+        # counts one call, and its census's states, per N
+        censuses = []
+        enumerate_states = ensemble.enumerate_states
+
+        def counted(*args, **kwargs):
+            censuses.append(enumerate_states(*args, **kwargs))
+            return censuses[-1]
+
+        monkeypatch.setattr(ensemble, "enumerate_states", counted)
+        spec = ensemble.SpectrumSpec((1.0, 2.0, 3.0, 4.0))
+        rep = ensemble.concentration_report(spec, [4, 6, 8], 2.0)
+        assert len(censuses) == 3
+        assert [c.states for c in censuses] == \
+            [e["states"] for e in rep["entries"]]
+
+    def test_outside_fraction_against_oracle(self):
+        levels = (1.0, 1.5, 2.0, 3.5)
+        rep = ensemble.concentration_report(ensemble.SpectrumSpec(levels),
+                                            [4, 8, 12], 1.8, psi=lambda x: 0.3)
+        for entry in rep["entries"]:
+            N = entry["N"]
+            count, totals, outside = oracles.banded_states(
+                levels, N, N * 1.8, entry["predicted"], entry["band_halfwidth"])
+            assert entry["states"] == count
+            assert entry["outside_fraction"] == outside / count
+            assert entry["empirical_means"] == [t / count for t in totals]
 
     def test_custom_psi(self):
         spec = ensemble.SpectrumSpec((1.0, 2.0, 3.0))

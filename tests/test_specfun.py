@@ -251,13 +251,14 @@ class TestPowerSeries:
     """The power series branch, z <= 0.6, at random orders on both sides
     of s = -76.9, below which k^s underflows before the series ends and
     the terms take k^(-s/2) twice.  mpmath's own series stops at an
-    absolute tolerance, so the oracles carry the digits of z on top."""
+    absolute tolerance; the oracles' default precision carries the
+    digits of z on top."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(s=st.one_of(st.floats(-90.0, -60.0), st.floats(-3.0, 12.0)),
            z=st.floats(0.0, 0.6, exclude_min=True))
     def test_polylog_against_mpmath(self, s, z):
-        want = oracles.polylog_mpmath(s, z, dps=30 + math.ceil(-math.log10(z)))
+        want = oracles.polylog_mpmath(s, z)
         assert abs(specfun.polylog(s, z) - want) <= 5e-15 * want
 
     # z from 1e-150: below ~1.5e-154, z^2 is subnormal and the first
@@ -266,9 +267,14 @@ class TestPowerSeries:
     @given(s=st.one_of(st.floats(-90.0, -60.0), st.floats(-3.0, 12.0)),
            z=st.floats(1e-150, 0.6))
     def test_derivative_against_mpmath(self, s, z):
-        dps = 40 + 2 * math.ceil(-math.log10(z)) + math.ceil(max(0.0, 0.31 * s))
-        want = oracles.polylog_ds_mpmath(s, z, dps=dps)
+        want = oracles.polylog_ds_mpmath(s, z)
         assert abs(specfun.polylog_ds(s, z) - want) <= 5e-15 * abs(want)
+
+    def test_oracle_default_precision_follows_z(self):
+        # at 30 digits, mpmath's absolute stop leaves this 9e-14 off
+        s, z = -77.224, 5.077e-37
+        want = oracles.polylog_mpmath(s, z)
+        assert abs(specfun.polylog(s, z) - want) <= 5e-15 * want
 
     @pytest.mark.parametrize("s", [-100.0, 0.5, 2.2, 900.0])
     def test_smallest_argument(self, s):
