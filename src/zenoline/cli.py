@@ -109,20 +109,19 @@ def _cmd_zeno(cfg):
 
 def _cmd_compressibility(cfg):
     curve = scatter.compressibility_curve(
-        _potential(cfg["potential"]), float(cfg["B"]), parse_grid(cfg["rho_grid"]))
+        _potential(cfg["potential"]), cfg["B"], parse_grid(cfg["rho_grid"]))
     return curve.columns, curve.rows, curve.meta
 
 
 def _cmd_critical(cfg):
-    cs = scatter.critical_summary(_potential(cfg["potential"]), B=float(cfg["B"]))
+    cs = scatter.critical_summary(_potential(cfg["potential"]), B=cfg["B"])
     cols = ("Z_cr", "rho_cr_over_rho_B", "T_cr_over_T_B")
     return cols, [(cs.Z_cr, cs.rho_cr_over_rho_B, cs.T_cr_over_T_B)], \
         {k: v for k, v in cs.notes.items() if isinstance(v, (int, float, str))}
 
 
 def _cmd_isotherm(cfg):
-    grid = parse_grid(cfg["P_grid"])
-    gamma0 = float(cfg["gamma0"])
+    grid, gamma0 = parse_grid(cfg["P_grid"]), cfg["gamma0"]
     if cfg["mode"] == "ideal":
         pts = diagram.ideal_isotherm(grid, gamma0)
     elif cfg["mode"] == "imperfect":
@@ -134,32 +133,29 @@ def _cmd_isotherm(cfg):
 
 
 def _cmd_jamming(cfg):
-    eos = diagram.FractalEos.identity(float(cfg["gamma0"]))
+    eos = diagram.FractalEos.identity(cfg["gamma0"])
     curve = diagram.jamming_extension(
-        parse_grid(cfg["mu_grid"]), eos, gamma0=float(cfg["gamma0"]),
-        anchor_P=float(cfg["anchor_P"]), variant=cfg["variant"])
+        parse_grid(cfg["mu_grid"]), eos, gamma0=cfg["gamma0"],
+        anchor_P=cfg["anchor_P"], variant=cfg["variant"])
     meta = {k: v for k, v in curve.meta.items() if not isinstance(v, tuple)}
     return curve.columns, curve.rows, meta
 
 
 def _cmd_partition(cfg):
-    n = int(cfg["n"])
-    row = partition.pk_row(n)
+    row = partition.pk_row(cfg["n"])
     return ("k", "p_k"), list(enumerate(row, start=1)), \
-        {"n": n, "total": str(sum(row))}
+        {"n": cfg["n"], "total": str(sum(row))}
 
 
 def _cmd_threshold(cfg):
-    th = partition.condensate_threshold(int(cfg["n"]))
+    th = partition.condensate_threshold(cfg["n"])
     return ("n", "k0_exact", "k0_leading", "k0_two_term"), \
         [(th.n, th.k0_exact, th.k0_leading, th.k0_two_term)], {}
 
 
 def _cmd_ensemble(cfg):
-    levels = tuple(float(x) for x in str(cfg["levels"]).split(","))
-    n_list = [int(x) for x in str(cfg["N_list"]).split(",")]
     rep = ensemble.concentration_report(
-        ensemble.SpectrumSpec(levels), n_list, float(cfg["E"]))
+        ensemble.SpectrumSpec(cfg["levels"]), cfg["N_list"], cfg["E"])
     rows = [(e["N"], e["states"], e["outside_fraction"], e["band_halfwidth"])
             for e in rep["entries"]]
     return ("N", "states", "outside_fraction", "band_halfwidth"), rows, \
@@ -196,6 +192,26 @@ _COMMANDS = {
     "ensemble": (_cmd_ensemble, ("levels", "N_list", "E")),
     "reference": (_cmd_reference, ("table",)),
 }
+
+
+# the type of each numeric config key; levels and N_list are comma-separated
+_NUMBERS = {"B": float, "gamma0": float, "anchor_P": float, "E": float,
+            "n": int, "levels": float, "N_list": int}
+
+
+def _parse_numbers(cfg, keys):
+    """A copy of cfg with the numeric values among `keys` parsed; a
+    malformed one raises DomainError naming the flag and the value."""
+    parsed = dict(cfg)
+    for key in (k for k in keys if k in _NUMBERS):
+        kind, value = _NUMBERS[key], cfg[key]
+        try:
+            parsed[key] = [kind(x) for x in str(value).split(",")] \
+                if key in ("levels", "N_list") else kind(value)
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError(f"--{key.replace('_', '-')} takes {kind.__name__} "
+                              f"values, got {value!r}") from None
+    return parsed
 
 
 def build_parser():
@@ -244,9 +260,7 @@ def merge_config(args):
             raise DomainError("config file must hold a JSON object")
         cfg.update(loaded)
     for key, value in vars(args).items():
-        if key in ("config",):
-            continue
-        if value is not None:
+        if key != "config" and value is not None:
             cfg[key] = value
     return cfg
 
@@ -259,8 +273,8 @@ def main(argv=None):
         return EXIT_CONFIG
     try:
         cfg = merge_config(args)
-        handler, _ = _COMMANDS[args.command]
-        columns, rows, meta = handler(cfg)
+        handler, keys = _COMMANDS[args.command]
+        columns, rows, meta = handler(_parse_numbers(cfg, keys))
     except ResourceError as exc:
         print(f"zenoline {args.command}: resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

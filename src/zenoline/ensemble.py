@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import specfun
 from .errors import DomainError, ResourceError
-from .roots import brentq
+from .roots import brentq, grow_end
 
 __all__ = [
     "SpectrumSpec",
@@ -198,11 +198,11 @@ def gibbs_parameter(spectrum, E):
     """Inverse-temperature analog b_E with mean level energy E.
 
     The weighted mean sum(lambda e^(-b lambda)) / sum(e^(-b lambda)) is
-    strictly decreasing in b: doubling the bracket ends outward from
-    (-1, 1) brackets b_E, and ``brentq`` solves for it.  The weights are
-    taken relative to the lowest level, e^(-b (lambda - lambda_0)).
-    Where those overflow (b < 0 on a wide spectrum), they are taken
-    relative to the highest level instead, so that every weight is <= 1.
+    strictly decreasing in b: ``grow_end`` doubles the ends (-1, 1) until
+    they bracket b_E, and ``brentq`` solves for it.  The weights are taken
+    relative to the lowest level, e^(-b (lambda - lambda_0)).  Where those
+    overflow (b < 0 on a wide spectrum), they are taken relative to the
+    highest level instead, so that every weight is <= 1.
     """
     levels = spectrum.levels
     if not (levels[0] < E < levels[-1]):
@@ -213,23 +213,15 @@ def gibbs_parameter(spectrum, E):
         w = [math.exp(-b * (lam - shift)) for lam in levels]
         return sum(lam * wi for lam, wi in zip(levels, w)) / sum(w)
 
-    def mean(b):
+    def residual(b):
         try:
             m = weighted(b, levels[0])
         except OverflowError:
             m = math.inf
-        return m if m < math.inf else weighted(b, levels[-1])
+        return (m if m < math.inf else weighted(b, levels[-1])) - E
 
-    lo, hi = -1.0, 1.0
-    for _ in range(200):
-        if mean(lo) > E:
-            break
-        lo *= 2.0
-    for _ in range(200):
-        if mean(hi) < E:
-            break
-        hi *= 2.0
-    return brentq(lambda b: mean(b) - E, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    return brentq(residual, grow_end(residual, -1.0, 1.0),
+                  grow_end(residual, 1.0, -1.0), xtol=1e-14, rtol=8.9e-16)
 
 
 def default_psi(x):
@@ -248,7 +240,13 @@ def concentration_report(spectrum, N_list, E, psi=default_psi):
     """
     levels = spectrum.levels
     b_E = gibbs_parameter(spectrum, E)
-    L0 = sum(math.exp(-b_E * lam) for lam in levels)
+    try:
+        L0 = sum(math.exp(-b_E * lam) for lam in levels)
+    except OverflowError:
+        L0 = math.inf
+    if L0 == math.inf:  # only b_E < 0 overflows, most at the top level
+        raise DomainError(f"L0 = sum of e^(-b_E lambda) overflows at "
+                          f"b_E = {b_E!r}, level {levels[-1]!r}")
     ln_L0 = math.log(max(L0, math.e))
     entries = []
     for N in N_list:

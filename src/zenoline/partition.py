@@ -16,7 +16,7 @@ from operator import add
 
 from . import specfun
 from .errors import DomainError, ResourceError, SolverError
-from .roots import brentq
+from .roots import brentq, grow_end
 
 __all__ = [
     "PartitionTable",
@@ -194,12 +194,6 @@ def _argmax_pk_streaming(n):
     return best_k
 
 
-def _two_term(n):
-    rt = math.sqrt(n)
-    leading = rt / _C * math.log(n)
-    return leading, leading + _ALPHA * rt
-
-
 def condensate_threshold(n, table=None):
     """Threshold summand count k0: the smallest argmax of p_k(n) over k,
     with its one- and two-term asymptotic approximations."""
@@ -212,9 +206,10 @@ def condensate_threshold(n, table=None):
         k0 = max(range(len(row)), key=lambda i: (row[i], -i)) + 1
     else:
         k0 = _argmax_pk_streaming(n)
-    leading, two_term = _two_term(n)
+    rt = math.sqrt(n)
+    leading = rt / _C * math.log(n)
     return CondensateThreshold(n=n, k0_exact=k0, k0_leading=leading,
-                               k0_two_term=two_term)
+                               k0_two_term=leading + _ALPHA * rt)
 
 
 def maximize_variants(n, k_bar, table):
@@ -233,84 +228,57 @@ def _moment(gamma, b, kappa, n_cap):
     return specfun.finite_n_integral(gamma, b, kappa, n_cap).value
 
 
-def _solve_b(gamma, kappa, n_cap, n_target, b_seed):
-    """Solve the (gamma+1)-moment equation for b at fixed kappa; the
-    moment is strictly decreasing in b."""
-
-    def res(log_b):
-        return _moment(gamma + 1.0, math.exp(log_b), kappa, n_cap) - n_target
-
-    lo = hi = math.log(b_seed)
-    flo = res(lo)
-    for _ in range(200):
-        if flo > 0:
-            break
-        lo -= 0.7
-        flo = res(lo)
-    fhi = res(hi)
-    for _ in range(200):
-        if fhi < 0:
-            break
-        hi += 0.7
-        fhi = res(hi)
-    if flo <= 0 or fhi >= 0:
-        raise SolverError(f"could not bracket b (kappa={kappa}, N={n_cap})")
-    return math.exp(brentq(res, lo, hi, xtol=1e-14, rtol=1e-14))
-
-
 def solve_global_distribution(n, k=None, gamma=0.0):
     """Fit (b, kappa) of the finite-N distribution to the two moment
     constraints: the gamma-moment equals the summand count k and the
     (gamma+1)-moment equals n.
 
-    With k omitted the kappa = 0 mode is solved instead: b comes from
-    the (gamma+1)-moment alone (infinite-N form) and N is set to the
-    self-consistent threshold k0 satisfying the gamma-moment fixed
-    point.  Both moments of the returned parameters reproduce their
-    targets to better than 1e-8 relative.
+    The moments scale as M_g(b, kappa; N) = b^-(g+1) M_g(1, u; N) with
+    u = b kappa (substitute xi = x/b), so the (gamma+1)-moment gives
+    b(u) = (M_{gamma+1}(1, u; k)/n)^(1/(gamma+2)) in closed form, and the
+    fit is one ``brentq`` in u on M_gamma(1, u; k) b(u)^-(gamma+1) = k,
+    with kappa = u/b.  Both moments land within a few ulps of k and n.
+
+    With k omitted, kappa = 0: b fits the infinite-N (gamma+1)-moment and
+    N is the fixed point k0 = M_gamma(b, 0; k0), rounded to an integer.
     """
     if n < 100:
         raise DomainError(f"asymptotic regime requires n >= 100, got {n}")
     if gamma <= -1:
         raise DomainError(f"gamma must exceed -1, got {gamma}")
 
-    # infinite-N seed for b at kappa = 0
-    b_seed = (specfun.gamma_fn(gamma + 2.0) * specfun.riemann_zeta(gamma + 2.0) / n) \
-        ** (1.0 / (gamma + 2.0))
-
     if k is None:
-        # kappa = 0 mode: fixed point k0 = gamma-moment(b, 0, k0)
-        def fp(kk):
-            return _moment(gamma, b_seed, 0.0, max(int(round(kk)), 2)) - kk
+        b = (specfun.gamma_fn(gamma + 2.0) * specfun.riemann_zeta(gamma + 2.0) / n) \
+            ** (1.0 / (gamma + 2.0))
 
-        hi = 4.0 * (math.sqrt(n) / _C * math.log(n) + 10.0)
+        def fp(kk):
+            return _moment(gamma, b, 0.0, max(int(round(kk)), 2)) - kk
+
+        # for gamma < 0 the fixed point may lie above the first end tried
+        hi = grow_end(fp, 4.0 * (math.sqrt(n) / _C * math.log(n) + 10.0), -1.0)
         k0 = brentq(fp, 2.0, hi, xtol=1e-10)
-        return GlobalDistribution(b=b_seed, kappa=0.0, gamma=gamma,
+        return GlobalDistribution(b=b, kappa=0.0, gamma=gamma,
                                   n_cap=int(round(k0)))
 
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
 
-    def kappa_residual(kappa):
-        b = _solve_b(gamma, kappa, k, n, b_seed)
-        return _moment(gamma, b, kappa, k) - k
+    def b_of(u):
+        return (_moment(gamma + 1.0, 1.0, u, k) / n) ** (1.0 / (gamma + 2.0))
 
-    r0 = kappa_residual(0.0)
+    def residual(u):
+        return _moment(gamma, 1.0, u, k) * b_of(u) ** -(gamma + 1.0) - k
+
+    r0 = residual(0.0)
     if r0 < 0:
         raise SolverError(
             f"gamma-moment at kappa=0 is below k={k}: the requested summand "
             f"count exceeds the threshold regime (residual {r0:.3g})"
         )
-    hi = 1.0
-    for _ in range(200):
-        if kappa_residual(hi) < 0:
-            break
-        hi *= 2.0
-    else:
-        raise SolverError("could not bracket kappa")
-    kappa = brentq(kappa_residual, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
-    b = _solve_b(gamma, kappa, k, n, b_seed)
-    return GlobalDistribution(b=b, kappa=kappa, gamma=gamma, n_cap=k)
+    u = brentq(residual, 0.0, grow_end(residual, 1.0, -1.0),
+               xtol=1e-15, rtol=8.9e-16)
+    b = b_of(u)
+    return GlobalDistribution(b=b, kappa=u / b, gamma=gamma, n_cap=k)
 
 
 def ncr_dimension1(n):

@@ -1,4 +1,4 @@
-"""Brent's bracketing root finder.
+"""Brent's bracketing root finder, and the growth of an open bracket end.
 
 R. P. Brent, *Algorithms for Minimization without Derivatives* (1973),
 ch. 4, in the form of scipy's C ``brentq``: inverse quadratic
@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["brentq"]
+from .errors import SolverError
+
+__all__ = ["brentq", "grow_end"]
 
 # scipy's defaults: xtol 2e-12, rtol 4 * float64 eps, 100 iterations
 _RTOL = 4.0 * 2.0**-52
@@ -91,3 +93,20 @@ def brentq(f, a, b, xtol=2e-12, rtol=_RTOL, maxiter=100):
             xcur += delta if sbis > 0 else -delta
         fcur = fx(xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def grow_end(f, x, sign):
+    """The first of x, 2x, 4x, ..., x 2^200 where f has the sign of
+    ``sign``: the far end of a bracket around a root at unknown distance.
+    A zero of f (f may be flat in floats) does not stop the growth, but is
+    returned as a root at the last end; any other value there raises
+    SolverError."""
+    fx = f(x)
+    for _ in range(200):
+        if fx * sign > 0:
+            return x
+        x *= 2.0
+        fx = f(x)
+    if not fx * sign >= 0:
+        raise SolverError(f"no sign change in 200 doublings: f({x!r}) = {fx!r}")
+    return x

@@ -250,6 +250,28 @@ class TestExitCodes:
                              "--N-list", "2"]) == cli.EXIT_CONFIG
             assert "all levels must be finite" in capsys.readouterr().err
 
+    def test_ensemble_weight_sum_overflow(self, capsys):
+        # b_E < 0 solves the mean, but e^(-b_E lambda) overflows at the top
+        assert cli.main(["ensemble", "--levels", "1,1e308,1.5e308", "--E", "1e308",
+                         "--N-list", "1,2,8"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "overflows at b_E = -4.8" in err and "level 1.5e+308" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["partition", "--n", "abc"],
+        ["partition", "--n", "1e3"],
+        ["threshold", "--n", "1.5"],
+        ["isotherm", "--gamma0", "abc"],
+        ["critical", "--B", "abc"],
+        ["jamming", "--anchor-P", "abc"],
+        ["ensemble", "--levels", "a,b"],
+        ["ensemble", "--N-list", "x"],
+    ], ids=" ".join)
+    def test_malformed_number(self, argv, capsys):
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{argv[1]} takes " in err and f"values, got {argv[2]!r}" in err
+
     def test_numeric_error(self, capsys, monkeypatch):
         def boom(cfg):
             raise SolverError("synthetic solver failure")

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 
 import pytest
@@ -239,6 +240,74 @@ class TestGlobalDistribution:
     def test_small_n_rejected(self):
         with pytest.raises(DomainError):
             partition.solve_global_distribution(50, 10)
+
+    @pytest.mark.parametrize("gamma", [-0.5, 0.0, 0.5, 1.0])
+    def test_k_fit_grid_against_mpmath(self, gamma):
+        # n log-uniform on [10^2.2, 10^6.5], k a half, a third and a fifth
+        # of the threshold; both moments against the mpmath oracle
+        rng = random.Random(1801)
+        for _ in range(8):
+            n = round(10 ** rng.uniform(2.2, 6.5))
+            k0 = partition.solve_global_distribution(n, gamma=gamma).n_cap
+            for k in (k0 // 2, k0 // 3, k0 // 5):
+                dist = partition.solve_global_distribution(n, k, gamma=gamma)
+                assert dist.n_cap == k and dist.kappa > 0.0
+                assert oracles.finite_n_mpmath(gamma, dist.b, dist.kappa, k) \
+                    == pytest.approx(k, rel=1e-12, abs=0.0)
+                assert oracles.finite_n_mpmath(gamma + 1.0, dist.b, dist.kappa, k) \
+                    == pytest.approx(n, rel=1e-12, abs=0.0)
+
+    def test_k_fit_is_one_root_solve(self, monkeypatch):
+        # the b-scaling leaves one brentq in u = b kappa, two closed-form
+        # moments per residual; a b-solve nested in each residual made 194
+        calls = []
+        real = specfun.finite_n_integral
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        n = 10**4
+        k = partition.solve_global_distribution(n).n_cap // 2
+        monkeypatch.setattr(specfun, "finite_n_integral", counting)
+        partition.solve_global_distribution(n, k)
+        assert 0 < len(calls) <= 40
+
+    @pytest.mark.parametrize("n, gamma, k, b, kappa", [
+        (10**4, 0.0, 241, 0.011917430654974323, 4.887261155525517),
+        (10**4, 0.0, 96, 0.007927136437674757, 79.42373729919491),
+        (54321, 0.0, 651, 0.005251454003486831, 6.341778804747119),
+        (10**6, 0.0, 1378, 0.0009810060359579508, 305.2382685238632),
+        (10**4, 1.0, 212, 0.040493136484035366, 28.296730803931673),
+        (10**6, 1.0, 1833, 0.003654754719270256, 1016.7234302546976),
+    ])
+    def test_k_fit_matches_the_nested_solve(self, n, gamma, k, b, kappa):
+        # (b, kappa) of the former nested solve: a b-brentq in every
+        # residual of a kappa-brentq
+        dist = partition.solve_global_distribution(n, k, gamma=gamma)
+        assert dist.b == pytest.approx(b, rel=1e-10, abs=0.0)
+        assert dist.kappa == pytest.approx(kappa, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("n, gamma, b, n_cap", [
+        (10**4, 0.0, 0.012825498301618641, 482),
+        (54321, 0.0, 0.005502884143234107, 1303),
+        (10**6, 0.0, 0.0012825498301618642, 6891),
+        (10**4, 0.5, 0.03165841009722838, 390),
+        (54321, 1.0, 0.035372228518816155, 1314),
+        (10**6, 1.0, 0.01339630440584676, 9165),
+    ])
+    def test_kappa_zero_mode_pins(self, n, gamma, b, n_cap):
+        dist = partition.solve_global_distribution(n, gamma=gamma)
+        assert (dist.b, dist.kappa, dist.n_cap) == (b, 0.0, n_cap)
+
+    @pytest.mark.parametrize("gamma", [-0.8, -0.5])
+    @pytest.mark.parametrize("n", [10053, 10**6])
+    def test_kappa_zero_mode_negative_gamma(self, n, gamma):
+        # for gamma < 0 the fixed point lies above the first guess of the
+        # bracket end, which is grown until it brackets
+        dist = partition.solve_global_distribution(n, gamma=gamma)
+        m = oracles.finite_n_mpmath(gamma, dist.b, 0.0, dist.n_cap)
+        assert m == pytest.approx(dist.n_cap, rel=2.0 / dist.n_cap)
 
 
 class TestNcr:

@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from zenoline.roots import brentq
+from zenoline.errors import SolverError
+from zenoline.roots import brentq, grow_end
 
 import oracles
 
@@ -85,3 +86,45 @@ def test_returns_float():
     assert type(root) is float
     assert root == oracles.brentq_scipy(lambda x: np.asarray(x * x - 2.0),
                                         0.0, 2.0, xtol=1e-15, rtol=8.9e-16)
+
+
+class TestGrowEnd:
+    @staticmethod
+    def _probed(f):
+        seen = []
+
+        def g(x):
+            seen.append(x)
+            return f(x)
+        return g, seen
+
+    @pytest.mark.parametrize("x, sign, root, want", [
+        (1.0, 1.0, 10.0, 16.0),  # f = x - root turns positive at 16
+        (1.0, -1.0, 10.0, 1.0),  # already of the wanted sign
+        (-1.0, -1.0, -10.0, -16.0),  # growing a lower end outward
+        (0.5, 1.0, 3.0, 4.0),
+    ])
+    def test_first_doubled_end_with_the_wanted_sign(self, x, sign, root, want):
+        g, seen = self._probed(lambda t: t - root)
+        assert grow_end(g, x, sign) == want
+        assert seen == [x * 2.0**i for i in range(len(seen))]
+        assert seen[-1] == want
+
+    def test_zero_does_not_stop_the_growth(self):
+        # a residual flat at zero is no sign of the far end
+        g, seen = self._probed(lambda t: 0.0 if t < 5.0 else 1.0)
+        assert grow_end(g, 1.0, 1.0) == 8.0
+        assert seen == [1.0, 2.0, 4.0, 8.0]
+
+    def test_zero_at_the_last_end_is_a_root(self):
+        assert grow_end(lambda t: 0.0, 1.0, 1.0) == 2.0**200
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan])
+    def test_raises_after_the_doublings(self, value):
+        g, seen = self._probed(lambda t: value)
+        with pytest.raises(SolverError) as info:
+            grow_end(g, 1.0, 1.0)
+        assert len(seen) == 201 and seen[-1] == 2.0**200
+        msg = str(info.value)
+        assert "in 200 doublings" in msg
+        assert f"f({2.0**200!r}) = {value!r}" in msg
