@@ -97,7 +97,7 @@ def write_manifest(out_path, command, config, columns, n_rows):
 def _potential(name):
     try:
         return scatter.PotentialSpec(family=_POTENTIALS[name])
-    except KeyError:
+    except (KeyError, TypeError):
         raise DomainError(f"unknown potential {name!r}") from None
 
 
@@ -200,17 +200,23 @@ _NUMBERS = {"B": float, "gamma0": float, "anchor_P": float, "E": float,
 
 
 def _parse_numbers(cfg, keys):
-    """A copy of cfg with the numeric values among `keys` parsed; a
-    malformed one raises DomainError naming the flag and the value."""
+    """A copy of cfg with the numeric values among `keys` parsed from their
+    text, as a flag's are; a malformed one, or a grid that is not text,
+    raises DomainError naming the flag and the value."""
     parsed = dict(cfg)
-    for key in (k for k in keys if k in _NUMBERS):
-        kind, value = _NUMBERS[key], cfg[key]
+    for key in keys:
+        value, flag = cfg[key], "--" + key.replace("_", "-")
+        if key.endswith("_grid") and not isinstance(value, str):
+            raise DomainError(f"{flag} takes a lo:hi:step string, got {value!r}")
+        if key not in _NUMBERS:
+            continue
+        kind, text = _NUMBERS[key], str(value)
         try:
-            parsed[key] = [kind(x) for x in str(value).split(",")] \
-                if key in ("levels", "N_list") else kind(value)
-        except (TypeError, ValueError, OverflowError):
-            raise DomainError(f"--{key.replace('_', '-')} takes {kind.__name__} "
-                              f"values, got {value!r}") from None
+            parsed[key] = [kind(x) for x in text.split(",")] \
+                if key in ("levels", "N_list") else kind(text)
+        except ValueError:
+            raise DomainError(f"{flag} takes {kind.__name__} values, "
+                              f"got {value!r}") from None
     return parsed
 
 
@@ -262,6 +268,10 @@ def merge_config(args):
     for key, value in vars(args).items():
         if key != "config" and value is not None:
             cfg[key] = value
+    if cfg["format"] not in ("csv", "json"):
+        raise DomainError(f"--format takes csv or json, got {cfg['format']!r}")
+    if not isinstance(cfg.get("out"), (str, type(None))):
+        raise DomainError(f"--out takes a path, got {cfg['out']!r}")
     return cfg
 
 
@@ -283,7 +293,7 @@ def main(argv=None):
         print(f"zenoline {args.command}: {exc}", file=sys.stderr)
         return code
     out = cfg.get("out")
-    if cfg.get("format", "csv") == "json":
+    if cfg["format"] == "json":
         write_json(out, columns, rows, meta)
     else:
         write_csv(out, columns, rows)

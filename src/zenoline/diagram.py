@@ -71,7 +71,8 @@ def bachinskii_density(b, c, P):
     if P > b:
         raise CausticError(f"P = {P} > b = {b}: roots are complex past the caustic")
     s = math.sqrt(1.0 - P / b)
-    return (2.0 * b / c) * (1.0 - s), (2.0 * b / c) * (1.0 + s)
+    # the low root in Vieta's form: (2b/c)(1 - s) cancels for P << b
+    return 2.0 * P / (c * (1.0 + s)), (2.0 * b / c) * (1.0 + s)
 
 
 class FractalEos:
@@ -92,8 +93,6 @@ class FractalEos:
         self.dphi_vals = m = tuple(map(float, dphi_vals))
         self.V_cr = V_cr
         self._identity = False
-        # gamma0 -> (P_max, phi(V_cr)), the top of that isotherm's branch
-        self._tops = {}
         if any(v <= 0 for v in y) or any(v <= 0 for v in m):
             raise DomainError("phi and phi' must be strictly positive")
         if any(y1 <= y0 for y0, y1 in zip(y, y[1:])):
@@ -251,14 +250,14 @@ def _solve_activity(f, target):
 
     f(0) is taken as 0, as for the polylogs, so a target > 0 with
     f(1) >= target is bracketed.  The stop is relative, within 4 ulp of
-    a.  An unbracketed target or a failed solve raises SolverError
-    naming the bracket and the residual at both ends.
+    a, even for subnormal a.  An unbracketed target or a failed solve
+    raises SolverError naming the bracket and the residual at both ends.
     """
     def resid(a):
         return f(a) - target if a else -target
 
     try:
-        return brentq(resid, 0.0, 1.0, xtol=1e-300)
+        return brentq(resid, 0.0, 1.0, xtol=5e-324)
     except (ValueError, RuntimeError) as exc:
         raise SolverError(
             f"activity solve on [0, 1] failed: resid(0) = {-target:.3g}, "
@@ -268,15 +267,15 @@ def _solve_activity(f, target):
 def ideal_isotherm(P_grid, gamma0=GAMMA0):
     """Unit reduced-temperature isotherm of the undeformed gas.
 
-    For each reduced pressure P in (0, 1], inverts
+    For each reduced pressure P in [2^-1022, 1], inverts
     Li_{gamma0+2}(a) = P zeta(gamma0+2) for the activity a and returns
-    Z = P zeta(gamma0+2) / Li_{gamma0+1}(a).
+    Z = P zeta(gamma0+2) / Li_{gamma0+1}(a); below 2^-1022 V = Z/P overflows.
     """
     zp2 = riemann_zeta(gamma0 + 2.0)
     points = []
     for P in P_grid:
-        if not (0.0 < P <= 1.0):
-            raise DomainError(f"P must be in (0, 1], got {P}")
+        if not (2.0**-1022 <= P <= 1.0):
+            raise DomainError(f"P must be in [2**-1022, 1], got {P}")
         a = _solve_activity(lambda a: polylog(gamma0 + 2.0, a), P * zp2)
         # at a = 1 (P = 1, or just below it) Z divides by zeta(gamma0 + 1)
         if a == 1.0 and not gamma0 + 1.0 > 1.0:
@@ -302,22 +301,14 @@ def imperfect_isotherm(P_grid, eos, gamma0=GAMMA0):
     isotherm.  A tabulated phi ends at V_cr, where the branch tops out
     at P_max < 1.  An activity above that top would put V below V_cr;
     there V is held at V_cr, so the residual stays finite and increasing
-    on [0, 1] and every P <= P_max has its root at or below the top.  A
-    P above P_max raises SolverError.  P_max is solved once per gamma0
-    and kept on ``eos``.
+    on [0, 1] and every P <= P_max has its root at or below the top.
+    P_max is solved only where a solve reaches V_cr, and a P above it
+    raises SolverError.
     """
     zp2 = riemann_zeta(gamma0 + 2.0)
     c_cr = eos.dphi(eos.V_cr)
     scale = c_cr * zp2
-    P_max, y_cr = 1.0, 0.0
-    if not eos._identity:
-        top = eos._tops.get(gamma0)
-        if top is None:
-            y_cr = eos.phi(eos.V_cr)
-            a_top = _solve_activity(lambda a: polylog(gamma0 + 1.0, a),
-                                    scale / y_cr)
-            top = eos._tops[gamma0] = (polylog(gamma0 + 2.0, a_top) / zp2, y_cr)
-        P_max, y_cr = top
+    y_cr = 0.0 if eos._identity else eos.phi(eos.V_cr)
 
     def v_of(a):
         # above the branch top the volume is held at V_cr
@@ -329,30 +320,29 @@ def imperfect_isotherm(P_grid, eos, gamma0=GAMMA0):
 
     points = []
     for P in P_grid:
-        if not (0.0 < P <= 1.0):
-            raise DomainError(f"P must be in (0, 1], got {P}")
-        if P > P_max:
-            raise SolverError(
-                f"imperfect isotherm failed at P = {P}: above the top of the "
-                f"branch, P_max = {P_max:.6f} at V_cr = {eos.V_cr:.6f}")
+        if not (2.0**-1022 <= P <= 1.0):
+            raise DomainError(f"P must be in [2**-1022, 1], got {P}")
         target = P * scale
         try:
             a = _solve_activity(f, target)
-            final = f(a) - target
+            V = v_of(a)
+            final = eos.dphi(V) * polylog(gamma0 + 2.0, a) - target
             if abs(final) > 1e-8 * target:
                 raise SolverError(
                     f"residual {final:.3g} at a = {a} exceeds 1e-8 of the "
                     f"target {target:.6g}")
-            V = v_of(a)
+            if y_cr and V == eos.V_cr:
+                a_top = _solve_activity(lambda a: polylog(gamma0 + 1.0, a),
+                                        scale / y_cr)
+                P_max = polylog(gamma0 + 2.0, a_top) / zp2
+                if P > P_max:
+                    raise SolverError(
+                        f"above the top of the branch, P_max = {P_max:.6f} "
+                        f"at V_cr = {eos.V_cr:.6f}")
         except ZenolineError as exc:
             raise SolverError(f"imperfect isotherm failed at P = {P}: {exc}") from exc
         points.append(IsothermPoint(P_r=P, Z=P * V, a=a, T_r=1.0))
     return points
-
-
-def _z_ideal(gamma, mu):
-    a = math.exp(mu)
-    return polylog(gamma + 2.0, a) / polylog(gamma + 1.0, a)
 
 
 def _gamma_slope(gamma, mu):
@@ -407,8 +397,8 @@ def jamming_extension(mu_grid, eos, gamma0=GAMMA0, anchor_P=2.5, variant="ode"):
                 gamma = 0.0
                 jammed = True
         # at mu = 0, a = 1 and polylog returns zeta exactly
-        P = polylog(gamma + 2.0, math.exp(mu)) / zp2
-        rows.append((P, _z_ideal(gamma, mu), mu, gamma))
+        l1, l2 = (polylog(gamma + s, math.exp(mu)) for s in (1.0, 2.0))
+        rows.append((l2 / zp2, l2 / l1, mu, gamma))
         if jammed:
             break
     P_b, Z_b, mu_b, g_b = rows[-1]

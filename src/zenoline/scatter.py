@@ -84,6 +84,13 @@ _DERIVATIVES = {
     "morse": _morse,
     "buckingham": _buckingham,
 }
+# family -> the names its params may hold
+_PARAM_NAMES = {
+    "lennard_jones": (),
+    "generalized_lj": ("m",),
+    "morse": ("a", "r0"),
+    "buckingham": ("A", "B", "C"),
+}
 
 
 @dataclass(frozen=True)
@@ -107,6 +114,11 @@ class PotentialSpec:
     def __post_init__(self):
         if self.family not in _DERIVATIVES:
             raise DomainError(f"unknown potential family {self.family!r}")
+        names = _PARAM_NAMES[self.family]
+        unknown = [k for k in self.params if k not in names]
+        if unknown:
+            raise DomainError(f"{self.family} takes no parameter {unknown[0]!r}; "
+                              f"it takes {', '.join(names) or 'none'}")
 
     @property
     def r_floor(self):

@@ -74,6 +74,15 @@ def polylog_mpmath(s, z, dps=None):
         return float(mpmath.polylog(s, z))
 
 
+def bachinskii_mpmath(b, c, P, dps=40):
+    """Both density roots of P = c rho (1 - c rho / (4b)) by mpmath at
+    `dps` digits, the schoolbook quadratic formula, rounded to floats."""
+    with mpmath.workdps(dps):
+        b, c, P = mpmath.mpf(b), mpmath.mpf(c), mpmath.mpf(P)
+        s = mpmath.sqrt(1 - P / b)
+        return float(2 * b / c * (1 - s)), float(2 * b / c * (1 + s))
+
+
 def zeta_mpmath(s, derivative=0, dps=30):
     """zeta(s), or zeta'(s) with derivative=1, by mpmath at `dps` digits,
     rounded to float."""

@@ -244,6 +244,13 @@ class TestExitCodes:
                          "--N-list", "2"]) == cli.EXIT_OK
         assert capsys.readouterr().out.splitlines()[1].startswith("2,2,")
 
+    def test_ensemble_tiny_levels(self, capsys):
+        # the Gibbs solve meets a zero inverse-quadratic denominator
+        assert cli.main(["ensemble", "--levels",
+                         "3.3724499869913306e-59,5.565576033258947e-59",
+                         "--E", "3.3724499891844564e-59", "--N-list", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "2,3,0,16628162.678989222"
+
     def test_ensemble_non_finite_levels(self, capsys):
         for levels in ("1,inf", "1,nan,3"):
             assert cli.main(["ensemble", "--levels", levels, "--E", "2",
@@ -271,6 +278,24 @@ class TestExitCodes:
         assert cli.main(argv) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"{argv[1]} takes " in err and f"values, got {argv[2]!r}" in err
+
+    @pytest.mark.parametrize("command, config, flag", [
+        ("zeno", {"B_grid": 5}, "--B-grid"),
+        ("isotherm", {"P_grid": ["0.1:0.5:0.1"]}, "--P-grid"),
+        ("threshold", {"n": 100.5}, "--n"),
+        ("threshold", {"n": True}, "--n"),
+        ("critical", {"B": [100.0]}, "--B"),
+        ("threshold", {"format": "xml"}, "--format"),
+        ("threshold", {"out": 1}, "--out"),
+        ("critical", {"potential": ["lj"]}, "potential"),
+    ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
+    def test_config_values_checked_as_flags(self, command, config, flag,
+                                             tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["--config", str(cfg), command]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert flag in captured.err and captured.out == ""
 
     def test_numeric_error(self, capsys, monkeypatch):
         def boom(cfg):

@@ -8,8 +8,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from zenoline import curves, diagram, specfun
+from zenoline import cli, curves, diagram, specfun
 from zenoline.errors import CausticError, DomainError, SolverError
 
 import oracles
@@ -46,13 +48,6 @@ class TestZenoLine:
 
 
 class TestBachinskii:
-    def test_vieta(self):
-        for b, c, P in ((1.0, 1.0, 0.3), (2.5, 0.7, 1.1), (0.4, 3.0, 0.39)):
-            lo, hi = diagram.bachinskii_density(b, c, P)
-            assert lo <= hi
-            assert lo + hi == pytest.approx(4.0 * b / c, rel=1e-12)
-            assert lo * hi == pytest.approx(4.0 * b * P / (c * c), rel=1e-12)
-
     def test_roots_satisfy_parabola(self):
         b, c = 1.3, 0.9
         for P in (0.1, 0.6, 1.2):
@@ -74,6 +69,24 @@ class TestBachinskii:
         assert lo == pytest.approx(hi, rel=1e-12)
         with pytest.raises(CausticError):
             diagram.bachinskii_density(1.0, 1.0, 1.0001)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(b=st.floats(1e-3, 1e3), c=st.floats(1e-3, 1e3),
+           log_ratio=st.floats(-15.0, 0.0))
+    def test_vieta(self, b, c, log_ratio):
+        P = b * 10.0**log_ratio
+        lo, hi = diagram.bachinskii_density(b, c, P)
+        assert lo <= hi
+        assert lo + hi == pytest.approx(4.0 * b / c, rel=1e-14, abs=0)
+        assert lo * hi == pytest.approx(4.0 * b * P / (c * c), rel=1e-14, abs=0)
+
+    def test_low_root_against_mpmath(self):
+        # (2b/c)(1 - s) lost 8e-4 of the low root here to cancellation
+        for b, c, P in ((1.0, 1.0, 1e-10), (5.0, 0.7, 1e-13), (2.0, 3.0, 1.9)):
+            lo, hi = diagram.bachinskii_density(b, c, P)
+            want_lo, want_hi = oracles.bachinskii_mpmath(b, c, P)
+            assert lo == pytest.approx(want_lo, rel=1e-15, abs=0)
+            assert hi == pytest.approx(want_hi, rel=1e-15, abs=0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -219,6 +232,8 @@ class TestIdealIsotherm:
     def test_endpoints(self):
         low = diagram.ideal_isotherm([1e-6])[0]
         assert low.Z == pytest.approx(1.0, abs=1e-3)
+        # the activity solve stops relative to a, however small a is
+        assert diagram.ideal_isotherm([1e-300])[0].Z == pytest.approx(1.0, rel=1e-15)
         top = diagram.ideal_isotherm([1.0])[0]
         assert top.a == pytest.approx(1.0, abs=1e-12)
         expect = specfun.riemann_zeta(GAMMA0 + 2.0) / \
@@ -233,6 +248,9 @@ class TestIdealIsotherm:
     def test_domain(self):
         with pytest.raises(DomainError):
             diagram.ideal_isotherm([0.0])
+        # V = Z/P would overflow
+        with pytest.raises(DomainError, match=r"\[2\*\*-1022, 1\], got 1e-310"):
+            diagram.ideal_isotherm([1e-310])
         with pytest.raises(DomainError):
             diagram.ideal_isotherm([1.5])
 
@@ -263,13 +281,22 @@ class TestIdealIsotherm:
 
 
 class TestImperfectIsotherm:
-    def test_identity_reduces_to_ideal(self):
-        grid = np.linspace(0.05, 1.0, 20)
-        ideal = diagram.ideal_isotherm(grid)
-        via_identity = diagram.imperfect_isotherm(
-            grid, diagram.FractalEos.identity(GAMMA0))
-        for a, b in zip(ideal, via_identity):
-            assert a == b
+    @example(g0=GAMMA0, grid=list(np.linspace(0.05, 1.0, 20)))
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(g0=st.floats(0.05, 0.95),
+           grid=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1,
+                         max_size=4))
+    def test_identity_reduces_to_ideal(self, g0, grid):
+        # below P = 2^-1022 both reject P with the same DomainError
+        def outcome(isotherm, *args):
+            try:
+                return isotherm(grid, *args)
+            except DomainError as exc:
+                return str(exc)
+
+        eos = diagram.FractalEos.identity(g0)
+        assert outcome(diagram.imperfect_isotherm, eos, g0) == \
+            outcome(diagram.ideal_isotherm, g0)
 
     def test_defining_equations(self, eos):
         zp2 = specfun.riemann_zeta(GAMMA0 + 2.0)
@@ -331,21 +358,32 @@ class TestImperfectIsotherm:
                 pytest.approx(pt.P_r * c_cr * zp2, rel=1e-8)
         assert raised == []
 
-    def test_branch_top_solved_once(self, monkeypatch):
-        # a fresh eos: the module's fixture has its branch top cached
-        eos = diagram.solve_phi(GAMMA0, curves.geomspace(1.02, 1000.0, 400))
-        calls = []
+    def test_branch_top_solved_once(self, eos, monkeypatch):
+        # P_max is solved only where a solve lands on V_cr, and then once
+        fresh = diagram.solve_phi(GAMMA0, curves.geomspace(1.02, 1000.0, 400))
+        solves, calls = [], []
+        solve_activity = diagram._solve_activity
+
+        def counted_solve(f, target):
+            solves.append(target)
+            return solve_activity(f, target)
 
         def counted(s, z):
             calls.append((s, z))
             return specfun.polylog(s, z)
 
+        monkeypatch.setattr(diagram, "_solve_activity", counted_solve)
         monkeypatch.setattr(diagram, "polylog", counted)
-        first = diagram.imperfect_isotherm([0.5], eos)
-        n_first = len(calls)
-        second = diagram.imperfect_isotherm([0.5], eos)
-        assert n_first - (len(calls) - n_first) == 16
-        assert second == first
+        first = diagram.imperfect_isotherm([0.5], fresh)
+        assert (len(solves), len(calls)) == (1, 24)
+        del solves[:], calls[:]
+        assert diagram.imperfect_isotherm([0.5], fresh) == first
+        assert diagram.imperfect_isotherm([0.5], eos) == first
+        assert (len(solves), len(calls)) == (2, 48)
+        del solves[:]
+        with pytest.raises(SolverError, match=r"P = 1\.0: .*P_max = 0\.989925 "):
+            diagram.imperfect_isotherm([1.0], fresh)
+        assert len(solves) == 2
 
     def test_deformation_effect(self, eos):
         # the deformed and undeformed isotherms agree in the dilute
@@ -359,9 +397,29 @@ class TestImperfectIsotherm:
     def test_domain(self, eos):
         with pytest.raises(DomainError):
             diagram.imperfect_isotherm([0.0], eos)
+        with pytest.raises(DomainError):
+            diagram.imperfect_isotherm([2.0**-1023], eos)
+        assert diagram.imperfect_isotherm([2.0**-1022], eos)[0].Z == \
+            pytest.approx(1.0, rel=1e-12)
 
 
 class TestJamming:
+    def test_default_run_polylog_calls(self, monkeypatch):
+        # each row takes Li_{gamma+2} and Li_{gamma+1} once, and each RK4
+        # stage two more: the run of `zenoline jamming` at its defaults
+        calls = []
+
+        def counted(s, z):
+            calls.append((s, z))
+            return specfun.polylog(s, z)
+
+        monkeypatch.setattr(diagram, "polylog", counted)
+        curve = diagram.jamming_extension(
+            cli.parse_grid(cli._DEFAULTS["mu_grid"]),
+            diagram.FractalEos.identity(GAMMA0))
+        assert len(curve.rows) > 41
+        assert len(calls) <= 502
+
     def test_start_and_monotonicity(self):
         eos = diagram.FractalEos.identity(GAMMA0)
         curve = diagram.jamming_extension(

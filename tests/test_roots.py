@@ -80,6 +80,22 @@ def test_edge_cases_match_scipy(f, a, b, kw, want):
     assert _outcome(brentq, f, a, b, **kw) == want
 
 
+def test_zero_extrapolation_denominator_bisects():
+    # the Gibbs residual of two levels near 1e-59: dblk * dpre underflows
+    # to 0, where scipy's C divides to inf or NaN and bisects
+    lo, hi, E = 3.3724499869913306e-59, 5.565576033258947e-59, 3.3724499891844564e-59
+
+    def mean_level(b):
+        w = math.exp(-b * (hi - lo))
+        return (lo + hi * w) / (1.0 + w) - E
+
+    a, b = grow_end(mean_level, -1.0, 1.0), grow_end(mean_level, 1.0, -1.0)
+    kw = {"xtol": 1e-14, "rtol": 8.9e-16}
+    root = brentq(mean_level, a, b, **kw)
+    assert root == oracles.brentq_scipy(mean_level, a, b, **kw)
+    assert root == 9.449190496015945e+59
+
+
 def test_returns_float():
     root = brentq(lambda x: np.asarray(x * x - 2.0), np.float64(0.0),
                   np.float64(2.0), xtol=1e-15, rtol=8.9e-16)

@@ -60,6 +60,16 @@ class TestPotentials:
         assert LJ.du(r_min) == pytest.approx(0.0, abs=1e-13)
         assert LJ.u(1.0) == pytest.approx(0.0, abs=1e-14)
 
+    @pytest.mark.parametrize("family, params, accepted", [
+        ("lennard_jones", {"m": 3.0}, "none"),
+        ("generalized_lj", {"n": 3.0}, "m"),
+        ("morse", {"alpha": 4.0}, "a, r0"),
+        ("buckingham", {"A": 2e5, "D": 1.0}, "A, B, C"),
+    ])
+    def test_unknown_param(self, family, params, accepted):
+        with pytest.raises(DomainError, match=f"it takes {accepted}$"):
+            scatter.PotentialSpec(family, params)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             scatter.PotentialSpec("square_well")
