@@ -21,13 +21,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_RESOURCE = 4
 
-_POTENTIALS = {
-    "lj": "lennard_jones",
-    "lennard_jones": "lennard_jones",
-    "generalized_lj": "generalized_lj",
-    "morse": "morse",
-    "buckingham": "buckingham",
-}
+_ALIASES = {"lj": "lennard_jones"}  # any other --potential is a family name
 
 
 def parse_grid(spec):
@@ -96,8 +90,8 @@ def write_manifest(out_path, command, config, columns, n_rows):
 
 def _potential(name):
     try:
-        return scatter.PotentialSpec(family=_POTENTIALS[name])
-    except (KeyError, TypeError):
+        return scatter.PotentialSpec(family=_ALIASES.get(name, name))
+    except (DomainError, TypeError):
         raise DomainError(f"unknown potential {name!r}") from None
 
 

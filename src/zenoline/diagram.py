@@ -81,17 +81,18 @@ class FractalEos:
     Sampled along the unit-compressibility curve, strictly increasing
     with positive derivative and phi(V)/V -> 1 at the large-volume end;
     between samples, the cubic Hermite interpolant of the exact
-    (phi, phi') pairs, with ``dphi`` its derivative.  ``identity`` builds
+    (phi, phi') pairs, with ``dphi`` its derivative.  V_cr is the
+    smallest sample, where the solved trace ends.  ``identity`` builds
     the undeformed phi(V) = V member used for ideal-gas reduction checks.
     """
 
-    def __init__(self, gamma, V, kappa, phi_vals, dphi_vals, V_cr):
+    def __init__(self, gamma, V, kappa, phi_vals, dphi_vals):
         self.gamma = gamma
         self.V = x = tuple(map(float, V))
         self.kappa = tuple(map(float, kappa))
         self.phi_vals = y = tuple(map(float, phi_vals))
         self.dphi_vals = m = tuple(map(float, dphi_vals))
-        self.V_cr = V_cr
+        self.V_cr = x[0]
         self._identity = False
         if any(v <= 0 for v in y) or any(v <= 0 for v in m):
             raise DomainError("phi and phi' must be strictly positive")
@@ -224,7 +225,7 @@ def solve_phi(gamma, V_grid):
         t_pow = (1.0 - 1.0 / Vv) ** (-(gamma + 1.0))
         phi_vals.append(t_pow / polylog(gamma + 1.0, z))
         dphi_vals.append(t_pow / (Vv * polylog(gamma + 2.0, z)))
-    return FractalEos(gamma, out_V, out_k, phi_vals, dphi_vals, out_V[0])
+    return FractalEos(gamma, out_V, out_k, phi_vals, dphi_vals)
 
 
 def critical_gamma(target_Z):

@@ -241,6 +241,8 @@ def solve_global_distribution(n, k=None, gamma=0.0):
 
     With k omitted, kappa = 0: b fits the infinite-N (gamma+1)-moment and
     N is the fixed point k0 = M_gamma(b, 0; k0), rounded to an integer.
+    A k0 above 2^53, where a float no longer holds every integer (as at
+    gamma = -0.95 from n = 100 up), raises SolverError.
     """
     if n < 100:
         raise DomainError(f"asymptotic regime requires n >= 100, got {n}")
@@ -257,6 +259,10 @@ def solve_global_distribution(n, k=None, gamma=0.0):
         # for gamma < 0 the fixed point may lie above the first end tried
         hi = grow_end(fp, 4.0 * (math.sqrt(n) / _C * math.log(n) + 10.0), -1.0)
         k0 = brentq(fp, 2.0, hi, xtol=1e-10)
+        if k0 > 2.0**53:
+            raise SolverError(
+                f"kappa = 0 fixed point k0 = {k0:.6g} is above 2^53, where "
+                "rounding it to an integer is no longer exact")
         return GlobalDistribution(b=b, kappa=0.0, gamma=gamma,
                                   n_cap=int(round(k0)))
 

@@ -21,6 +21,7 @@ critical-point summary is read off.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -76,20 +77,13 @@ def _buckingham(r, p):
             a_ * b_ * b_ * e - 42.0 * c_ * r**-8)
 
 
-# family -> (r, params) -> (U, U', U''); plain Lennard-Jones is the
-# generalized member at its default m = 6 and takes no params
-_DERIVATIVES = {
-    "lennard_jones": lambda r, p: _generalized_lj(r, {}),
-    "generalized_lj": _generalized_lj,
-    "morse": _morse,
-    "buckingham": _buckingham,
-}
-# family -> the names its params may hold
-_PARAM_NAMES = {
-    "lennard_jones": (),
-    "generalized_lj": ("m",),
-    "morse": ("a", "r0"),
-    "buckingham": ("A", "B", "C"),
+# family -> ((r, params) -> (U, U', U''), its param names); plain
+# Lennard-Jones is the generalized member at m = 6 and takes no params
+_FAMILIES = {
+    "lennard_jones": (lambda r, p: _generalized_lj(r, {}), ()),
+    "generalized_lj": (_generalized_lj, ("m",)),
+    "morse": (_morse, ("a", "r0")),
+    "buckingham": (_buckingham, ("A", "B", "C")),
 }
 
 
@@ -112,9 +106,9 @@ class PotentialSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.family not in _DERIVATIVES:
+        if self.family not in _FAMILIES:
             raise DomainError(f"unknown potential family {self.family!r}")
-        names = _PARAM_NAMES[self.family]
+        names = _FAMILIES[self.family][1]
         unknown = [k for k in self.params if k not in names]
         if unknown:
             raise DomainError(f"{self.family} takes no parameter {unknown[0]!r}; "
@@ -130,7 +124,7 @@ class PotentialSpec:
         """(U, U', U'') at r > 0."""
         if r <= 0:
             raise DomainError(f"r must be positive, got {r}")
-        return _DERIVATIVES[self.family](r, self.params)
+        return _FAMILIES[self.family][0](r, self.params)
 
     def u(self, r):
         return self.derivatives(r)[0]
@@ -160,7 +154,7 @@ class ScatterProblem:
     """Potential plus the two scattering parameters.
 
     B is the impact parameter (reduced by the potential radius), alpha
-    the attraction coefficient C2/V.
+    the attraction coefficient, which is the density rho in reduced units.
     """
 
     potential: PotentialSpec
@@ -293,24 +287,22 @@ def _trace(one, points):
     return rows, failures
 
 
-def zeno_condition_root(potential, B, bracket=(1.0, 2.0)):
+def zeno_condition_root(potential, B):
     """Radius r* at which the stationary points of E(r) merge: a maximum
     of the level function A, where A' and the merge residual vanish.
 
-    One brentq on the residual over the bracket.  Its certificate is the
-    sign of A' at the two ends: A must rise at the low end and fall at
-    the high one, or BracketError names the bracket and both residuals.
-    That proves a local maximum of A in the bracket (an odd number of
-    extrema there), not that it is the only extremum.
+    One brentq on the residual over (1, 2); a B below 2 is a DomainError.
+    Its certificate is the sign of A' at the two ends: A must rise at 1
+    and fall at 2, or BracketError names the bracket and both residuals,
+    as for ``morse`` with r0 >= 2, whose merge lies past 2.  That proves
+    a local maximum of A in the bracket (an odd number of extrema there),
+    not that it is the only extremum.
     """
     _check_B(B)
-    lo, hi = bracket
-    if not (potential.r_floor <= lo < hi <= B):
+    bracket = lo, hi = 1.0, 2.0
+    if B < hi:
         raise DomainError(f"bracket {bracket} outside ({potential.r_floor}, {B})")
-
-    def residual(r):
-        return _zeno_residual(potential, B, r)
-
+    residual = functools.partial(_zeno_residual, potential, B)
     f_lo, f_hi = residual(lo), residual(hi)
     if not f_lo > 0.0 > f_hi:
         raise BracketError(
@@ -334,7 +326,7 @@ def trace_zeno_analog(potential, B_grid):
 
     def one(B):
         r_star = zeno_condition_root(potential, B)
-        alpha = alpha_from_first_derivative(potential, B, r_star)
+        alpha = _level(potential, B, r_star)
         E = effective_energy(ScatterProblem(potential, B, alpha), r_star)
         return (B, r_star, alpha, E)
 
@@ -383,30 +375,31 @@ def stationary_pair(problem):
 
     lo, hi = pot.r_floor * 1.0001, B * 0.9999
     f_lo, f_hi = f(lo), f(hi)
+
+    def diagnosis(what, why):
+        return (f"stationary pair not {what} on ({lo:g}, {r_star!r}, {hi:g}): "
+                f"A - alpha is {f_lo:.6g}, {a_star - alpha:.6g}, {f_hi:.6g} "
+                f"there, {why}")
+
     if not (f_lo < 0.0 and f_hi < 0.0):
-        raise BracketError(
-            f"stationary pair not certified on ({lo:g}, {r_star!r}, {hi:g}): "
-            f"A - alpha is {f_lo:.6g}, {a_star - alpha:.6g}, {f_hi:.6g} there, "
-            "not negative, positive, negative")
+        raise BracketError(diagnosis("certified", "not negative, positive, negative"))
     try:
         r_lo = brentq(f, lo, r_star, xtol=_XTOL, rtol=_RTOL, maxiter=_MAXITER)
         r_hi = brentq(f, r_star, hi, xtol=_XTOL, rtol=_RTOL, maxiter=_MAXITER)
     except RuntimeError:
-        raise SolverError(
-            f"stationary pair not converged on ({lo:g}, {r_star!r}, {hi:g}): "
-            f"A - alpha is {f_lo:.6g}, {a_star - alpha:.6g}, {f_hi:.6g} there, "
-            f"and brentq reached its cap of {_MAXITER} iterations") from None
+        cap = f"and brentq reached its cap of {_MAXITER} iterations"
+        raise SolverError(diagnosis("converged", cap)) from None
     # flipped convention: the well at r_lo, the barrier at r_hi
     return StationaryPair(r_lo=r_lo, r_hi=r_hi,
                           E_min=-effective_energy(problem, r_hi),
                           E_max=-effective_energy(problem, r_lo))
 
 
-def compressibility_curve(potential, B, rho_grid, C2=1.0):
+def compressibility_curve(potential, B, rho_grid):
     """Z(rho) = 1 - E_min/E_max and its complement on a density grid.
 
-    Density maps to the attraction coefficient through alpha = C2 rho.
-    Degenerate points are recorded in ``meta['failures']`` and skipped.
+    In reduced units the attraction coefficient is the density, alpha =
+    rho.  Degenerate points are recorded in ``meta['failures']``.
     """
     if not 10.0 <= B < math.inf:
         raise DomainError(
@@ -414,13 +407,13 @@ def compressibility_curve(potential, B, rho_grid, C2=1.0):
     _check_B(B)
 
     def one(rho):
-        pair = stationary_pair(ScatterProblem(potential, B, C2 * rho))
+        pair = stationary_pair(ScatterProblem(potential, B, rho))
         z_min = pair.E_min / pair.E_max
         return (rho, 1.0 - z_min, z_min)
 
     rows, failures = _trace(one, rho_grid)
     return PhaseCurve(columns=("rho", "Z", "Z_min"), rows=rows,
-                      meta={"B": B, "C2": C2, "failures": failures})
+                      meta={"B": B, "failures": failures})
 
 
 def _z_slope(pair, B):
@@ -430,10 +423,10 @@ def _z_slope(pair, B):
     return (pair.E_min * dE_max - dE_min * pair.E_max) / pair.E_max**2
 
 
-def critical_summary(potential, B=100.0, C2=1.0):
+def critical_summary(potential, B=100.0):
     """Critical-point ratios for the given potential.
 
-    Construction: the density axis is normalized by rho_B = alpha*(B)/C2
+    Construction: the density axis is normalized by rho_B = alpha*(B)
     (the degeneracy intercept, where Z reaches 0); the critical point is
     where Z falls with slope -1 along the diagonal of the unit square,
     dZ/dx = -1 with x = rho/rho_B.  The slope is exact (`_z_slope`), so
@@ -445,10 +438,8 @@ def critical_summary(potential, B=100.0, C2=1.0):
     """
     if not math.isfinite(B):
         raise DomainError(f"B must be finite, got {B}")
-    _check_B(B)
     r_star = zeno_condition_root(potential, B)
-    alpha_star = alpha_from_first_derivative(potential, B, r_star)
-    rho_B = alpha_star / C2
+    alpha_star = _level(potential, B, r_star)
 
     def pair_at(x):
         return stationary_pair(ScatterProblem(potential, B, alpha_star * x))
@@ -474,10 +465,9 @@ def critical_summary(potential, B=100.0, C2=1.0):
     ord_cr, ord_0 = (B * B * (p.E_max - p.E_min) for p in (pair_cr, pair_at(1e-9)))
     notes = {
         "B": B,
-        "C2": C2,
         "r_star": r_star,
         "alpha_star": alpha_star,
-        "rho_B": rho_B,
+        "rho_B": alpha_star,
         "diagonal_criterion": "dZ/d(rho/rho_B) = -1, exact by the envelope theorem",
         "ordinate_zero_density": ord_0,
         "ordinate_critical": ord_cr,

@@ -610,15 +610,20 @@ def _power_series_ds(s, z):
     """d Li_s(z)/ds = -sum_k ln(k) z^k / k^s for 0 < z <= 0.6, each term
     formed once, as in ``_power_series``, times ln k.  The ratio of
     consecutive terms tends to z from above, so the sum stops before the
-    first term after k = 2 that is below 5e-18 (1 - z) of it.  An
-    OverflowError of k^s, or of k^(-s/2), ends the sum."""
+    first term after k = 2 that is below 5e-18 (1 - z) of it.  Where
+    z^k has left the normal range and s < 0 may lift the term back into
+    it, the term is (z k^(-s/k))^k, so no subnormal's digits are kept.
+    An OverflowError of k^s, of k^(-s/2) or of that power ends the sum."""
     one_minus_z = 1 - z
     total = 0.0
     power = z
     for k in range(2, _MAX_TERMS + 1):
         power *= z
         try:
-            term = math.log(k) * _over_power(power, k, s)
+            if power < sys.float_info.min and s < 0:
+                term = math.log(k) * (z * k ** (-s / k)) ** k
+            else:
+                term = math.log(k) * _over_power(power, k, s)
         except OverflowError:
             break
         if k > 2 and term < \

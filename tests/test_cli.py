@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import zenoline
-from zenoline import cli
+from zenoline import cli, scatter
 from zenoline.errors import DomainError, SolverError
 
 
@@ -304,6 +305,46 @@ class TestExitCodes:
         monkeypatch.setitem(cli._COMMANDS, "threshold", (boom, ()))
         assert cli.main(["threshold"]) == cli.EXIT_NUMERIC
         assert "synthetic solver failure" in capsys.readouterr().err
+
+
+class TestPotentialNames:
+    # each scatter command, with grids cut short to keep the runs cheap
+    _SCATTER_RUNS = [["zeno", "--B-grid", "5:100:95"],
+                     ["compressibility", "--rho-grid", "0.002:0.18:0.089"],
+                     ["critical"]]
+
+    @pytest.mark.parametrize("family", list(scatter._FAMILIES))
+    @pytest.mark.parametrize("argv", _SCATTER_RUNS, ids=lambda argv: argv[0])
+    def test_every_family_accepted(self, argv, family, capsys):
+        assert cli.main(argv + ["--potential", family]) == cli.EXIT_OK
+        assert capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", _SCATTER_RUNS, ids=lambda argv: argv[0])
+    def test_lj_is_lennard_jones(self, argv, capsys):
+        outputs = []
+        for name in ("lj", "lennard_jones"):
+            assert cli.main(argv + ["--potential", name]) == cli.EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("argv", _SCATTER_RUNS, ids=lambda argv: argv[0])
+    def test_unknown_name_rejected(self, argv, tmp_path, capsys):
+        # a name no family has, and a list where a config file gives a name
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"potential": ["lj"]}))
+        for run in (argv + ["--potential", "yukawa"], ["--config", str(config)] + argv):
+            assert cli.main(run) == cli.EXIT_CONFIG
+            assert "unknown potential" in capsys.readouterr().err
+
+
+def test_console_script_is_main():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(zenoline.__file__).resolve().parent.parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["zenoline"]
+    assert target == "zenoline.cli:main"
+    module, attr = target.split(":")
+    assert getattr(importlib.import_module(module), attr) is cli.main
 
 
 class TestCommandTable:

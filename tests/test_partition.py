@@ -309,6 +309,18 @@ class TestGlobalDistribution:
         m = oracles.finite_n_mpmath(gamma, dist.b, 0.0, dist.n_cap)
         assert m == pytest.approx(dist.n_cap, rel=2.0 / dist.n_cap)
 
+    @pytest.mark.parametrize("n", [100, 10053, 10**6, 10**9])
+    def test_kappa_zero_fixed_point_above_2_53_rejected(self, n):
+        # at gamma = -0.95 the fixed point lies at 1.7e21 (n = 100) to
+        # 8.0e27 (n = 10^9), where a float no longer holds every integer
+        with pytest.raises(SolverError, match=r"above 2\^53"):
+            partition.solve_global_distribution(n, gamma=-0.95)
+
+    def test_kappa_zero_fixed_point_below_2_53_kept(self):
+        # 7.2e14, below 2^53 = 9.0e15: exact, and the value it always had
+        dist = partition.solve_global_distribution(10**9, gamma=-0.9)
+        assert (dist.b, dist.n_cap) == (5.370418088619624e-08, 719187254663243)
+
 
 class TestNcr:
     def test_w_positive_and_large_n_scaling(self):

@@ -189,17 +189,22 @@ class TestZenoRoot:
         assert values[0] == pytest.approx(0.216930, abs=2e-5)
         assert values[1] == pytest.approx(0.234049, abs=2e-5)
 
+    # morse with r0 = 3 merges past 2, outside the bracket (1, 2)
+    FAR_MERGE = scatter.PotentialSpec("morse", {"r0": 3.0})
+
     def test_no_root_in_bad_bracket(self):
         with pytest.raises(BracketError):
-            scatter.zeno_condition_root(LJ, 100.0, bracket=(3.0, 5.0))
+            scatter.zeno_condition_root(self.FAR_MERGE, 100.0)
+        # a B below 2 cuts into the bracket
         with pytest.raises(DomainError):
-            scatter.zeno_condition_root(LJ, 100.0, bracket=(0.1, 2.0))
+            scatter.zeno_condition_root(LJ, 1.5)
 
     def test_certificate_names_bracket_and_ends(self):
-        # on (0.6, 1.0) A only rises, so no maximum is certified there
-        with pytest.raises(BracketError, match=r"in \(0\.6, 1\.0\).* at r = 0\.6 "
-                           r"and -?\d.* at r = 1\.0, not positive then negative"):
-            scatter.zeno_condition_root(LJ, 100.0, bracket=(0.6, 1.0))
+        # A still rises at both ends of (1, 2), so no maximum is certified there
+        with pytest.raises(BracketError, match=r"in \(1\.0, 2\.0\).* is 6\.78079e\+16 "
+                           r"at r = 1\.0 and 1\.78134e\+12 at r = 2\.0, "
+                           r"not positive then negative"):
+            scatter.zeno_condition_root(self.FAR_MERGE, 100.0)
 
 
 class TestTrace:
