@@ -258,6 +258,10 @@ def merge_config(args):
             raise DomainError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise DomainError("config file must hold a JSON object")
+        # a key of another subcommand is accepted, so one file serves several
+        unknown = sorted(set(loaded) - set(_DEFAULTS) - {"out"})
+        if unknown:
+            raise DomainError(f"config file has unknown key(s) {unknown}")
         cfg.update(loaded)
     for key, value in vars(args).items():
         if key != "config" and value is not None:

@@ -78,24 +78,31 @@ def bachinskii_density(b, c, P):
 class FractalEos:
     """Volume deformation phi(V) of the fractal-index equation of state.
 
-    Sampled along the unit-compressibility curve, strictly increasing
-    with positive derivative and phi(V)/V -> 1 at the large-volume end;
-    between samples, the cubic Hermite interpolant of the exact
-    (phi, phi') pairs, with ``dphi`` its derivative.  V_cr is the
-    smallest sample, where the solved trace ends.  ``identity`` builds
-    the undeformed phi(V) = V member used for ideal-gas reduction checks.
+    Sampled at the volumes V > 1 and activities kappa < 0 of the
+    unit-compressibility curve on the Zeno line T = 1 - 1/V, where
+    phi = T^-(gamma+1) / Li_{gamma+1}(e^kappa) and
+    phi' = T^-(gamma+1) / (V Li_{gamma+2}(e^kappa)), both positive;
+    phi must be strictly increasing with phi(V)/V -> 1 at the
+    large-volume end.  Between samples, the cubic Hermite interpolant of
+    the exact (phi, phi') pairs, with ``dphi`` its derivative.  V_cr is
+    the smallest sample, where the solved trace ends.  ``identity``
+    builds the undeformed phi(V) = V member used for ideal-gas reduction
+    checks.
     """
 
-    def __init__(self, gamma, V, kappa, phi_vals, dphi_vals):
+    def __init__(self, gamma, V, kappa):
         self.gamma = gamma
         self.V = x = tuple(map(float, V))
         self.kappa = tuple(map(float, kappa))
-        self.phi_vals = y = tuple(map(float, phi_vals))
-        self.dphi_vals = m = tuple(map(float, dphi_vals))
+        y, m = [], []
+        for v, k in zip(x, self.kappa):
+            z = math.exp(k)
+            t_pow = (1.0 - 1.0 / v) ** (-(gamma + 1.0))
+            y.append(t_pow / polylog(gamma + 1.0, z))
+            m.append(t_pow / (v * polylog(gamma + 2.0, z)))
+        self.phi_vals, self.dphi_vals = tuple(y), tuple(m)
         self.V_cr = x[0]
         self._identity = False
-        if any(v <= 0 for v in y) or any(v <= 0 for v in m):
-            raise DomainError("phi and phi' must be strictly positive")
         if any(y1 <= y0 for y0, y1 in zip(y, y[1:])):
             raise DomainError("phi must be strictly increasing")
         if abs(y[-1] / x[-1] - 1.0) > 1e-3:
@@ -218,14 +225,7 @@ def solve_phi(gamma, V_grid):
     else:
         raise DomainError(f"V grid ends at {V}, above V_cr where kappa = -1e-6")
     out_V, out_w = zip(*trace[::-1])
-    out_k = [-(w ** (1.0 / gamma)) for w in out_w]
-    phi_vals, dphi_vals = [], []
-    for Vv, kk in zip(out_V, out_k):
-        z = math.exp(kk)
-        t_pow = (1.0 - 1.0 / Vv) ** (-(gamma + 1.0))
-        phi_vals.append(t_pow / polylog(gamma + 1.0, z))
-        dphi_vals.append(t_pow / (Vv * polylog(gamma + 2.0, z)))
-    return FractalEos(gamma, out_V, out_k, phi_vals, dphi_vals)
+    return FractalEos(gamma, out_V, [-(w ** (1.0 / gamma)) for w in out_w])
 
 
 def critical_gamma(target_Z):
@@ -414,11 +414,12 @@ def jamming_extension(mu_grid, eos, gamma0=GAMMA0, anchor_P=2.5, variant="ode"):
               "variant": variant, "geometric_factor": 1.0, "V_cr": eos.V_cr})
 
 
-def liquid_summary(eos, zeno, Z_cr=0.29, rho_cr_ratio=0.273):
+def liquid_summary(eos, zeno):
     """Liquid-branch reference assembly: the constant-density rays, the
-    connecting hyperbola Z = c/rho, and triple-point constants."""
-    rho_cr = rho_cr_ratio * zeno.rho_B
-    c = Z_cr * rho_cr
+    connecting hyperbola Z = c/rho through the critical point
+    (Z_cr = 0.29, rho_cr = 0.273 rho_B), and triple-point constants."""
+    rho_cr = 0.273 * zeno.rho_B
+    c = 0.29 * rho_cr
     hyperbola = [(r, c / r) for r in linspace(rho_cr, zeno.rho_B * 0.999, 25)]
     t_rays = [0.9, 0.8, 0.7, 0.6]
     rays = [(t * zeno.T_B, zeno_density(zeno, t * zeno.T_B)) for t in t_rays]

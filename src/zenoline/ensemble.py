@@ -80,14 +80,13 @@ def _inside_range(centre, half, N):
     return lo, hi
 
 
-def enumerate_states(spectrum, N, E_max, collect=None, band=None):
+def enumerate_states(spectrum, N, E_max, band=None):
     """Count all occupation vectors with sum N_i = N and
     sum lambda_i N_i <= E_max, all vectors equiprobable.
 
-    ``collect``, if given, is called with each vector (a tuple), in
-    descending lexicographic order.  The census carries per-level
-    occupation totals.  ``band`` = (centres, half), if given, makes the
-    census also count the vectors with any abs(N_i - centres[i]) > half.
+    The census carries per-level occupation totals.  ``band`` =
+    (centres, half), if given, makes the census also count the vectors
+    with any abs(N_i - centres[i]) > half.
 
     Levels 0..s-3 are walked as a tree, each value pruned as soon as the
     cheapest completion overruns the budget.  Below each node the last
@@ -116,15 +115,12 @@ def enumerate_states(spectrum, N, E_max, collect=None, band=None):
     if s == 1:
         if not N * levels[0] <= budget + 1e-12:
             return OccupationCensus(0, (0,))
-        if collect is not None:
-            collect((N,))
         return OccupationCensus(1, (N,), int(abs(N - centres[0]) > half))
 
     lam_a, lam_b = levels[-2], levels[-1]
     gap = lam_b - lam_a
     a_lo, a_hi = _inside_range(centres[-2], half, N)
     b_lo, b_hi = _inside_range(centres[-1], half, N)
-    prefix = [0] * (s - 2)
     totals = [0] * s
     states = outside = 0
 
@@ -148,10 +144,6 @@ def enumerate_states(spectrum, N, E_max, collect=None, band=None):
             lo = max(n_safe, a_lo, R - b_hi)
             hi = min(R, a_hi, R - b_lo)
             inside = max(hi - lo + 1, 0)
-        if collect is not None:
-            head = tuple(prefix)
-            for n in range(R, n_safe - 1, -1):
-                collect(head + (n, R - n))
         for n in range(n_safe - 1, -1, -1):
             rest = R - n
             cost = n * lam_a
@@ -162,8 +154,6 @@ def enumerate_states(spectrum, N, E_max, collect=None, band=None):
                 n_sum += n
                 if not out and a_lo <= n <= a_hi and b_lo <= rest <= b_hi:
                     inside += 1
-                if collect is not None:
-                    collect(head + (n, rest))
         totals[-2] += n_sum
         totals[-1] += count * R - n_sum
         states += count
@@ -185,7 +175,6 @@ def enumerate_states(spectrum, N, E_max, collect=None, band=None):
             cost = n_i * lam
             if cost + rest * lam_next > thr:
                 break
-            prefix[i] = n_i
             before = states
             walk(i + 1, rest, budget - cost, out or abs(n_i - centre) > half)
             totals[i] += n_i * (states - before)
@@ -229,13 +218,14 @@ def default_psi(x):
     return math.log(math.log(max(x, math.e**math.e)))
 
 
-def concentration_report(spectrum, N_list, E, psi=default_psi):
+def concentration_report(spectrum, N_list, E):
     """Empirical concentration of occupations around the Gibbs profile.
 
     For each N the admissible states (energy budget N*E) are enumerated,
     per-level mean occupations are compared against the prediction
     B e^(-b_E lambda_i) with B = N/L0, and the fraction of states with
-    any level outside the +-B sqrt(L0 ln L0) psi(L0) band is recorded.
+    any level outside the +-B sqrt(L0 ln L0) psi(L0) band is recorded,
+    with psi = ``default_psi``.
     The fraction should trend downward as N grows.
     """
     levels = spectrum.levels
@@ -251,7 +241,7 @@ def concentration_report(spectrum, N_list, E, psi=default_psi):
     entries = []
     for N in N_list:
         B = N / L0
-        half = B * math.sqrt(L0 * ln_L0) * psi(L0)
+        half = B * math.sqrt(L0 * ln_L0) * default_psi(L0)
         predicted = [B * math.exp(-b_E * lam) for lam in levels]
         census = enumerate_states(spectrum, N, N * E, band=(predicted, half))
         means = [t / census.states for t in census.level_totals]

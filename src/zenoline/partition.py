@@ -175,44 +175,33 @@ def _log2_bigint(x):
     return e + math.log2(x >> e)
 
 
-def _argmax_pk_streaming(n):
-    """Smallest argmax of p_k(n) over k, by streaming one k-row at a
-    time through the recurrence.  p_k(n) is unimodal in k, so the scan
-    stops after _PATIENCE consecutive declines.  Only two rows are
-    held, so the scan is held to the n cap but not to the cell cap."""
+def condensate_threshold(n):
+    """Threshold summand count k0: the smallest argmax of p_k(n) over k,
+    with its one- and two-term asymptotic approximations.
+
+    k0 is found by streaming one k-row of the recurrence at a time.
+    p_k(n) is unimodal in k, so the scan stops after _PATIENCE
+    consecutive declines.  Only two rows are held, so the scan is held
+    to the n cap but not to the cell cap."""
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
     if n > _N_CAP:
         raise ResourceError(f"n={n} exceeds cap {_N_CAP}")
-    best_k, best_v, declines = 1, 0, 0
+    k0, best, declines = 1, 0, 0
     for k, row in enumerate(_pk_rows(n, n), start=1):
-        v = row[n]
-        if v > best_v:
-            best_v, best_k, declines = v, k, 0
+        if row[n] > best:
+            best, k0, declines = row[n], k, 0
         else:
             declines += 1
             if declines >= _PATIENCE:
                 break
-    return best_k
-
-
-def condensate_threshold(n, table=None):
-    """Threshold summand count k0: the smallest argmax of p_k(n) over k,
-    with its one- and two-term asymptotic approximations."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if table is not None:
-        if table.n_max < n or table.k_max < n:
-            raise DomainError(f"table does not cover n={n} with k_max=n")
-        row = table.row(n)
-        k0 = max(range(len(row)), key=lambda i: (row[i], -i)) + 1
-    else:
-        k0 = _argmax_pk_streaming(n)
     rt = math.sqrt(n)
     leading = rt / _C * math.log(n)
     return CondensateThreshold(n=n, k0_exact=k0, k0_leading=leading,
                                k0_two_term=leading + _ALPHA * rt)
 
 
-def maximize_variants(n, k_bar, table):
+def maximize_variants(n, k_bar):
     """The k <= k_bar maximizing the variant count p_k(n).
 
     Below the threshold the count is still growing, so the cap itself
@@ -220,8 +209,7 @@ def maximize_variants(n, k_bar, table):
     """
     if not (1 <= k_bar <= n):
         raise DomainError(f"need 1 <= k_bar <= n, got k_bar={k_bar}, n={n}")
-    k0 = condensate_threshold(n, table).k0_exact
-    return k_bar if k_bar <= k0 else k0
+    return min(k_bar, condensate_threshold(n).k0_exact)
 
 
 def _moment(gamma, b, kappa, n_cap):

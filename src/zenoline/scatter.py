@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .curves import PhaseCurve, linspace
 from .errors import (BracketError, DegenerateError, DomainError, PoleError,
-                     SolverError)
+                     SolverError, ZenolineError)
 from .roots import brentq
 
 __all__ = [
@@ -276,13 +276,14 @@ def _zeno_residual(potential, B, r):
 
 
 def _trace(one, points):
-    """Rows of one(x) over the points; a point that raises is recorded
-    in the failures as (x, repr(exc)) and skipped."""
+    """Rows of one(x) over the points; a point that raises a
+    ZenolineError is recorded in the failures as (x, repr(exc)) and
+    skipped.  Any other exception propagates."""
     rows, failures = [], []
     for x in points:
         try:
             rows.append(one(x))
-        except Exception as exc:  # noqa: BLE001 - per-point fault isolation
+        except ZenolineError as exc:
             failures.append((x, repr(exc)))
     return rows, failures
 

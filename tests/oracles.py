@@ -3,7 +3,8 @@
 Each oracle deliberately uses a different algorithm from the library
 code it checks: a fixed-cut Euler-Maclaurin sum and mpmath for zeta and
 zeta', mpmath.diff of mpmath.polylog for the order derivative of Li_s
-and the jamming slope (and an RK4 run driven by it), the pentagonal
+and the jamming slope (and an RK4 run driven by it), an adaptive DOP853
+solve of the jamming gamma(mu) on the library's slope, the pentagonal
 recurrence for partition totals, exhaustive enumeration and the
 parts-at-most-k recurrence for restricted counts, truncated power
 series and mpmath at raised precision for polylogarithms and the Bose
@@ -146,6 +147,21 @@ def jamming_gamma_mpmath(mu_grid, gamma0, dps=30):
             g = g + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
             out.append(float(g))
         return out
+
+
+def jamming_gamma_ivp(mu_grid, gamma0):
+    """gamma(mu) of the jamming continuation on the grid, by scipy's
+    adaptive DOP853 on gamma' = ``diagram._gamma_slope`` from gamma0 at
+    mu = 0 (first step 1e-12, rtol 1e-13, atol 1e-16).  The slope is held
+    to mpmath by the jamming tests; this checks the integration."""
+    from scipy.integrate import solve_ivp
+
+    from zenoline import diagram
+
+    sol = solve_ivp(lambda mu, y: [diagram._gamma_slope(y[0], mu)],
+                    (mu_grid[0], mu_grid[-1]), [gamma0], method="DOP853",
+                    t_eval=mu_grid, first_step=1e-12, rtol=1e-13, atol=1e-16)
+    return [float(g) for g in sol.y[0]]
 
 
 def bose_mpmath(gamma, kappa, dps=30):

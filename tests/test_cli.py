@@ -141,6 +141,8 @@ class TestExitCodes:
         assert "unknown potential" in capsys.readouterr().err
         assert cli.main(["reference", "--table", "nope"]) == cli.EXIT_CONFIG
         capsys.readouterr()
+        assert cli.main(["isotherm", "--mode", "foo"]) == cli.EXIT_CONFIG
+        assert "unknown isotherm mode 'foo'" in capsys.readouterr().err
 
     def test_non_finite_input(self, capsys):
         for argv, msg in (
@@ -289,7 +291,9 @@ class TestExitCodes:
         ("threshold", {"format": "xml"}, "--format"),
         ("threshold", {"out": 1}, "--out"),
         ("critical", {"potential": ["lj"]}, "potential"),
-    ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
+        ("threshold", {"nn": 5}, "nn"),
+        ("threshold", [1], "must hold a JSON object"),
+    ], ids=lambda v: json.dumps(v) if isinstance(v, (dict, list)) else v)
     def test_config_values_checked_as_flags(self, command, config, flag,
                                              tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -297,6 +301,15 @@ class TestExitCodes:
         assert cli.main(["--config", str(cfg), command]) == cli.EXIT_CONFIG
         captured = capsys.readouterr()
         assert flag in captured.err and captured.out == ""
+
+    def test_config_key_of_another_command(self, tmp_path, capsys):
+        # one config file can serve several subcommands
+        assert cli.main(["threshold"]) == 0
+        expect = capsys.readouterr().out
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"B": 50.0}))
+        assert cli.main(["--config", str(cfg), "threshold"]) == 0
+        assert capsys.readouterr().out == expect
 
     def test_numeric_error(self, capsys, monkeypatch):
         def boom(cfg):

@@ -535,10 +535,30 @@ class TestJamming:
         got = [row[3] for row in curve.rows[:3]]
         assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
+    def test_default_run_against_ode(self):
+        # RK4 on the 0.01 grid against an adaptive DOP853 solve of the
+        # same slope; the bounds are the error of today's fixed step, and
+        # a finer integration of gamma(mu) is to tighten them
+        mu_grid = cli.parse_grid(cli._DEFAULTS["mu_grid"])
+        curve = diagram.jamming_extension(mu_grid, diagram.FractalEos.identity(GAMMA0))
+        want = oracles.jamming_gamma_ivp(mu_grid, GAMMA0)
+        # no jamming: the first len(mu_grid) rows are the integrated branch
+        assert not curve.meta["jammed"] and len(want) == len(mu_grid)
+        assert want[-1] == pytest.approx(0.0810568991452, abs=1e-12)
+        zp2 = specfun.riemann_zeta(GAMMA0 + 2.0)
+        for (P, Z, mu, g), g_ode in zip(curve.rows, want):
+            l1, l2 = (specfun.polylog(g_ode + s, math.exp(mu)) for s in (1.0, 2.0))
+            assert g == pytest.approx(g_ode, abs=7.1e-4)
+            assert P == pytest.approx(l2 / zp2, rel=2.7e-4)
+            assert Z == pytest.approx(l2 / l1, rel=7.5e-4)
+
     def test_domain(self):
         eos = diagram.FractalEos.identity(GAMMA0)
         with pytest.raises(DomainError):
             diagram.jamming_extension([-0.1, -0.2], eos)
+        for mu_grid in ([0.0, -0.1, -0.1], [0.0, 0.1], [0.0, -0.2, -0.1]):
+            with pytest.raises(DomainError, match="strictly decreasing"):
+                diagram.jamming_extension(mu_grid, eos)
         for anchor_P in (0.5, math.nan, math.inf):
             with pytest.raises(DomainError):
                 diagram.jamming_extension([0.0, -0.1], eos, anchor_P=anchor_P)
@@ -574,6 +594,18 @@ class TestLinspace:
 
 GEOM_GRIDS = [(1.02, 1000.0, 400), (2.0, 1000.0, 50), (1e-3, 1e3, 100),
               (0.5, 0.001, 37)]
+
+
+class TestPhaseCurve:
+    def test_row_width_checked(self):
+        with pytest.raises(DomainError, match="row of width 1"):
+            curves.PhaseCurve(columns=("P", "Z"), rows=[(1.0, 2.0), (3.0,)])
+
+    def test_unknown_column(self):
+        curve = curves.PhaseCurve(columns=("P", "Z"), rows=[(1.0, 2.0)])
+        assert curve.column("Z") == [2.0]
+        with pytest.raises(DomainError, match="no column 'V'"):
+            curve.column("V")
 
 
 class TestGeomspace:

@@ -161,22 +161,26 @@ class TestEntropy:
         assert partition._log2_bigint(big) == pytest.approx(1200.0, abs=1e-9)
 
 
+def _smallest_argmax(row):
+    return max(range(len(row)), key=lambda i: (row[i], -i)) + 1
+
+
 class TestThreshold:
     def test_trivial(self, table200):
-        assert partition.condensate_threshold(1, table200).k0_exact == 1
+        assert partition.condensate_threshold(1).k0_exact == \
+            _smallest_argmax(table200.row(1)) == 1
 
     def test_table_scan_matches_streaming(self, table200):
         for n in (20, 50, 100, 200):
-            from_table = partition.condensate_threshold(n, table200).k0_exact
-            streamed = partition.condensate_threshold(n).k0_exact
-            assert from_table == streamed
+            from_table = _smallest_argmax(table200.row(n))
+            assert partition.condensate_threshold(n).k0_exact == from_table
 
     def test_smallest_argmax_tiebreak(self, table200):
         for n in (5, 40, 100):
             row = table200.row(n)
             best = max(row)
             smallest = next(i + 1 for i, v in enumerate(row) if v == best)
-            assert partition.condensate_threshold(n, table200).k0_exact == smallest
+            assert partition.condensate_threshold(n).k0_exact == smallest
 
     def test_streamed_scan_n_cap(self):
         # the scan holds two rows, so only the n cap applies: n = 20000
@@ -202,12 +206,12 @@ class TestMaximizer:
                 if row[k_bar - 1] > prefix_best:
                     prefix_best = row[k_bar - 1]
                     arg = k_bar
-                assert partition.maximize_variants(n, k_bar, table200) == arg
+                assert partition.maximize_variants(n, k_bar) == arg
 
-    def test_examples(self, table200):
-        assert partition.maximize_variants(100, 2, table200) == 2
-        assert partition.maximize_variants(5, 5, table200) == 2
-        assert partition.maximize_variants(1, 1, table200) == 1
+    def test_examples(self):
+        assert partition.maximize_variants(100, 2) == 2
+        assert partition.maximize_variants(5, 5) == 2
+        assert partition.maximize_variants(1, 1) == 1
 
 
 class TestGlobalDistribution:

@@ -369,6 +369,18 @@ class TestCompressibility:
         with pytest.raises(DomainError, match=r"B = 1e\+200 is too large"):
             scatter.compressibility_curve(LJ, 1e200, [0.1])
 
+    def test_only_library_errors_are_failures(self):
+        def one(x):
+            if x == 2:
+                raise DegenerateError("merged")
+            return (1.0 / (x - 3),)
+
+        rows, failures = scatter._trace(one, [1, 2])
+        assert rows == [(-0.5,)] and failures == [(2, "DegenerateError('merged')")]
+        # a programming error is not a failed point
+        with pytest.raises(ZeroDivisionError):
+            scatter._trace(one, [1, 2, 3])
+
     def test_buckingham_failures_explained(self):
         # every density of the default grid at or past alpha*(100) fails
         # as degenerate, and every density below it succeeds
