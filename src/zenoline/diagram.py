@@ -6,8 +6,8 @@ reference tables.
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
@@ -147,7 +147,16 @@ class FractalEos:
         return m0 + s * (2.0 * c2 + 3.0 * s * c3)
 
     def inv_phi(self, y):
-        """Volume with phi(V) = y, consistent with ``phi`` to rounding."""
+        """Volume with phi(V) = y, consistent with ``phi`` to rounding: of
+        the adjacent floats V- < V+ with phi(V-) < y <= phi(V+), the one
+        whose phi is nearer y (V+ on a tie).  So it is exact at the
+        samples and monotone in y.
+
+        Newton on the cell's cubic from the linear guess, inside the
+        bracket [V_i, V_i+1] of the cell holding y; a step that leaves the
+        bracket bisects it, and one that rounds onto its end tests the
+        next float inward, until the bracket ends are adjacent floats.
+        """
         if self._identity:
             return y
         if y >= self.phi_vals[-1]:
@@ -156,8 +165,28 @@ class FractalEos:
             raise DomainError(f"phi value {y} below the solved range")
         # phi is exact at the samples, so the cell holding y brackets the root
         i = bisect_right(self.phi_vals, y) - 1
-        return brentq(lambda v: self.phi(v) - y, self.V[i], self.V[i + 1],
-                      xtol=1e-15, rtol=8.9e-16)
+        x0, y0, m0, c2, c3 = self._cells[i]
+        if y == y0:
+            return x0
+        # phi(lo) - y = r_lo < 0 <= r_hi = phi(hi) - y
+        lo, hi = x0, self.V[i + 1]
+        r_lo, r_hi = y0 - y, self.phi_vals[i + 1] - y
+        v = x0 + (y - y0) / (self.phi_vals[i + 1] - y0) * (hi - x0)
+        while math.nextafter(lo, hi) < hi:
+            s = v - x0
+            r = y0 + s * (m0 + s * (c2 + s * c3)) - y
+            if r < 0.0:
+                lo, r_lo = v, r
+            else:
+                hi, r_hi = v, r
+            step = r / (m0 + s * (2.0 * c2 + 3.0 * s * c3))
+            if lo < v - step < hi:
+                v -= step
+            elif v - step == v:
+                v = math.nextafter(v, hi if r < 0.0 else lo)
+            else:
+                v = lo + 0.5 * (hi - lo)
+        return lo if -r_lo < r_hi else hi
 
 
 IsothermPoint = namedtuple("IsothermPoint", ["P_r", "Z", "a", "T_r"])
@@ -182,13 +211,83 @@ def _w_prime(gamma, V, w):
     return gamma * ratio * l1 / V * (l1 / l2 + (gamma + 1.0) / (V - 1.0))
 
 
-def _rk4_step(f, x, y, h):
-    """One classical Runge-Kutta step of y' = f(x, y) from (x, y) by h."""
-    k1 = f(x, y)
-    k2 = f(x + h / 2, y + h * k1 / 2)
-    k3 = f(x + h / 2, y + h * k2 / 2)
-    k4 = f(x + h, y + h * k3)
-    return y + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+# Dormand-Prince 5(4) (Dormand & Prince, J. Comput. Appl. Math. 6, 1980):
+# stage rows of the tableau, the fifth-order weights (also the last
+# stage's row, so its slope starts the next step), the weights of the
+# fifth- less the fourth-order solution, and Shampine's order-4 dense
+# output (Math. Comp. 46, 1986; Hairer, Norsett & Wanner, Solving ODEs I,
+# II.6).
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP_A = ((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
+         -1 / 40)
+_DP_D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+         -10690763975 / 1880347072, 701980252875 / 199316789632,
+         -1453857185 / 822651844, 69997945 / 29380423)
+# no more accepted and rejected steps than this per integration
+_MAX_STEPS = 10_000
+
+
+def _dopri5(f, x, y, x_end, h, rtol, atol):
+    """Accepted Dormand-Prince 5(4) steps of the scalar y' = f(x, y) from
+    (x, y) to x_end, starting with a trial step h toward x_end.
+
+    Yields (x0, x1, y1, dense) per step, with ``_dense(dense, theta)``
+    the order-4 solution at x0 + theta (x1 - x0), 0 <= theta <= 1; the
+    last step lands on x_end.  A step is accepted when its error estimate
+    is within atol + rtol max(|y0|, |y1|); the next h is scaled by
+    0.9 err^(-1/5), clamped to [0.2, 10].  A step below 8 ulp of x, or
+    more than _MAX_STEPS steps, raises SolverError naming x, y, h and the
+    last error estimate.  From x = x_end it yields no step.
+    """
+    if x == x_end:
+        return
+    k1, err = f(x, y), math.nan
+    for _ in range(_MAX_STEPS):
+        if abs(h) < 8.0 * math.ulp(x):
+            reason = "the step fell below 8 ulp of x"
+            break
+        last = abs(h) >= abs(x_end - x)
+        if last:
+            h = x_end - x
+        ks = [k1]
+        for c, row in zip(_DP_C, _DP_A):
+            ks.append(f(x + c * h, y + h * sum(map(operator.mul, row, ks))))
+        y1 = y + h * sum(map(operator.mul, _DP_B, ks))
+        ks.append(f(x + h, y1))
+        err = abs(h * sum(map(operator.mul, _DP_E, ks))) \
+            / (atol + rtol * max(abs(y), abs(y1)))
+        if err <= 1.0:
+            x1 = x_end if last else x + h
+            dy = y1 - y
+            bspl = h * k1 - dy
+            yield x, x1, y1, (y, dy, bspl, dy - h * ks[6] - bspl,
+                              h * sum(map(operator.mul, _DP_D, ks)))
+            if last:
+                return
+            x, y, k1 = x1, y1, ks[6]
+        # err is NaN where a stage left the float range: shrink as for inf
+        h *= min(10.0, max(0.2, 0.9 * err**-0.2)) if 0.0 < err < math.inf \
+            else (10.0 if err == 0.0 else 0.2)
+    else:
+        reason = f"{_MAX_STEPS} steps did not reach x = {x_end!r}"
+    raise SolverError(
+        f"Dormand-Prince trace stopped at x = {x!r}, y = {y!r}: {reason}; "
+        f"h = {h:.3g}, last error estimate {err:.3g} of the tolerance")
+
+
+def _dense(dense, theta):
+    """Shampine's order-4 solution at fraction theta of a step."""
+    y0, dy, bspl, c3, c4 = dense
+    eta = 1.0 - theta
+    return y0 + theta * (dy + eta * (bspl + theta * (c3 + eta * c4)))
+
+
+# tolerances and first step of the phi trace in t = ln V
+_PHI_RTOL, _PHI_ATOL, _PHI_STEP0 = 1e-10, 1e-12, 0.01
 
 
 def solve_phi(gamma, V_grid):
@@ -196,10 +295,11 @@ def solve_phi(gamma, V_grid):
     large-volume boundary phi(V)/V -> 1, on the Zeno line T = 1 - 1/V.
 
     The trace steps w = (-kappa)^gamma, which reaches 0 with a finite
-    slope, by one RK4 step per grid cell, and ends at the volume V_cr
-    where kappa = -1e-6, located by the length of the last step.
-    Returns a FractalEos sampled on the grid down to V_cr, which the
-    grid must reach.  Needs 0 < gamma < 1.
+    slope, against t = ln V by ``_dopri5`` from the largest grid volume
+    inward, and samples w at the grid volumes from the dense output.  It
+    ends at the volume V_cr where kappa = -1e-6, the root of the last
+    step's dense output.  Returns a FractalEos sampled on the grid down
+    to V_cr, which the grid must reach.  Needs 0 < gamma < 1.
     """
     if not 0.0 < gamma < 1.0:
         raise DomainError(f"solve_phi needs 0 < gamma < 1, got gamma={gamma}")
@@ -207,25 +307,31 @@ def solve_phi(gamma, V_grid):
     if V_grid[0] <= 1.0:
         raise DomainError("V grid must stay above the Zeno-line pole 1/rho_B")
 
-    slope = functools.partial(_w_prime, gamma)
+    def slope(t, w):
+        V = math.exp(t)
+        return V * _w_prime(gamma, V, w)
+
     w_cr = 1e-6 ** gamma
-    V = V_grid[-1]
+    t_end = math.log(V_grid[0])
+    V = V_grid.pop()
     w = math.log(V * (1.0 - 1.0 / V) ** (gamma + 1.0)) ** gamma
-    trace = [(V, w)]
-    for V_next in V_grid[-2::-1]:
-        w_next = _rk4_step(slope, V, w, V_next - V)
-        if w_next <= w_cr:
-            # the end point falls in this cell: shorten the step onto it
-            h = brentq(lambda h: _rk4_step(slope, V, w, h) - w_cr, V_next - V, 0.0,
-                       xtol=1e-15)
-            trace.append((V + h, _rk4_step(slope, V, w, h)))
+    out_V, out_w = [V], [w]
+    for t0, t1, w1, dense in _dopri5(slope, math.log(V), w, t_end,
+                                     -_PHI_STEP0, _PHI_RTOL, _PHI_ATOL):
+        end = w1 <= w_cr
+        theta_cr = brentq(lambda th: _dense(dense, th) - w_cr, 0.0, 1.0,
+                          xtol=1e-16) if end else 1.0
+        # the grid volumes this step passes, above V_cr
+        while V_grid and (theta := (math.log(V_grid[-1]) - t0) / (t1 - t0)) < theta_cr:
+            out_V.append(V_grid.pop())
+            out_w.append(_dense(dense, theta))
+        if end:
+            out_V.append(math.exp(t0 + theta_cr * (t1 - t0)))
+            out_w.append(w_cr)
             break
-        V, w = V_next, w_next
-        trace.append((V, w))
     else:
-        raise DomainError(f"V grid ends at {V}, above V_cr where kappa = -1e-6")
-    out_V, out_w = zip(*trace[::-1])
-    return FractalEos(gamma, out_V, [-(w ** (1.0 / gamma)) for w in out_w])
+        raise DomainError(f"V grid ends at {out_V[-1]}, above V_cr where kappa = -1e-6")
+    return FractalEos(gamma, out_V[::-1], [-(w ** (1.0 / gamma)) for w in out_w[::-1]])
 
 
 def critical_gamma(target_Z):
@@ -360,6 +466,30 @@ def _gamma_slope(gamma, mu):
     return (polylog_ds(s2, a) - z * polylog_ds(s1, a)) / l1
 
 
+# tolerances and first step of the gamma(mu) trace; the first step is
+# small because gamma(mu) is not smooth at mu = 0, where
+# Li_{gamma+1}(e^mu) - zeta(gamma+1) ~ Gamma(-gamma) (-mu)^gamma
+_GAMMA_RTOL, _GAMMA_ATOL, _GAMMA_STEP0 = 1e-7, 1e-12, 1e-8
+
+
+def _gamma_trace(gamma0, mu_grid):
+    """gamma at each mu of the decreasing grid from gamma0 at mu = 0, by
+    ``_dopri5`` on ``_gamma_slope`` and its dense output.  gamma falls as
+    mu does, so once a step ends at gamma <= 0 the next value is 0."""
+    yield gamma0
+    i = 1
+    for mu0, mu1, g1, dense in _dopri5(lambda m, g: _gamma_slope(g, m), 0.0, gamma0,
+                                       mu_grid[-1], -_GAMMA_STEP0, _GAMMA_RTOL,
+                                       _GAMMA_ATOL):
+        while i < len(mu_grid) and mu_grid[i] >= mu1:
+            yield _dense(dense, (mu_grid[i] - mu0) / (mu1 - mu0))
+            i += 1
+        if g1 <= 0.0:
+            break
+    if i < len(mu_grid):
+        yield 0.0
+
+
 def jamming_extension(mu_grid, eos, gamma0=GAMMA0, anchor_P=2.5, variant="ode"):
     """Continuation of the unit isotherm past the critical pressure.
 
@@ -383,20 +513,16 @@ def jamming_extension(mu_grid, eos, gamma0=GAMMA0, anchor_P=2.5, variant="ode"):
             f"need gamma0 + 1 > 1 for zeta(gamma0 + 1), got gamma0={gamma0}")
 
     zp2 = riemann_zeta(gamma0 + 2.0)
-    gamma = gamma0
+    if variant == "linear":
+        gammas = (gamma0 + mu for mu in mu_grid)
+    else:
+        gammas = _gamma_trace(gamma0, mu_grid)
     rows = []
     jammed = False
-    for i, mu in enumerate(mu_grid):
-        if i > 0:
-            h = mu - mu_grid[i - 1]
-            if variant == "linear":
-                gamma = gamma0 + mu
-            else:
-                gamma = _rk4_step(lambda m, g: _gamma_slope(g, m),
-                                  mu_grid[i - 1], gamma, h)
-            if gamma <= 0.0:
-                gamma = 0.0
-                jammed = True
+    for mu, gamma in zip(mu_grid, gammas):
+        if gamma <= 0.0:
+            gamma = 0.0
+            jammed = True
         # at mu = 0, a = 1 and polylog returns zeta exactly
         l1, l2 = (polylog(gamma + s, math.exp(mu)) for s in (1.0, 2.0))
         rows.append((l2 / zp2, l2 / l1, mu, gamma))

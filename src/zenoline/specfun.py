@@ -251,8 +251,10 @@ def _reflected(s, count, weights=None):
     return zs, dzs
 
 
+@functools.lru_cache(maxsize=64)
 def _zeta_pair(s):
-    """zeta(s) and zeta'(s) for finite s != 1."""
+    """zeta(s) and zeta'(s) for finite s != 1.  Cached: an isotherm point
+    takes zeta at the same few orders each time."""
     if not math.isfinite(s) or s == 1.0:
         raise DomainError(f"zeta requires a finite s other than 1, got s={s}")
     if s >= 0.5:

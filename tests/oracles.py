@@ -3,8 +3,8 @@
 Each oracle deliberately uses a different algorithm from the library
 code it checks: a fixed-cut Euler-Maclaurin sum and mpmath for zeta and
 zeta', mpmath.diff of mpmath.polylog for the order derivative of Li_s
-and the jamming slope (and an RK4 run driven by it), an adaptive DOP853
-solve of the jamming gamma(mu) on the library's slope, the pentagonal
+and the jamming slope, an adaptive DOP853 solve of the jamming gamma(mu)
+on the library's slope, the pentagonal
 recurrence for partition totals, exhaustive enumeration and the
 parts-at-most-k recurrence for restricted counts, truncated power
 series and mpmath at raised precision for polylogarithms and the Bose
@@ -123,30 +123,6 @@ def gamma_slope_mpmath(gamma, mu, dps=30):
         a = mpmath.mpf(math.exp(mu))
         return float(mpmath.diff(lambda g: _z_ratio_mp(g, a),
                                  mpmath.mpf(gamma), h=_DIFF_STEP))
-
-
-def jamming_gamma_mpmath(mu_grid, gamma0, dps=30):
-    """gamma(mu) of the jamming continuation by the classical RK4 step on
-    the grid, driven by ``gamma_slope_mpmath`` and carried in mpmath at
-    `dps` digits; the gamma column rounded to float."""
-    with mpmath.workdps(dps):
-        g = mpmath.mpf(gamma0)
-        out = [float(g)]
-        for m0, m1 in zip(mu_grid, mu_grid[1:]):
-            a, b = mpmath.mpf(m0), mpmath.mpf(m1)
-            h = b - a
-
-            def slope(gg, mm):
-                a = mpmath.exp(mm)
-                return mpmath.diff(lambda t: _z_ratio_mp(t, a), gg, h=_DIFF_STEP)
-
-            k1 = slope(g, a)
-            k2 = slope(g + h * k1 / 2, a + h / 2)
-            k3 = slope(g + h * k2 / 2, a + h / 2)
-            k4 = slope(g + h * k3, b)
-            g = g + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
-            out.append(float(g))
-        return out
 
 
 def jamming_gamma_ivp(mu_grid, gamma0):

@@ -448,7 +448,7 @@ class TestGoldenOutput:
         (("isotherm",),
          "f9c757b4627b2d97a555c734672149247d5bf14504e0ccd489db8e4325bbc74f"),
         (("jamming",),
-         "52dd12892113803be4e6c617cfbab8aa2800b82785c69cc08ed7bc8f31861323"),
+         "9f4b4752941f20713820f50d604d87bd197e014b6272930b1492b7b74153e713"),
         (("partition",),
          "f5309cadcdb7e7547b06ae403ee0d984c098389aaad10c572c9dc2d8ee8104e1"),
         (("threshold",),
@@ -462,7 +462,7 @@ class TestGoldenOutput:
         (("threshold", "--n", "2000"),
          "5c25c0808e48c72eda21cb92091ffa9720296a7872cecafa90e4c17749b2bf94"),
         (("isotherm", "--mode", "imperfect", "--P-grid", "0.05:0.95:0.05"),
-         "90765e7b95a153b42c0a17b91579592a8c524ea514e19bfa58615a3fcd44108c"),
+         "02cc825256be22d4ae047480c46a3e6a79ffbbecff917c49bd5f84074b7656ff"),
         (("isotherm", "--P-grid", "0.001:0.6:0.001"),
          "8bdf860cdbc8327313a46ad5c8677b68a59a41d172ea87145bd4158c1fc270b7"),
         (("jamming", "--variant", "linear"),
