@@ -194,10 +194,10 @@ _NUMBERS = {"B": float, "gamma0": float, "anchor_P": float, "E": float,
 
 
 def _parse_numbers(cfg, keys):
-    """A copy of cfg with the numeric values among `keys` parsed from their
+    """The values of `keys` in cfg, the numeric ones parsed from their
     text, as a flag's are; a malformed one, or a grid that is not text,
     raises DomainError naming the flag and the value."""
-    parsed = dict(cfg)
+    parsed = {key: cfg[key] for key in keys}
     for key in keys:
         value, flag = cfg[key], "--" + key.replace("_", "-")
         if key.endswith("_grid") and not isinstance(value, str):
@@ -282,7 +282,8 @@ def main(argv=None):
     try:
         cfg = merge_config(args)
         handler, keys = _COMMANDS[args.command]
-        columns, rows, meta = handler(_parse_numbers(cfg, keys))
+        settings = _parse_numbers(cfg, keys)
+        columns, rows, meta = handler(settings)
     except ResourceError as exc:
         print(f"zenoline {args.command}: resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -295,9 +296,8 @@ def main(argv=None):
         write_json(out, columns, rows, meta)
     else:
         write_csv(out, columns, rows)
-    # the hash covers the scientific configuration, not the output path
-    hashed = {k: v for k, v in cfg.items() if k != "out"}
-    write_manifest(out, args.command, hashed, columns, len(rows))
+    # the hash covers exactly the settings the handler received, parsed
+    write_manifest(out, args.command, settings, columns, len(rows))
     return EXIT_OK
 
 

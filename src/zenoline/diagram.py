@@ -85,9 +85,9 @@ class FractalEos:
     phi must be strictly increasing with phi(V)/V -> 1 at the
     large-volume end.  Between samples, the cubic Hermite interpolant of
     the exact (phi, phi') pairs, with ``dphi`` its derivative.  V_cr is
-    the smallest sample, where the solved trace ends.  ``identity``
-    builds the undeformed phi(V) = V member used for ideal-gas reduction
-    checks.
+    the smallest sample, where the solved trace ends.  ``identity(gamma)``
+    is the undeformed member phi(V) = V: one sample at V_cr = 0, from
+    which the large-volume rule is exact at every V >= 0.
     """
 
     def __init__(self, gamma, V, kappa):
@@ -102,7 +102,6 @@ class FractalEos:
             m.append(t_pow / (v * polylog(gamma + 2.0, z)))
         self.phi_vals, self.dphi_vals = tuple(y), tuple(m)
         self.V_cr = x[0]
-        self._identity = False
         if any(y1 <= y0 for y0, y1 in zip(y, y[1:])):
             raise DomainError("phi must be strictly increasing")
         if abs(y[-1] / x[-1] - 1.0) > 1e-3:
@@ -115,12 +114,12 @@ class FractalEos:
                                 (m0 + m1 - 2.0 * d) / (h * h)))
 
     @classmethod
-    def identity(cls, gamma=GAMMA0):
+    def identity(cls, gamma):
         obj = cls.__new__(cls)
-        obj.gamma = gamma
-        obj.V = obj.kappa = obj.phi_vals = obj.dphi_vals = None
-        obj.V_cr = 1.0
-        obj._identity = True
+        obj.gamma, obj.V_cr = gamma, 0.0
+        obj.V = obj.phi_vals = (0.0,)
+        obj.kappa, obj.dphi_vals = (), (1.0,)
+        obj._cells = []
         return obj
 
     def _cell(self, V):
@@ -130,8 +129,6 @@ class FractalEos:
         return V - x0, y0, m0, c2, c3
 
     def phi(self, V):
-        if self._identity:
-            return V
         if V >= self.V[-1]:
             # asymptotic regime phi ~ V
             return self.phi_vals[-1] + (V - self.V[-1])
@@ -139,8 +136,6 @@ class FractalEos:
         return y0 + s * (m0 + s * (c2 + s * c3))
 
     def dphi(self, V):
-        if self._identity:
-            return 1.0
         if V >= self.V[-1]:
             return 1.0
         s, _, m0, c2, c3 = self._cell(V)
@@ -157,8 +152,6 @@ class FractalEos:
         bracket bisects it, and one that rounds onto its end tests the
         next float inward, until the bracket ends are adjacent floats.
         """
-        if self._identity:
-            return y
         if y >= self.phi_vals[-1]:
             return self.V[-1] + (y - self.phi_vals[-1])
         if y < self.phi_vals[0]:
@@ -304,8 +297,9 @@ def solve_phi(gamma, V_grid):
     if not 0.0 < gamma < 1.0:
         raise DomainError(f"solve_phi needs 0 < gamma < 1, got gamma={gamma}")
     V_grid = sorted(map(float, V_grid))
-    if V_grid[0] <= 1.0:
-        raise DomainError("V grid must stay above the Zeno-line pole 1/rho_B")
+    if not V_grid or V_grid[0] <= 1.0:
+        raise DomainError("V grid must be non-empty and stay above the Zeno-line "
+                          "pole 1/rho_B")
 
     def slope(t, w):
         V = math.exp(t)
@@ -314,7 +308,12 @@ def solve_phi(gamma, V_grid):
     w_cr = 1e-6 ** gamma
     t_end = math.log(V_grid[0])
     V = V_grid.pop()
-    w = math.log(V * (1.0 - 1.0 / V) ** (gamma + 1.0)) ** gamma
+    # the boundary phi(V) = V there sets kappa = -ln(V T^(gamma+1))
+    kappa = -math.log(V * (1.0 - 1.0 / V) ** (gamma + 1.0))
+    if not kappa < -1e-6:
+        raise DomainError(f"V grid tops out at V_max = {V}, where kappa = {kappa:.3g} "
+                          f"would not be negative enough: the trace ends at -1e-6")
+    w = (-kappa) ** gamma
     out_V, out_w = [V], [w]
     for t0, t1, w1, dense in _dopri5(slope, math.log(V), w, t_end,
                                      -_PHI_STEP0, _PHI_RTOL, _PHI_ATOL):
@@ -403,19 +402,18 @@ def imperfect_isotherm(P_grid, eos, gamma0=GAMMA0):
         phi'(V) Li_{gamma0+2}(a) = P phi'(V_cr) zeta(gamma0+2)
 
     for the activity a and volume V = Z/P: the first equation gives
-    V(a), and `brentq` solves the second for a on [0, 1].  With the
-    identity deformation phi(V) = V this reduces exactly to the ideal
-    isotherm.  A tabulated phi ends at V_cr, where the branch tops out
-    at P_max < 1.  An activity above that top would put V below V_cr;
-    there V is held at V_cr, so the residual stays finite and increasing
-    on [0, 1] and every P <= P_max has its root at or below the top.
-    P_max is solved only where a solve reaches V_cr, and a P above it
-    raises SolverError.
+    V(a), and `brentq` solves the second for a on [0, 1].  Every phi
+    ends at V_cr; a traced one tops the branch out there at P_max < 1,
+    while the undeformed phi(V) = V, whose V_cr = 0 no activity
+    reaches, reduces exactly to the ideal isotherm.  An activity above
+    that top would put V below V_cr; there V is held at V_cr, so the
+    residual stays finite and increasing on [0, 1] and every P <= P_max
+    has its root at or below the top.  P_max is solved only where a
+    solve reaches V_cr, and a P above it raises SolverError.
     """
     zp2 = riemann_zeta(gamma0 + 2.0)
-    c_cr = eos.dphi(eos.V_cr)
-    scale = c_cr * zp2
-    y_cr = 0.0 if eos._identity else eos.phi(eos.V_cr)
+    scale = eos.dphi(eos.V_cr) * zp2
+    y_cr = eos.phi(eos.V_cr)
 
     def v_of(a):
         # above the branch top the volume is held at V_cr
@@ -438,7 +436,7 @@ def imperfect_isotherm(P_grid, eos, gamma0=GAMMA0):
                 raise SolverError(
                     f"residual {final:.3g} at a = {a} exceeds 1e-8 of the "
                     f"target {target:.6g}")
-            if y_cr and V == eos.V_cr:
+            if V == eos.V_cr:
                 a_top = _solve_activity(lambda a: polylog(gamma0 + 1.0, a),
                                         scale / y_cr)
                 P_max = polylog(gamma0 + 2.0, a_top) / zp2

@@ -437,8 +437,6 @@ def critical_summary(potential, B=100.0):
     well-to-barrier energy gap at the critical density over its
     zero-density value.  Every step is logged in ``notes``.
     """
-    if not math.isfinite(B):
-        raise DomainError(f"B must be finite, got {B}")
     r_star = zeno_condition_root(potential, B)
     alpha_star = _level(potential, B, r_star)
 

@@ -111,6 +111,25 @@ class TestMain:
         assert cli.main(["--config", str(cfg), "threshold", "--n", "60"]) == 0
         assert capsys.readouterr().out.splitlines()[1].startswith("60,")
 
+    def test_manifest_hashes_the_parsed_settings(self, tmp_path):
+        # the hash covers the values the handler receives: a flag equal to
+        # the default, another command's key in the config file and the
+        # output format leave it as it is
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"B": 50.0}))
+
+        def config_hash(*argv):
+            out = tmp_path / "out"
+            assert cli.main(["--out", str(out)] + list(argv)) == cli.EXIT_OK
+            return json.loads((tmp_path / "out.manifest.json").read_text())[
+                "config_hash"]
+
+        same = {config_hash("threshold"), config_hash("threshold", "--n", "100"),
+                config_hash("--config", str(cfg), "threshold"),
+                config_hash("--format", "json", "threshold")}
+        assert len(same) == 1
+        assert config_hash("threshold", "--n", "101") not in same
+
     def test_json_format_flag(self, capsys):
         assert cli.main(["--format", "json", "reference", "--table",
                          "t-ratios"]) == 0
@@ -151,8 +170,8 @@ class TestExitCodes:
                 (["zeno", "--B-grid", "0:1:inf"], "non-finite bound"),
                 (["compressibility", "--B", "nan"], "B must be >= 10"),
                 (["compressibility", "--B", "inf"], "B must be >= 10"),
-                (["critical", "--B", "inf"], "B must be finite, got inf"),
-                (["critical", "--B", "nan"], "B must be finite, got nan"),
+                (["critical", "--B", "inf"], "B must be finite and exceed 1, got inf"),
+                (["critical", "--B", "nan"], "B must be finite and exceed 1, got nan"),
                 (["compressibility", "--B", "1e200"],
                  "B = 1e+200 is too large: 8 B^6 overflows"),
                 (["critical", "--B", "1e60"], "B = 1e+60 is too large"),
@@ -365,6 +384,28 @@ class TestCommandTable:
     def test_default_run_succeeds(self, name, capsys):
         assert cli.main([name]) == cli.EXIT_OK
         assert capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv", [[name] for name in cli._COMMANDS]
+        + [["isotherm", "--mode", "imperfect", "--P-grid", "0.05:0.95:0.05"]],
+        ids=list(cli._COMMANDS) + ["isotherm-imperfect"])
+    def test_json_matches_csv(self, argv, capsys):
+        assert cli.main(argv) == cli.EXIT_OK
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert cli.main(["--format", "json"] + argv) == cli.EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["columns"] == header.split(",")
+        assert len(doc["rows"]) == len(lines)
+        for line, row in zip(lines, doc["rows"]):
+            cells = line.split(",")
+            assert len(row) == len(cells)
+            for cell, value in zip(cells, row):
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    assert cell == str(value)
+                elif isinstance(value, int):
+                    assert int(cell) == value
+                else:
+                    assert float(cell) == value
 
     def test_every_flag_has_a_default(self):
         keys = {k for _, flags in cli._COMMANDS.values() for k in flags}

@@ -197,6 +197,16 @@ class TestSolvePhi:
             with pytest.raises(DomainError, match="above V_cr"):
                 diagram.solve_phi(GAMMA0, grid)
 
+    def test_empty_grid(self):
+        with pytest.raises(DomainError, match="non-empty"):
+            diagram.solve_phi(GAMMA0, [])
+
+    def test_grid_below_the_boundary(self):
+        # 2 T^1.2 < 1 at V_max = 2: no kappa < 0 to start the trace from
+        with pytest.raises(DomainError, match=r"V_max = 2\.0, where kappa = 0\.139 "
+                                              "would not be negative"):
+            diagram.solve_phi(GAMMA0, [1.02, 1.5, 2.0])
+
     def test_samples_unchanged(self, eos):
         # the samples are plain floats, pinned as traced with the
         # pure-Python zeta on the pure-Python geomspace grid; a change here
@@ -373,6 +383,15 @@ class TestImperfectIsotherm:
         eos = diagram.FractalEos.identity(g0)
         assert outcome(diagram.imperfect_isotherm, eos, g0) == \
             outcome(diagram.ideal_isotherm, g0)
+
+    def test_identity_member_is_exact(self):
+        # one sample at V = 0, whose large-volume rule is phi = V
+        eos = diagram.FractalEos.identity(GAMMA0)
+        assert eos.V_cr == 0.0
+        for x in (5e-324, 0.3, 1.0, 1e300, math.inf):
+            assert (eos.phi(x), eos.dphi(x), eos.inv_phi(x)) == (x, 1.0, x)
+        with pytest.raises(DomainError):
+            eos.phi(-1.0)
 
     def test_defining_equations(self, eos):
         zp2 = specfun.riemann_zeta(GAMMA0 + 2.0)
