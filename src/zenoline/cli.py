@@ -117,12 +117,12 @@ def _cmd_critical(cfg):
 def _cmd_isotherm(cfg):
     grid, gamma0 = parse_grid(cfg["P_grid"]), cfg["gamma0"]
     if cfg["mode"] == "ideal":
-        pts = diagram.ideal_isotherm(grid, gamma0)
+        eos = diagram.FractalEos.identity(gamma0)
     elif cfg["mode"] == "imperfect":
         eos = diagram.solve_phi(gamma0, geomspace(1.02, 1000.0, 400))
-        pts = diagram.imperfect_isotherm(grid, eos, gamma0)
     else:
         raise DomainError(f"unknown isotherm mode {cfg['mode']!r}")
+    pts = diagram.imperfect_isotherm(grid, eos, gamma0)
     return ("P_r", "Z", "a", "T_r"), [tuple(p) for p in pts], {"mode": cfg["mode"]}
 
 

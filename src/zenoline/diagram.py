@@ -123,8 +123,9 @@ class FractalEos:
         return obj
 
     def _cell(self, V):
-        if V < self.V[0]:
-            raise DomainError(f"V = {V} below the solved range [{self.V[0]}, ...]")
+        # NaN fails this test too, and would index past the last cell
+        if not V >= self.V[0]:
+            raise DomainError(f"V = {V} outside the solved range V >= {self.V[0]}")
         x0, y0, m0, c2, c3 = self._cells[bisect_right(self.V, V) - 1]
         return V - x0, y0, m0, c2, c3
 
@@ -154,8 +155,9 @@ class FractalEos:
         """
         if y >= self.phi_vals[-1]:
             return self.V[-1] + (y - self.phi_vals[-1])
-        if y < self.phi_vals[0]:
-            raise DomainError(f"phi value {y} below the solved range")
+        if not y >= self.phi_vals[0]:
+            raise DomainError(f"phi value {y} outside the solved range "
+                              f"phi >= {self.phi_vals[0]}")
         # phi is exact at the samples, so the cell holding y brackets the root
         i = bisect_right(self.phi_vals, y) - 1
         x0, y0, m0, c2, c3 = self._cells[i]
@@ -371,32 +373,17 @@ def _solve_activity(f, target):
 
 
 def ideal_isotherm(P_grid, gamma0=GAMMA0):
-    """Unit reduced-temperature isotherm of the undeformed gas.
-
-    For each reduced pressure P in [2^-1022, 1], inverts
-    Li_{gamma0+2}(a) = P zeta(gamma0+2) for the activity a and returns
-    Z = P zeta(gamma0+2) / Li_{gamma0+1}(a); below 2^-1022 V = Z/P overflows.
-    """
-    zp2 = riemann_zeta(gamma0 + 2.0)
-    points = []
-    for P in P_grid:
-        if not (2.0**-1022 <= P <= 1.0):
-            raise DomainError(f"P must be in [2**-1022, 1], got {P}")
-        a = _solve_activity(lambda a: polylog(gamma0 + 2.0, a), P * zp2)
-        # at a = 1 (P = 1, or just below it) Z divides by zeta(gamma0 + 1)
-        if a == 1.0 and not gamma0 + 1.0 > 1.0:
-            raise DomainError(
-                f"P = 1 needs gamma0 + 1 > 1 for zeta(gamma0 + 1), got "
-                f"gamma0={gamma0}; the activity at P = {P} is 1")
-        V_eff = zp2 / polylog(gamma0 + 1.0, a)
-        points.append(IsothermPoint(P_r=P, Z=P * V_eff, a=a, T_r=1.0))
-    return points
+    """Unit reduced-temperature isotherm of the undeformed gas: the
+    deformed isotherm on the member phi(V) = V, where the pair reduces to
+    Li_{gamma0+2}(a) = P zeta(gamma0+2) and Z = P zeta(gamma0+2) /
+    Li_{gamma0+1}(a)."""
+    return imperfect_isotherm(P_grid, FractalEos.identity(gamma0), gamma0)
 
 
 def imperfect_isotherm(P_grid, eos, gamma0=GAMMA0):
     """Unit reduced-temperature isotherm of the deformed (phi) gas.
 
-    Solves, per reduced pressure P, the coupled pair
+    Solves, per reduced pressure P in [2^-1022, 1], the coupled pair
 
         phi(V) Li_{gamma0+1}(a) = phi'(V_cr) zeta(gamma0+2)
         phi'(V) Li_{gamma0+2}(a) = P phi'(V_cr) zeta(gamma0+2)
@@ -404,20 +391,26 @@ def imperfect_isotherm(P_grid, eos, gamma0=GAMMA0):
     for the activity a and volume V = Z/P: the first equation gives
     V(a), and `brentq` solves the second for a on [0, 1].  Every phi
     ends at V_cr; a traced one tops the branch out there at P_max < 1,
-    while the undeformed phi(V) = V, whose V_cr = 0 no activity
-    reaches, reduces exactly to the ideal isotherm.  An activity above
-    that top would put V below V_cr; there V is held at V_cr, so the
-    residual stays finite and increasing on [0, 1] and every P <= P_max
-    has its root at or below the top.  P_max is solved only where a
-    solve reaches V_cr, and a P above it raises SolverError.
+    while the undeformed phi(V) = V, whose V_cr = 0 no activity below 1
+    reaches, gives the ideal isotherm.  An activity above that top would
+    put V below V_cr; there V is held at V_cr, so the residual stays
+    finite and increasing on [0, 1] and every P <= P_max has its root at
+    or below the top.  P_max is solved only where a solve reaches V_cr,
+    and a P above it, or a residual above 1e-8 of the target, raises
+    SolverError.  For gamma0 <= 0, Li_{gamma0+1}(1) diverges: V(1) is
+    held at V_cr too, and a solve that lands on a = 1 raises DomainError.
     """
     zp2 = riemann_zeta(gamma0 + 2.0)
     scale = eos.dphi(eos.V_cr) * zp2
     y_cr = eos.phi(eos.V_cr)
+    pole = not gamma0 + 1.0 > 1.0
+
+    def li1(a):
+        return math.inf if pole and a == 1.0 else polylog(gamma0 + 1.0, a)
 
     def v_of(a):
         # above the branch top the volume is held at V_cr
-        y = scale / polylog(gamma0 + 1.0, a)
+        y = scale / li1(a)
         return eos.inv_phi(y) if y > y_cr else eos.V_cr
 
     def f(a):
@@ -436,16 +429,20 @@ def imperfect_isotherm(P_grid, eos, gamma0=GAMMA0):
                 raise SolverError(
                     f"residual {final:.3g} at a = {a} exceeds 1e-8 of the "
                     f"target {target:.6g}")
-            if V == eos.V_cr:
-                a_top = _solve_activity(lambda a: polylog(gamma0 + 1.0, a),
-                                        scale / y_cr)
+            at_pole = pole and a == 1.0
+            if V == eos.V_cr and not at_pole:
+                a_top = _solve_activity(li1, scale / y_cr)
                 P_max = polylog(gamma0 + 2.0, a_top) / zp2
                 if P > P_max:
                     raise SolverError(
                         f"above the top of the branch, P_max = {P_max:.6f} "
                         f"at V_cr = {eos.V_cr:.6f}")
         except ZenolineError as exc:
-            raise SolverError(f"imperfect isotherm failed at P = {P}: {exc}") from exc
+            raise SolverError(f"isotherm failed at P = {P}: {exc}") from exc
+        if at_pole:
+            raise DomainError(
+                f"P = 1 needs gamma0 + 1 > 1 for zeta(gamma0 + 1), got "
+                f"gamma0={gamma0}; the activity at P = {P} is 1")
         points.append(IsothermPoint(P_r=P, Z=P * V, a=a, T_r=1.0))
     return points
 

@@ -16,7 +16,9 @@ energy.  mpmath is a
 test-only dependency (the ``test`` extra); the library itself does not
 import it.  scipy's C brentq is the oracle for the library's
 step-for-step port of Brent's method (``zenoline.roots``); the library
-no longer imports scipy.optimize.
+no longer imports scipy.optimize.  One reference is not independent:
+``ideal_isotherm_reference`` is the ideal isotherm's own former loop,
+kept to pin the floats of the ideal isotherm now solved as a deformed one.
 """
 
 import itertools
@@ -28,6 +30,9 @@ from scipy.integrate import quad
 from scipy.optimize import brentq as brentq_scipy  # noqa: F401
 
 from zenoline import specfun
+from zenoline.diagram import IsothermPoint
+from zenoline.errors import DomainError
+from zenoline.roots import brentq
 
 
 def zeta_euler_maclaurin(s, cut=50):
@@ -308,6 +313,31 @@ def banded_states(levels, n, e_max, centres, half):
             totals = [t + v for t, v in zip(totals, vec)]
             outside += any(abs(v - c) > half for v, c in zip(vec, centres))
     return count, tuple(totals), outside
+
+
+def ideal_isotherm_reference(P_grid, gamma0):
+    """The ideal isotherm as the library solved it before it became the
+    deformed isotherm on the undeformed member: per P, `roots.brentq` on
+    Li_{gamma0+2}(a) = P zeta(gamma0+2) over [0, 1], then
+    Z = P zeta(gamma0+2) / Li_{gamma0+1}(a), with DomainError where
+    a = 1 and zeta(gamma0+1) diverges.  It has no residual gate, so a
+    point it returns may miss its equation; the tests use it where the
+    point meets it to 1e-8."""
+    zp2 = specfun.riemann_zeta(gamma0 + 2.0)
+    points = []
+    for P in P_grid:
+        if not (2.0**-1022 <= P <= 1.0):
+            raise DomainError(f"P must be in [2**-1022, 1], got {P}")
+        target = P * zp2
+        a = brentq(lambda a: specfun.polylog(gamma0 + 2.0, a) - target if a
+                   else -target, 0.0, 1.0, xtol=5e-324)
+        if a == 1.0 and not gamma0 + 1.0 > 1.0:
+            raise DomainError(
+                f"P = 1 needs gamma0 + 1 > 1 for zeta(gamma0 + 1), got "
+                f"gamma0={gamma0}; the activity at P = {P} is 1")
+        V_eff = zp2 / specfun.polylog(gamma0 + 1.0, a)
+        points.append(IsothermPoint(P_r=P, Z=P * V_eff, a=a, T_r=1.0))
+    return points
 
 
 PhiIsotherm = namedtuple("PhiIsotherm", ["V_cr", "P_max", "Z"])

@@ -367,22 +367,32 @@ class TestIdealIsotherm:
 
 
 class TestImperfectIsotherm:
-    @example(g0=GAMMA0, grid=list(np.linspace(0.05, 1.0, 20)))
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(g0=st.floats(0.05, 0.95),
-           grid=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1,
-                         max_size=4))
-    def test_identity_reduces_to_ideal(self, g0, grid):
-        # below P = 2^-1022 both reject P with the same DomainError
-        def outcome(isotherm, *args):
+    @example(g0=GAMMA0, P=0.5)
+    @example(g0=-0.5, P=1.0)
+    # the reference's a lies within ~1e-11 of 1, where its residual is
+    # 0.0369 against a target of 16.88
+    @example(g0=-0.9496604931431861, P=0.8255893806880852)
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(g0=st.floats(-0.95, 0.95), P=st.floats(0.0, 1.0, exclude_min=True))
+    def test_ideal_against_reference_loop(self, g0, P):
+        # the same floats or the same DomainError text where the reference
+        # point meets its equation to 1e-8, and SolverError elsewhere
+        def outcome(isotherm):
             try:
-                return isotherm(grid, *args)
+                return isotherm([P], g0)
             except DomainError as exc:
                 return str(exc)
 
-        eos = diagram.FractalEos.identity(g0)
-        assert outcome(diagram.imperfect_isotherm, eos, g0) == \
-            outcome(diagram.ideal_isotherm, g0)
+        want = outcome(oracles.ideal_isotherm_reference)
+        # a DomainError in range is the a = 1 rule
+        a = want[0].a if isinstance(want, list) else 1.0
+        target = P * specfun.riemann_zeta(g0 + 2.0)
+        if P < 2.0**-1022 or \
+                abs(specfun.polylog(g0 + 2.0, a) - target) <= 1e-8 * target:
+            assert outcome(diagram.ideal_isotherm) == want
+        else:
+            with pytest.raises(SolverError, match="exceeds 1e-8 of the target"):
+                diagram.ideal_isotherm([P], g0)
 
     def test_identity_member_is_exact(self):
         # one sample at V = 0, whose large-volume rule is phi = V
@@ -392,6 +402,31 @@ class TestImperfectIsotherm:
             assert (eos.phi(x), eos.dphi(x), eos.inv_phi(x)) == (x, 1.0, x)
         with pytest.raises(DomainError):
             eos.phi(-1.0)
+
+    @pytest.mark.parametrize("member", ["traced", "identity"])
+    @pytest.mark.parametrize("method", ["phi", "dphi", "inv_phi"])
+    def test_nan_is_a_domain_error(self, eos, member, method):
+        if member == "identity":
+            eos = diagram.FractalEos.identity(GAMMA0)
+        with pytest.raises(DomainError, match="nan outside the solved range"):
+            getattr(eos, method)(math.nan)
+
+    def test_nonpositive_gamma0_on_a_traced_member(self, eos):
+        # Li_{gamma0+1}(1) diverges for gamma0 <= 0; V(1) is held at V_cr
+        g0 = -0.5
+        zp2 = specfun.riemann_zeta(g0 + 2.0)
+        c_cr = eos.dphi(eos.V_cr)
+        pt = diagram.imperfect_isotherm([0.5], eos, g0)[0]
+        V = pt.Z / pt.P_r
+        assert eos.phi(V) * specfun.polylog(g0 + 1.0, pt.a) == \
+            pytest.approx(c_cr * zp2, rel=1e-8)
+        assert eos.dphi(V) * specfun.polylog(g0 + 2.0, pt.a) == \
+            pytest.approx(0.5 * c_cr * zp2, rel=1e-8)
+        with pytest.raises(SolverError, match=r"P = 0\.9: .*P_max = 0\.724116 "):
+            diagram.imperfect_isotherm([0.9], eos, g0)
+        with pytest.raises(DomainError, match="P = 1 needs gamma0 \\+ 1 > 1"):
+            diagram.imperfect_isotherm([1.0], eos, g0)
+        assert diagram.imperfect_isotherm([0.9], eos, 0.0)[0].a < 1.0
 
     def test_defining_equations(self, eos):
         zp2 = specfun.riemann_zeta(GAMMA0 + 2.0)
