@@ -346,10 +346,11 @@ def critical_gamma(target_Z):
         return riemann_zeta(d + 1.0) / riemann_zeta(d) - target_Z
 
     lo, hi = 1.0 + 1e-6, 6.0
-    if res(lo) > 0 or res(hi) < 0:
+    f_lo, f_hi = res(lo), res(hi)
+    if f_lo > 0 or f_hi < 0:
         raise DomainError(
             f"target {target_Z} outside the attainable ratio range on d in {(lo, hi)}")
-    d = brentq(res, lo, hi, xtol=1e-12)
+    d = brentq(res, lo, hi, xtol=1e-12, fa=f_lo, fb=f_hi)
     return CriticalGamma(d=d, gamma=d - 1.0)
 
 

@@ -270,7 +270,7 @@ def solve_global_distribution(n, k=None, gamma=0.0):
             f"count exceeds the threshold regime (residual {r0:.3g})"
         )
     u = brentq(residual, 0.0, grow_end(residual, 1.0, -1.0),
-               xtol=1e-15, rtol=8.9e-16)
+               xtol=1e-15, rtol=8.9e-16, fa=r0)
     b = b_of(u)
     return GlobalDistribution(b=b, kappa=u / b, gamma=gamma, n_cap=k)
 

@@ -24,29 +24,36 @@ def _signbit(x):
     return math.copysign(1.0, x) < 0.0
 
 
-def brentq(f, a, b, xtol=2e-12, rtol=_RTOL, maxiter=100):
+def _nan_value(x):
+    return ValueError(
+        f"The function value at x={x} is NaN; solver cannot continue.")
+
+
+def brentq(f, a, b, xtol=2e-12, rtol=_RTOL, maxiter=100, *, fa=None, fb=None):
     """Root of f in [a, b], where f(a) and f(b) differ in sign.
 
     Stops when the bracket is narrower than xtol + rtol |x| or f is
     exactly 0, and returns a float.  Raises ValueError for xtol <= 0,
     rtol < 4 eps, a bracket without a sign change or a NaN value of f,
     and RuntimeError after maxiter iterations.
+
+    ``fa`` and ``fb`` are f(a) and f(b) where the caller already has
+    them; f is then not called there.  They pass the same NaN and sign
+    checks as computed values, and the iterates are the same, so the
+    same float comes back.
     """
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
     if rtol < _RTOL:
         raise ValueError(f"rtol too small ({rtol:g} < {_RTOL:g})")
 
-    def fx(x):
-        y = float(f(x))
-        if math.isnan(y):
-            raise ValueError(
-                f"The function value at x={x} is NaN; solver cannot continue.")
-        return y
-
     xpre, xcur = float(a), float(b)
-    fpre = fx(xpre)
-    fcur = fx(xcur)
+    fpre = float(f(xpre) if fa is None else fa)
+    if math.isnan(fpre):
+        raise _nan_value(xpre)
+    fcur = float(f(xcur) if fb is None else fb)
+    if math.isnan(fcur):
+        raise _nan_value(xcur)
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -95,7 +102,9 @@ def brentq(f, a, b, xtol=2e-12, rtol=_RTOL, maxiter=100):
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = fx(xcur)
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise _nan_value(xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 

@@ -12,7 +12,9 @@ r < B, E' has the sign of A - alpha: the stationary radii at alpha are
 the roots of A(r) = alpha, and the well and the barrier merge at the
 maximum r* of A, alpha* = A(r*).  Each of these radii is one `brentq`
 on a bracket whose end signs are checked first (`stationary_pair`
-says what that proves).
+says what that proves).  r* and alpha* depend only on the potential
+and B, so they are solved once per (potential, B) and held in a small
+cache (`_merge`).
 
 The stationary structure maps onto the Zeno-line analog and the
 compressibility factor Z = 1 - E_min/E_max, from which the
@@ -297,7 +299,9 @@ def zeno_condition_root(potential, B):
     and fall at 2, or BracketError names the bracket and both residuals,
     as for ``morse`` with r0 >= 2, whose merge lies past 2.  That proves
     a local maximum of A in the bracket (an odd number of extrema there),
-    not that it is the only extremum.
+    not that it is the only extremum.  brentq starts from the two
+    residuals the certificate computed.  Every call solves afresh; the
+    scans below take r* from the per-(potential, B) cache `_merge`.
     """
     _check_B(B)
     bracket = lo, hi = 1.0, 2.0
@@ -310,7 +314,30 @@ def zeno_condition_root(potential, B):
             f"no maximum of A certified in {bracket}: the merge residual, "
             f"of the sign of A', is {f_lo:.6g} at r = {lo} and {f_hi:.6g} at "
             f"r = {hi}, not positive then negative")
-    return brentq(residual, lo, hi, xtol=_XTOL, rtol=_RTOL)
+    return brentq(residual, lo, hi, xtol=_XTOL, rtol=_RTOL, fa=f_lo, fb=f_hi)
+
+
+@functools.lru_cache(maxsize=64)
+def _merge(family, params_key, B):
+    """The merge context of one (potential, B): (r*, alpha* = A(r*)).
+
+    r* comes from `zeno_condition_root`, so its certificate runs on every
+    cache miss.  lru_cache stores no exception: a BracketError or
+    DomainError raises again on every call.  The key holds the params as
+    sorted items, because a PotentialSpec holds a dict and is unhashable.
+    A at the outer bracket ends of `stationary_pair` is not held here:
+    for a narrow Morse well (a = 1000, r0 = 1.3) it overflows at r_floor
+    while r* and alpha* are finite, and `trace_zeno_analog` needs only
+    those.
+    """
+    pot = PotentialSpec(family, dict(params_key))
+    r_star = zeno_condition_root(pot, B)
+    return r_star, _level(pot, B, r_star)
+
+
+def _context(potential, B):
+    """`_merge` of a PotentialSpec."""
+    return _merge(potential.family, tuple(sorted(potential.params.items())), B)
 
 
 def trace_zeno_analog(potential, B_grid):
@@ -326,8 +353,7 @@ def trace_zeno_analog(potential, B_grid):
         raise DomainError("B grid must be increasing")
 
     def one(B):
-        r_star = zeno_condition_root(potential, B)
-        alpha = _level(potential, B, r_star)
+        r_star, alpha = _context(potential, B)
         E = effective_energy(ScatterProblem(potential, B, alpha), r_star)
         return (B, r_star, alpha, E)
 
@@ -341,9 +367,13 @@ def stationary_pair(problem):
 
     The radii are the roots of A(r) = alpha on either side of the merge
     radius r* (`zeno_condition_root`): the well by one brentq on
-    (1.0001 r_floor, r*), the barrier by one on (r*, 0.9999 B).
-    Raises DegenerateError when alpha >= alpha* = A(r*), so that the
-    two stationary points have merged or do not exist.
+    (1.0001 r_floor, r*), the barrier by one on (r*, 0.9999 B).  r* and
+    alpha* come from the merge context `_merge`, solved once per
+    (potential, B), and each brentq starts from the end values of
+    A - alpha that the certificate computed, so a pair costs the two
+    radius solves and two evaluations of A.  Raises DegenerateError when
+    alpha >= alpha* = A(r*), so that the two stationary points have
+    merged or do not exist.
 
     Certificate: A - alpha is negative at the two outer ends and
     positive at r*.  So A - alpha, and with it E', changes sign in each
@@ -364,8 +394,7 @@ def stationary_pair(problem):
     then names the brackets, A - alpha at their ends and the cap.
     """
     pot, B, alpha = problem.potential, problem.B, problem.alpha
-    r_star = zeno_condition_root(pot, B)
-    a_star = _level(pot, B, r_star)
+    r_star, a_star = _context(pot, B)
     if not alpha < a_star:
         raise DegenerateError(
             f"stationary points merged or absent at alpha = {alpha}; "
@@ -375,18 +404,20 @@ def stationary_pair(problem):
         return _level(pot, B, r) - alpha
 
     lo, hi = pot.r_floor * 1.0001, B * 0.9999
-    f_lo, f_hi = f(lo), f(hi)
+    f_lo, f_star, f_hi = f(lo), a_star - alpha, f(hi)
 
     def diagnosis(what, why):
         return (f"stationary pair not {what} on ({lo:g}, {r_star!r}, {hi:g}): "
-                f"A - alpha is {f_lo:.6g}, {a_star - alpha:.6g}, {f_hi:.6g} "
+                f"A - alpha is {f_lo:.6g}, {f_star:.6g}, {f_hi:.6g} "
                 f"there, {why}")
 
     if not (f_lo < 0.0 and f_hi < 0.0):
         raise BracketError(diagnosis("certified", "not negative, positive, negative"))
     try:
-        r_lo = brentq(f, lo, r_star, xtol=_XTOL, rtol=_RTOL, maxiter=_MAXITER)
-        r_hi = brentq(f, r_star, hi, xtol=_XTOL, rtol=_RTOL, maxiter=_MAXITER)
+        r_lo = brentq(f, lo, r_star, xtol=_XTOL, rtol=_RTOL, maxiter=_MAXITER,
+                      fa=f_lo, fb=f_star)
+        r_hi = brentq(f, r_star, hi, xtol=_XTOL, rtol=_RTOL, maxiter=_MAXITER,
+                      fa=f_star, fb=f_hi)
     except RuntimeError:
         cap = f"and brentq reached its cap of {_MAXITER} iterations"
         raise SolverError(diagnosis("converged", cap)) from None
@@ -433,12 +464,12 @@ def critical_summary(potential, B=100.0):
     dZ/dx = -1 with x = rho/rho_B.  The slope is exact (`_z_slope`), so
     each x costs one stationary pair.  The crossing is the first sign
     change of dZ/dx + 1 on a 35-point grid in x from 0.05 to 0.9, walked
-    upward and polished by brentq.  The temperature ratio is the
-    well-to-barrier energy gap at the critical density over its
-    zero-density value.  Every step is logged in ``notes``.
+    upward and polished by brentq from the two slopes the walk computed.
+    The temperature ratio is the well-to-barrier energy gap at the
+    critical density over its zero-density value.  Every step is logged
+    in ``notes``.
     """
-    r_star = zeno_condition_root(potential, B)
-    alpha_star = _level(potential, B, r_star)
+    r_star, alpha_star = _context(potential, B)
 
     def pair_at(x):
         return stationary_pair(ScatterProblem(potential, B, alpha_star * x))
@@ -454,7 +485,7 @@ def critical_summary(potential, B=100.0):
             break
         f_b = diag(b)
         if f_a * f_b < 0.0:
-            x_cr = brentq(diag, a, b, xtol=_XTOL, rtol=_RTOL)
+            x_cr = brentq(diag, a, b, xtol=_XTOL, rtol=_RTOL, fa=f_a, fb=f_b)
             break
         f_a = f_b
     else:

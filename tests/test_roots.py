@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenoline.errors import SolverError
 from zenoline.roots import brentq, grow_end
@@ -102,6 +104,55 @@ def test_returns_float():
     assert type(root) is float
     assert root == oracles.brentq_scipy(lambda x: np.asarray(x * x - 2.0),
                                         0.0, 2.0, xtol=1e-15, rtol=8.9e-16)
+
+
+class TestKnownEnds:
+    """f(a) and f(b) passed in are not computed again."""
+
+    @staticmethod
+    def _counted(f):
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return f(x)
+        return g, calls
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(family=st.integers(0, len(FAMILIES) - 1), c=st.floats(-2.0, 2.0),
+           left=st.floats(1e-3, 3.0), right=st.floats(-1.0, 3.0),
+           ends=st.sampled_from(["a", "b", "ab"]),
+           tol=st.sampled_from(TOLERANCES))
+    def test_same_float_one_call_fewer_per_end(self, family, c, left, right,
+                                               ends, tol):
+        # right < 0 puts both ends on one side of the root: ValueError
+        f = FAMILIES[family](c)
+        a, b = c - left, c + right
+        kw = {"xtol": tol[0]} if tol[1] is None else {"xtol": tol[0], "rtol": tol[1]}
+        g, plain_calls = self._counted(f)
+        want = _outcome(brentq, g, a, b, **kw)
+        known = {}
+        if "a" in ends:
+            known["fa"] = f(a)
+        if "b" in ends:
+            known["fb"] = f(b)
+        g, calls = self._counted(f)
+        got = _outcome(brentq, g, a, b, **kw, **known)
+        assert repr(got) == repr(want)
+        assert len(calls) == len(plain_calls) - len(known)
+
+    def _never(self, x):
+        raise AssertionError(f"f called at {x}")
+
+    @pytest.mark.parametrize("fa, fb", [(math.nan, 1.0), (-1.0, math.nan)])
+    def test_nan_end_raises(self, fa, fb):
+        with pytest.raises(ValueError, match="is NaN"):
+            brentq(self._never, 0.0, 1.0, fa=fa, fb=fb)
+
+    @pytest.mark.parametrize("fa, fb", [(1.0, 2.0), (-1.0, -0.5)])
+    def test_same_sign_ends_raise(self, fa, fb):
+        with pytest.raises(ValueError, match="different signs"):
+            brentq(self._never, 0.0, 1.0, fa=fa, fb=fb)
 
 
 class TestGrowEnd:

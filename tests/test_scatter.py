@@ -207,6 +207,83 @@ class TestZenoRoot:
             scatter.zeno_condition_root(self.FAR_MERGE, 100.0)
 
 
+class TestMergeContext:
+    """r* and alpha* are solved once per (potential, B) and cached."""
+
+    @staticmethod
+    def _counted_roots(monkeypatch):
+        calls = []
+        root = scatter.zeno_condition_root
+        monkeypatch.setattr(scatter, "zeno_condition_root",
+                            lambda pot, B: calls.append((pot, B)) or root(pot, B))
+        return calls
+
+    @pytest.mark.parametrize("pot", FAMILIES, ids=lambda p: p.family)
+    def test_cold_pair_equals_warm(self, pot):
+        a_star = _alpha_star(pot)
+        for x in (1e-6, 0.05, 0.3, 0.7, 0.99):
+            prob = scatter.ScatterProblem(pot, 100.0, a_star * x)
+            scatter._merge.cache_clear()
+            cold = scatter.stationary_pair(prob)
+            assert scatter._merge.cache_info().currsize == 1
+            warm = scatter.stationary_pair(prob)
+            assert scatter._merge.cache_info().hits >= 1
+            # repr tells every float bit apart, -0.0 from 0.0 too
+            assert repr(warm) == repr(cold)
+
+    def test_params_are_part_of_the_key(self):
+        m3 = scatter.PotentialSpec("generalized_lj", {"m": 3.0})
+        m6 = scatter.PotentialSpec("generalized_lj", {"m": 6.0})
+        scatter._merge.cache_clear()
+        ctx6 = scatter._context(m6, 10.0)
+        ctx3 = scatter._context(m3, 10.0)
+        assert scatter._merge.cache_info().currsize == 2
+        assert ctx3 != ctx6
+        for pot, ctx in ((m3, ctx3), (m6, ctx6)):
+            r_star = scatter.zeno_condition_root(pot, 10.0)
+            assert ctx == (r_star, scatter.alpha_from_first_derivative(pot, 10.0, r_star))
+
+    def test_param_order_shares_an_entry(self, monkeypatch):
+        calls = self._counted_roots(monkeypatch)
+        scatter._merge.cache_clear()
+        one = scatter.PotentialSpec("morse", {"a": 5.0, "r0": 1.2})
+        other = scatter.PotentialSpec("morse", {"r0": 1.2, "a": 5.0})
+        assert scatter._context(one, 50.0) == scatter._context(other, 50.0)
+        assert len(calls) == 1
+
+    def test_failure_raises_on_every_call(self, monkeypatch):
+        # morse with r0 = 2.5 merges past the bracket (1, 2); an exception
+        # is not cached, so the certificate runs and fails each time
+        calls = self._counted_roots(monkeypatch)
+        scatter._merge.cache_clear()
+        prob = scatter.ScatterProblem(
+            scatter.PotentialSpec("morse", {"r0": 2.5}), 100.0, 0.01)
+        for _ in range(2):
+            with pytest.raises(BracketError, match=r"no maximum of A certified"):
+                scatter.stationary_pair(prob)
+        assert len(calls) == 2
+        assert scatter._merge.cache_info().currsize == 0
+
+    def test_one_merge_solve_per_curve(self, monkeypatch):
+        calls = self._counted_roots(monkeypatch)
+        scatter._merge.cache_clear()
+        grid = cli.parse_grid("0.002:0.18:0.004")
+        assert len(grid) == 45
+        curve = scatter.compressibility_curve(scatter.PotentialSpec(), 100.0, grid)
+        assert len(curve) + len(curve.meta["failures"]) == 45
+        assert len(calls) == 1
+        scatter.critical_summary(LJ, B=100.0)
+        assert len(calls) == 1
+
+    def test_trace_needs_no_level_at_the_floor(self):
+        # a narrow Morse well: U overflows at r_floor, where the pair
+        # brackets start, but r* and alpha* are finite and traced
+        pot = scatter.PotentialSpec("morse", {"a": 1000.0, "r0": 1.3})
+        curve = scatter.trace_zeno_analog(pot, [5.0, 50.0])
+        assert curve.meta["failures"] == []
+        assert [row[1] for row in curve.rows] == pytest.approx([1.3007, 1.3007], abs=1e-4)
+
+
 class TestTrace:
     def test_curve_consistency(self):
         curve = scatter.trace_zeno_analog(LJ, [5.0, 10.0, 25.0, 50.0, 100.0])
@@ -447,11 +524,12 @@ class TestCriticalSummary:
     def test_one_scan_per_slope(self, pot, monkeypatch):
         # one pair per slope: the grid up to the first sign change (x_cr
         # is near 0.27-0.33, below the 10th-13th of 35 points), the brentq
-        # polish, and the pairs at x_cr and x -> 0; the whole grid would
+        # polish, which starts from the two slopes the walk has, and the
+        # pairs at x_cr and x -> 0 (17-20 in all); the whole grid would
         # take 35 before the polish
         calls = []
         pair = scatter.stationary_pair
         monkeypatch.setattr(scatter, "stationary_pair",
                             lambda problem: calls.append(problem) or pair(problem))
         scatter.critical_summary(pot, B=100.0)
-        assert len(calls) <= 24
+        assert len(calls) <= 20
