@@ -233,7 +233,7 @@ _DEFAULTS = {
     "B_grid": "5:100:5",
     "rho_grid": "0.002:0.18:0.004",
     "P_grid": "0.05:1.0:0.05",
-    "gamma0": 0.2,
+    "gamma0": diagram.GAMMA0,
     "mode": "ideal",
     "mu_grid": "0:-0.5:-0.01",
     "anchor_P": 2.5,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import DomainError
 
@@ -31,7 +30,6 @@ def geomspace(start, stop, num):
     return [start] + [10.0**y for y in logs[1:-1]] + [stop]
 
 
-@dataclass
 class PhaseCurve:
     """An ordered list of sampled points with metadata.
 
@@ -46,13 +44,13 @@ class PhaseCurve:
         Free-form provenance (grids, per-point failures, settings).
     """
 
-    columns: tuple
-    rows: list
-    meta: dict = field(default_factory=dict)
+    __slots__ = ("columns", "rows", "meta")
 
-    def __post_init__(self):
-        self.columns = tuple(self.columns)
-        for row in self.rows:
+    def __init__(self, columns, rows, meta=None):
+        self.columns = tuple(columns)
+        self.rows = rows
+        self.meta = {} if meta is None else meta
+        for row in rows:
             if len(row) != len(self.columns):
                 raise DomainError(
                     f"row of width {len(row)} does not match columns {self.columns}"

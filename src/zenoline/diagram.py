@@ -10,7 +10,6 @@ import math
 import operator
 from bisect import bisect_right
 from collections import namedtuple
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from .curves import PhaseCurve, linspace
@@ -39,16 +38,15 @@ __all__ = [
 GAMMA0 = 0.2
 
 
-@dataclass(frozen=True)
-class ZenoLine:
-    """Straight Zeno line rho = rho_B (1 - T/T_B)."""
+class ZenoLine(namedtuple("ZenoLine", ["rho_B", "T_B"])):
+    """Straight Zeno line rho = rho_B (1 - T/T_B), rho_B and T_B finite."""
 
-    rho_B: float = 1.0
-    T_B: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rho_B <= 0 or self.T_B <= 0:
+    def __new__(cls, rho_B=1.0, T_B=1.0):
+        if not (0.0 < rho_B < math.inf and 0.0 < T_B < math.inf):
             raise DomainError("rho_B and T_B must be positive")
+        return super().__new__(cls, rho_B, T_B)
 
 
 def zeno_density(line, T):

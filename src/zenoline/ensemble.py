@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import specfun
 from .errors import DomainError, ResourceError
@@ -32,14 +32,13 @@ _STATE_GUARD = 100_000_000
 _RUN_MARGIN = 2.0 ** -40
 
 
-@dataclass(frozen=True)
-class SpectrumSpec:
+class SpectrumSpec(namedtuple("SpectrumSpec", ["levels"])):
     """A discrete positive spectrum, levels finite and sorted ascending."""
 
-    levels: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        levels = tuple(float(x) for x in self.levels)
+    def __new__(cls, levels):
+        levels = tuple(float(x) for x in levels)
         if not levels:
             raise DomainError("spectrum must have at least one level")
         if not all(math.isfinite(x) for x in levels):
@@ -48,23 +47,22 @@ class SpectrumSpec:
             raise DomainError("all levels must be positive")
         if any(b < a for a, b in zip(levels, levels[1:])):
             raise DomainError("levels must be sorted ascending")
-        object.__setattr__(self, "levels", levels)
+        return super().__new__(cls, levels)
 
 
-@dataclass(frozen=True)
-class OccupationCensus:
+class OccupationCensus(namedtuple("OccupationCensus",
+                                  ["states", "level_totals", "outside"])):
     """Aggregate over all admissible occupation vectors; ``outside``
     counts those outside the band, if one was given."""
 
-    states: int
-    level_totals: tuple
-    outside: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.states < 0:
+    def __new__(cls, states, level_totals, outside=0):
+        if states < 0:
             raise DomainError("state count cannot be negative")
-        if not 0 <= self.outside <= self.states:
+        if not 0 <= outside <= states:
             raise DomainError("outside count must lie in [0, states]")
+        return super().__new__(cls, states, level_totals, outside)
 
 
 def _inside_range(centre, half, N):
@@ -209,8 +207,9 @@ def gibbs_parameter(spectrum, E):
             m = math.inf
         return (m if m < math.inf else weighted(b, levels[-1])) - E
 
-    return brentq(residual, grow_end(residual, -1.0, 1.0),
-                  grow_end(residual, 1.0, -1.0), xtol=1e-14, rtol=8.9e-16)
+    lo, f_lo = grow_end(residual, -1.0, 1.0)
+    hi, f_hi = grow_end(residual, 1.0, -1.0)
+    return brentq(residual, lo, hi, xtol=1e-14, rtol=8.9e-16, fa=f_lo, fb=f_hi)
 
 
 def default_psi(x):

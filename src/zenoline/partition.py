@@ -10,6 +10,7 @@ integrals of the specfun module.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import islice
 from operator import add
@@ -42,6 +43,7 @@ _CELL_CAP = 40_000_000
 _PATIENCE = 60
 
 
+# a dataclass while perfbench's tests call dataclasses.replace on it
 @dataclass(frozen=True)
 class CondensateThreshold:
     """Exact and asymptotic location of the argmax of p_k(n) over k."""
@@ -52,22 +54,20 @@ class CondensateThreshold:
     k0_two_term: float
 
 
-@dataclass(frozen=True)
-class GlobalDistribution:
+class GlobalDistribution(namedtuple("GlobalDistribution",
+                                     ["b", "kappa", "gamma", "n_cap"])):
     """Parameters (b, kappa) of the finite-N Bose-type distribution."""
 
-    b: float
-    kappa: float
-    gamma: float
-    n_cap: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.b <= 0:
-            raise DomainError(f"b must be positive, got {self.b}")
-        if self.kappa < 0:
-            raise DomainError(f"kappa must be non-negative, got {self.kappa}")
-        if self.n_cap < 1:
-            raise DomainError(f"N must be >= 1, got {self.n_cap}")
+    def __new__(cls, b, kappa, gamma, n_cap):
+        if b <= 0:
+            raise DomainError(f"b must be positive, got {b}")
+        if kappa < 0:
+            raise DomainError(f"kappa must be non-negative, got {kappa}")
+        if n_cap < 1:
+            raise DomainError(f"N must be >= 1, got {n_cap}")
+        return super().__new__(cls, b, kappa, gamma, n_cap)
 
 
 class PartitionTable:
@@ -245,8 +245,8 @@ def solve_global_distribution(n, k=None, gamma=0.0):
             return _moment(gamma, b, 0.0, max(int(round(kk)), 2)) - kk
 
         # for gamma < 0 the fixed point may lie above the first end tried
-        hi = grow_end(fp, 4.0 * (math.sqrt(n) / _C * math.log(n) + 10.0), -1.0)
-        k0 = brentq(fp, 2.0, hi, xtol=1e-10)
+        hi, f_hi = grow_end(fp, 4.0 * (math.sqrt(n) / _C * math.log(n) + 10.0), -1.0)
+        k0 = brentq(fp, 2.0, hi, xtol=1e-10, fb=f_hi)
         if k0 > 2.0**53:
             raise SolverError(
                 f"kappa = 0 fixed point k0 = {k0:.6g} is above 2^53, where "
@@ -269,8 +269,8 @@ def solve_global_distribution(n, k=None, gamma=0.0):
             f"gamma-moment at kappa=0 is below k={k}: the requested summand "
             f"count exceeds the threshold regime (residual {r0:.3g})"
         )
-    u = brentq(residual, 0.0, grow_end(residual, 1.0, -1.0),
-               xtol=1e-15, rtol=8.9e-16, fa=r0)
+    hi, f_hi = grow_end(residual, 1.0, -1.0)
+    u = brentq(residual, 0.0, hi, xtol=1e-15, rtol=8.9e-16, fa=r0, fb=f_hi)
     b = b_of(u)
     return GlobalDistribution(b=b, kappa=u / b, gamma=gamma, n_cap=k)
 

@@ -109,17 +109,18 @@ def brentq(f, a, b, xtol=2e-12, rtol=_RTOL, maxiter=100, *, fa=None, fb=None):
 
 
 def grow_end(f, x, sign):
-    """The first of x, 2x, 4x, ..., x 2^200 where f has the sign of
-    ``sign``: the far end of a bracket around a root at unknown distance.
-    A zero of f (f may be flat in floats) does not stop the growth, but is
+    """(x, f(x)) at the first of x, 2x, 4x, ..., x 2^200 where f has the
+    sign of ``sign``: the far end of a bracket around a root at unknown
+    distance, with the value that `brentq` takes as ``fa`` or ``fb``.  A
+    zero of f (f may be flat in floats) does not stop the growth, but is
     returned as a root at the last end; any other value there raises
     SolverError."""
     fx = f(x)
     for _ in range(200):
         if fx * sign > 0:
-            return x
+            return x, fx
         x *= 2.0
         fx = f(x)
     if not fx * sign >= 0:
         raise SolverError(f"no sign change in 200 doublings: f({x!r}) = {fx!r}")
-    return x
+    return x, fx

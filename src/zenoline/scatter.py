@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .curves import PhaseCurve, linspace
+from .diagram import T_CR_OVER_T_B_REFERENCES
 from .errors import (BracketError, DegenerateError, DomainError, PoleError,
                      SolverError, ZenolineError)
 from .roots import brentq
@@ -89,8 +90,7 @@ _FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
+class PotentialSpec(namedtuple("PotentialSpec", ["family", "params"])):
     """A pair potential family with analytic first and second derivatives.
 
     Reduced units throughout: the well depth and effective radius of the
@@ -102,19 +102,22 @@ class PotentialSpec:
     - ``generalized_lj``: ``m`` (U = 4 (r^-2m - r^-m), default m = 6)
     - ``morse``: ``a``, ``r0`` (U = e^{-2a(r-r0)} - 2 e^{-a(r-r0)})
     - ``buckingham``: ``A``, ``B``, ``C`` (U = A e^{-B r} - C r^-6)
+
+    ``params`` is a dict, so a PotentialSpec is unhashable.
     """
 
-    family: str = "lennard_jones"
-    params: dict = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise DomainError(f"unknown potential family {self.family!r}")
-        names = _FAMILIES[self.family][1]
-        unknown = [k for k in self.params if k not in names]
+    def __new__(cls, family="lennard_jones", params=None):
+        params = {} if params is None else params
+        if family not in _FAMILIES:
+            raise DomainError(f"unknown potential family {family!r}")
+        names = _FAMILIES[family][1]
+        unknown = [k for k in params if k not in names]
         if unknown:
-            raise DomainError(f"{self.family} takes no parameter {unknown[0]!r}; "
+            raise DomainError(f"{family} takes no parameter {unknown[0]!r}; "
                               f"it takes {', '.join(names) or 'none'}")
+        return super().__new__(cls, family, params)
 
     @property
     def r_floor(self):
@@ -151,26 +154,24 @@ def _check_B(B):
             f"impact parameter B = {B} is too large: 8 B^6 overflows a float")
 
 
-@dataclass(frozen=True)
-class ScatterProblem:
+class ScatterProblem(namedtuple("ScatterProblem", ["potential", "B", "alpha"])):
     """Potential plus the two scattering parameters.
 
     B is the impact parameter (reduced by the potential radius), alpha
     the attraction coefficient, which is the density rho in reduced units.
     """
 
-    potential: PotentialSpec
-    B: float
-    alpha: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_B(self.B)
-        if not self.alpha >= 0.0:
-            raise DomainError(f"alpha must be non-negative, got {self.alpha}")
+    def __new__(cls, potential, B, alpha):
+        _check_B(B)
+        if not alpha >= 0.0:
+            raise DomainError(f"alpha must be non-negative, got {alpha}")
+        return super().__new__(cls, potential, B, alpha)
 
 
-@dataclass(frozen=True)
-class StationaryPair:
+class StationaryPair(namedtuple("StationaryPair",
+                                 ["r_lo", "r_hi", "E_min", "E_max"])):
     """The two stationary radii of E(r) and the well/barrier depths.
 
     r_lo is the well and r_hi the barrier: E' < 0 below r_lo and above
@@ -180,30 +181,27 @@ class StationaryPair:
     depth, both non-negative with E_max >= E_min.
     """
 
-    r_lo: float
-    r_hi: float
-    E_min: float
-    E_max: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.E_max < self.E_min:
+    def __new__(cls, r_lo, r_hi, E_min, E_max):
+        if E_max < E_min:
             raise DomainError("E_max < E_min in stationary pair")
+        return super().__new__(cls, r_lo, r_hi, E_min, E_max)
 
 
-@dataclass(frozen=True)
-class CriticalSummary:
-    """Critical-point ratios read off the Z(rho) curve."""
+class CriticalSummary(namedtuple("CriticalSummary", ["Z_cr", "rho_cr_over_rho_B",
+                                                     "T_cr_over_T_B", "notes"])):
+    """Critical-point ratios read off the Z(rho) curve; ``notes``, the
+    log of the steps, is a dict, so a CriticalSummary is unhashable."""
 
-    Z_cr: float
-    rho_cr_over_rho_B: float
-    T_cr_over_T_B: float
-    notes: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("Z_cr", "rho_cr_over_rho_B", "T_cr_over_T_B"):
-            v = getattr(self, name)
+    def __new__(cls, Z_cr, rho_cr_over_rho_B, T_cr_over_T_B, notes=None):
+        for name, v in zip(cls._fields, (Z_cr, rho_cr_over_rho_B, T_cr_over_T_B)):
             if not (0.0 < v < 1.0):
                 raise DomainError(f"{name} = {v} outside (0, 1)")
+        return super().__new__(cls, Z_cr, rho_cr_over_rho_B, T_cr_over_T_B,
+                               {} if notes is None else notes)
 
 
 def effective_energy(problem, r):
@@ -502,7 +500,7 @@ def critical_summary(potential, B=100.0):
         "ordinate_zero_density": ord_0,
         "ordinate_critical": ord_cr,
         "temperature_calibration": "gap(rho_cr)/gap(0), gap = B^2 (E_max - E_min)",
-        "reference_T_ratios": (0.39, 2.79),
+        "reference_T_ratios": T_CR_OVER_T_B_REFERENCES,
     }
     return CriticalSummary(Z_cr=1.0 - pair_cr.E_min / pair_cr.E_max,
                            rho_cr_over_rho_B=x_cr, T_cr_over_T_B=ord_cr / ord_0,

@@ -17,7 +17,7 @@ import functools
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import AccuracyError, DivergenceError, DomainError
 
@@ -35,19 +35,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoseIntegralResult:
+class BoseIntegralResult(namedtuple("BoseIntegralResult", ["value", "evaluations"])):
     """Value of an improper integral with its cost count: QUADPACK's
     integrand evaluations for ``improper_quad``; for the closed forms, the
     Gamma, zeta and polylogarithm evaluations.  The closed forms are
     within 1e-13 relative of mpmath."""
 
-    value: float
-    evaluations: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.value):
+    def __new__(cls, value, evaluations):
+        if not math.isfinite(value):
             raise DomainError("integral value is not finite")
+        return super().__new__(cls, value, evaluations)
 
 
 def gamma_fn(x):

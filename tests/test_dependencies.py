@@ -51,6 +51,18 @@ def test_imports_are_standard_library():
     assert outside == ALLOWED
 
 
+def test_only_partition_imports_dataclasses():
+    # importing dataclasses (and inspect with it) costs every command
+    # several milliseconds, so the records are namedtuples
+    users = {path.name for path in SRC.glob("*.py")
+             for _, module in _imports(ast.parse(path.read_text()))
+             if module == "dataclasses"}
+    assert users == {"partition.py"}, (
+        f"{sorted(users)} import dataclasses; only partition.py may, for "
+        "CondensateThreshold, on which perfbench's tests call "
+        "dataclasses.replace")
+
+
 def test_no_runtime_dependencies():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:

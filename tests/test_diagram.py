@@ -42,8 +42,20 @@ class TestZenoLine:
             diagram.zeno_density(line, 1.0)
         with pytest.raises(DomainError):
             diagram.zeno_density(line, -0.1)
-        with pytest.raises(DomainError):
-            diagram.ZenoLine(rho_B=0.0)
+
+    @pytest.mark.parametrize("bad", [
+        {"rho_B": 0.0}, {"rho_B": -1.0}, {"rho_B": math.nan}, {"rho_B": math.inf},
+        {"T_B": 0.0}, {"T_B": math.nan}, {"T_B": math.inf}])
+    def test_record(self, bad):
+        # a validating namedtuple; NaN and infinity are not positive and
+        # finite, so they cannot reach liquid_summary as a NaN hyperbola
+        line = diagram.ZenoLine(2.0, 4.0)
+        assert line == diagram.ZenoLine(rho_B=2.0, T_B=4.0)
+        assert diagram.ZenoLine() == diagram.ZenoLine(1.0, 1.0)
+        with pytest.raises(AttributeError):
+            line.rho_B = 3.0
+        with pytest.raises(DomainError, match=r"^rho_B and T_B must be positive$"):
+            diagram.ZenoLine(**{"rho_B": 2.0, "T_B": 4.0, **bad})
 
 
 class TestBachinskii:
@@ -739,6 +751,7 @@ class TestPhaseCurve:
     def test_unknown_column(self):
         curve = curves.PhaseCurve(columns=("P", "Z"), rows=[(1.0, 2.0)])
         assert curve.column("Z") == [2.0]
+        assert curve.meta == {} and curve.meta is not curves.PhaseCurve((), []).meta
         with pytest.raises(DomainError, match="no column 'V'"):
             curve.column("V")
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import pytest
@@ -112,6 +113,33 @@ class TestEnumerate:
     def test_non_finite_levels(self, levels):
         with pytest.raises(DomainError, match="all levels must be finite"):
             ensemble.SpectrumSpec(levels)
+
+
+class TestRecords:
+    @pytest.mark.parametrize("cls, args, bad, message", [
+        (ensemble.SpectrumSpec, ((1.0, 2.0),), {"levels": ()},
+         "spectrum must have at least one level"),
+        (ensemble.SpectrumSpec, ((1.0, 2.0),), {"levels": (2.0, 1.0)},
+         "levels must be sorted ascending"),
+        (ensemble.OccupationCensus, (5, (3, 2), 1), {"states": -1},
+         "state count cannot be negative"),
+        (ensemble.OccupationCensus, (5, (3, 2), 1), {"outside": 6},
+         "outside count must lie in [0, states]"),
+    ])
+    def test_contract(self, cls, args, bad, message):
+        # validating namedtuples: keyword and positional construction
+        # agree, an invalid field raises DomainError, no field is assigned
+        fields = dict(zip(cls._fields, args))
+        record = cls(*args)
+        assert record == cls(**fields)
+        with pytest.raises(AttributeError):
+            setattr(record, cls._fields[0], args[0])
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            cls(**{**fields, **bad})
+
+    def test_normalised_fields(self):
+        assert ensemble.SpectrumSpec([1, 2]).levels == (1.0, 2.0)
+        assert ensemble.OccupationCensus(5, (3, 2)).outside == 0
 
 
 # (levels, [(N, states, level_totals, outside)]) of the benchmark's

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -276,6 +277,34 @@ class TestGlobalDistribution:
         monkeypatch.setattr(specfun, "finite_n_integral", counting)
         partition.solve_global_distribution(n, k)
         assert 0 < len(calls) <= 40
+
+    def test_grown_end_is_evaluated_once(self, monkeypatch):
+        # brentq takes f at the grown end from grow_end; evaluating the
+        # moments there again made 21 calls
+        calls = []
+        real = specfun.finite_n_integral
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(specfun, "finite_n_integral", counting)
+        partition.solve_global_distribution(2000, 37)
+        assert len(calls) == 19
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"b": 0.0}, "b must be positive, got 0.0"),
+        ({"kappa": -1.0}, "kappa must be non-negative, got -1.0"),
+        ({"n_cap": 0}, "N must be >= 1, got 0"),
+    ])
+    def test_record(self, bad, message):
+        fields = {"b": 0.01, "kappa": 2.0, "gamma": 0.0, "n_cap": 50}
+        dist = partition.GlobalDistribution(0.01, 2.0, 0.0, 50)
+        assert dist == partition.GlobalDistribution(**fields)
+        with pytest.raises(AttributeError):
+            dist.b = 0.02
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            partition.GlobalDistribution(**{**fields, **bad})
 
     @pytest.mark.parametrize("n, gamma, k, b, kappa", [
         (10**4, 0.0, 241, 0.011917430654974323, 4.887261155525517),

@@ -91,9 +91,9 @@ def test_zero_extrapolation_denominator_bisects():
         w = math.exp(-b * (hi - lo))
         return (lo + hi * w) / (1.0 + w) - E
 
-    a, b = grow_end(mean_level, -1.0, 1.0), grow_end(mean_level, 1.0, -1.0)
+    (a, fa), (b, fb) = grow_end(mean_level, -1.0, 1.0), grow_end(mean_level, 1.0, -1.0)
     kw = {"xtol": 1e-14, "rtol": 8.9e-16}
-    root = brentq(mean_level, a, b, **kw)
+    root = brentq(mean_level, a, b, **kw, fa=fa, fb=fb)
     assert root == oracles.brentq_scipy(mean_level, a, b, **kw)
     assert root == 9.449190496015945e+59
 
@@ -173,18 +173,19 @@ class TestGrowEnd:
     ])
     def test_first_doubled_end_with_the_wanted_sign(self, x, sign, root, want):
         g, seen = self._probed(lambda t: t - root)
-        assert grow_end(g, x, sign) == want
+        # the end, and f there from the one evaluation at it
+        assert grow_end(g, x, sign) == (want, want - root)
         assert seen == [x * 2.0**i for i in range(len(seen))]
         assert seen[-1] == want
 
     def test_zero_does_not_stop_the_growth(self):
         # a residual flat at zero is no sign of the far end
         g, seen = self._probed(lambda t: 0.0 if t < 5.0 else 1.0)
-        assert grow_end(g, 1.0, 1.0) == 8.0
+        assert grow_end(g, 1.0, 1.0) == (8.0, 1.0)
         assert seen == [1.0, 2.0, 4.0, 8.0]
 
     def test_zero_at_the_last_end_is_a_root(self):
-        assert grow_end(lambda t: 0.0, 1.0, 1.0) == 2.0**200
+        assert grow_end(lambda t: 0.0, 1.0, 1.0) == (2.0**200, 0.0)
 
     @pytest.mark.parametrize("value", [-1.0, math.nan])
     def test_raises_after_the_doublings(self, value):

@@ -79,6 +79,47 @@ class TestPotentials:
             LJ.du(-1.0)
 
 
+class TestRecords:
+    """The records are validating namedtuples: keyword and positional
+    construction agree, an invalid field raises DomainError and a field
+    cannot be assigned."""
+
+    @pytest.mark.parametrize("cls, args, bad, message", [
+        (scatter.PotentialSpec, ("morse", {"a": 4.0}), {"family": "square_well"},
+         "unknown potential family 'square_well'"),
+        (scatter.PotentialSpec, ("morse", {"a": 4.0}), {"params": {"m": 3.0}},
+         "morse takes no parameter 'm'; it takes a, r0"),
+        (scatter.ScatterProblem, (LJ, 10.0, 0.1), {"B": 1.0},
+         "impact parameter B must be finite and exceed 1, got 1.0"),
+        (scatter.ScatterProblem, (LJ, 10.0, 0.1), {"alpha": -0.1},
+         "alpha must be non-negative, got -0.1"),
+        (scatter.StationaryPair, (1.1, 3.0, 0.5, 1.0), {"E_min": 1.5},
+         "E_max < E_min in stationary pair"),
+        (scatter.CriticalSummary, (0.3, 0.27, 0.5, {"B": 100.0}), {"Z_cr": 1.0},
+         "Z_cr = 1.0 outside (0, 1)"),
+        (scatter.CriticalSummary, (0.3, 0.27, 0.5, {"B": 100.0}),
+         {"T_cr_over_T_B": math.nan}, "T_cr_over_T_B = nan outside (0, 1)"),
+    ])
+    def test_contract(self, cls, args, bad, message):
+        fields = dict(zip(cls._fields, args))
+        record = cls(*args)
+        assert record == cls(**fields)
+        with pytest.raises(AttributeError):
+            setattr(record, cls._fields[0], args[0])
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            cls(**{**fields, **bad})
+
+    def test_dict_fields(self):
+        # each omitted dict is a fresh {}, and a record holding a dict is
+        # unhashable
+        records = [scatter.PotentialSpec(), scatter.CriticalSummary(0.3, 0.27, 0.5)]
+        assert records[0].params == records[1].notes == {}
+        assert records[0].params is not scatter.PotentialSpec().params
+        for record in records:
+            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                hash(record)
+
+
 class TestEffectiveEnergy:
     problem = scatter.ScatterProblem(LJ, 10.0, 0.1)
 

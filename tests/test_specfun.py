@@ -410,6 +410,15 @@ class TestBoseIntegral:
         assert specfun.bose_integral(gamma, kappa).value < \
             specfun.bose_integral(gamma, upper).value
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_result_record(self, value):
+        res = specfun.BoseIntegralResult(1.5, 7)
+        assert res == specfun.BoseIntegralResult(value=1.5, evaluations=7)
+        with pytest.raises(AttributeError):
+            res.value = 2.0
+        with pytest.raises(DomainError, match="^integral value is not finite$"):
+            specfun.BoseIntegralResult(value=value, evaluations=7)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             specfun.bose_integral(1.0, 0.5)
