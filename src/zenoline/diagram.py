@@ -14,6 +14,7 @@ from types import MappingProxyType
 
 from .curves import PhaseCurve, linspace
 from .errors import CausticError, DomainError, SolverError, ZenolineError
+from .records import record
 from .roots import brentq
 from .specfun import polylog, polylog_ds, riemann_zeta
 
@@ -38,7 +39,7 @@ __all__ = [
 GAMMA0 = 0.2
 
 
-class ZenoLine(namedtuple("ZenoLine", ["rho_B", "T_B"])):
+class ZenoLine(record("ZenoLine", ["rho_B", "T_B"])):
     """Straight Zeno line rho = rho_B (1 - T/T_B), rho_B and T_B finite."""
 
     __slots__ = ()

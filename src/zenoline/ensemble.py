@@ -8,11 +8,10 @@ Maxwell-Boltzmann limit of the Bose integrals.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from collections import namedtuple
 
 from . import specfun
 from .errors import DomainError, ResourceError
+from .records import record
 from .roots import brentq, grow_end
 
 __all__ = [
@@ -32,7 +31,7 @@ _STATE_GUARD = 100_000_000
 _RUN_MARGIN = 2.0 ** -40
 
 
-class SpectrumSpec(namedtuple("SpectrumSpec", ["levels"])):
+class SpectrumSpec(record("SpectrumSpec", ["levels"])):
     """A discrete positive spectrum, levels finite and sorted ascending."""
 
     __slots__ = ()
@@ -50,8 +49,8 @@ class SpectrumSpec(namedtuple("SpectrumSpec", ["levels"])):
         return super().__new__(cls, levels)
 
 
-class OccupationCensus(namedtuple("OccupationCensus",
-                                  ["states", "level_totals", "outside"])):
+class OccupationCensus(record("OccupationCensus",
+                              ["states", "level_totals", "outside"])):
     """Aggregate over all admissible occupation vectors; ``outside``
     counts those outside the band, if one was given."""
 
@@ -66,16 +65,11 @@ class OccupationCensus(namedtuple("OccupationCensus",
 
 
 def _inside_range(centre, half, N):
-    """(lo, hi): the m in 0..N with not abs(m - centre) > half.  fl(m -
-    centre) is monotone in m, so they form one interval, found by
-    bisection on the same float tests.  A NaN centre or half puts every
-    m inside, as it does in the test."""
-    if centre != centre or half != half:
-        return 0, N
-    span = range(N + 1)
-    lo = bisect_left(span, True, key=lambda m: m - centre >= -half)
-    hi = bisect_left(span, True, key=lambda m: m - centre > half) - 1
-    return lo, hi
+    """(lo, hi): the m in 0..N with not abs(m - centre) > half, the test
+    of the walk.  fl(m - centre) is monotone in m, so they form one
+    interval; (1, 0) if it is empty."""
+    inside = [m for m in range(N + 1) if not abs(m - centre) > half]
+    return (inside[0], inside[-1]) if inside else (1, 0)
 
 
 def enumerate_states(spectrum, N, E_max, band=None):
@@ -233,9 +227,11 @@ def concentration_report(spectrum, N_list, E):
         L0 = sum(math.exp(-b_E * lam) for lam in levels)
     except OverflowError:
         L0 = math.inf
-    if L0 == math.inf:  # only b_E < 0 overflows, most at the top level
-        raise DomainError(f"L0 = sum of e^(-b_E lambda) overflows at "
-                          f"b_E = {b_E!r}, level {levels[-1]!r}")
+    if not 0.0 < L0 < math.inf:
+        # b_E < 0 overflows, most at the top level; b_E >> 0 underflows
+        fault = "overflows" if L0 else "underflows to 0"
+        raise DomainError(f"L0 = sum of e^(-b_E lambda) {fault} at b_E = "
+                          f"{b_E!r}, level {levels[-1 if L0 else 0]!r}")
     ln_L0 = math.log(max(L0, math.e))
     entries = []
     for N in N_list:
@@ -277,7 +273,7 @@ def boltzmann_limit_check(gamma, kappa_list):
     rows = []
     for kappa in kappa_list:
         z = math.exp(kappa)
-        if z <= 0.6:
+        if kappa <= specfun._SERIES_SWITCH:
             # the tail after a term is at most 1.5 times that term
             deficit, z_j, j = 0.0, z, 2
             while True:

@@ -10,13 +10,13 @@ integrals of the specfun module.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from itertools import islice
 from operator import add
 
 from . import specfun
 from .errors import DomainError, ResourceError, SolverError
+from .records import record
 from .roots import brentq, grow_end
 
 __all__ = [
@@ -54,8 +54,8 @@ class CondensateThreshold:
     k0_two_term: float
 
 
-class GlobalDistribution(namedtuple("GlobalDistribution",
-                                     ["b", "kappa", "gamma", "n_cap"])):
+class GlobalDistribution(record("GlobalDistribution",
+                                 ["b", "kappa", "gamma", "n_cap"])):
     """Parameters (b, kappa) of the finite-N Bose-type distribution."""
 
     __slots__ = ()

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import namedtuple
 
 from .curves import PhaseCurve, linspace
 from .diagram import T_CR_OVER_T_B_REFERENCES
 from .errors import (BracketError, DegenerateError, DomainError, PoleError,
                      SolverError, ZenolineError)
+from .records import record
 from .roots import brentq
 
 __all__ = [
@@ -90,7 +90,7 @@ _FAMILIES = {
 }
 
 
-class PotentialSpec(namedtuple("PotentialSpec", ["family", "params"])):
+class PotentialSpec(record("PotentialSpec", ["family", "params"])):
     """A pair potential family with analytic first and second derivatives.
 
     Reduced units throughout: the well depth and effective radius of the
@@ -154,7 +154,7 @@ def _check_B(B):
             f"impact parameter B = {B} is too large: 8 B^6 overflows a float")
 
 
-class ScatterProblem(namedtuple("ScatterProblem", ["potential", "B", "alpha"])):
+class ScatterProblem(record("ScatterProblem", ["potential", "B", "alpha"])):
     """Potential plus the two scattering parameters.
 
     B is the impact parameter (reduced by the potential radius), alpha
@@ -170,8 +170,8 @@ class ScatterProblem(namedtuple("ScatterProblem", ["potential", "B", "alpha"])):
         return super().__new__(cls, potential, B, alpha)
 
 
-class StationaryPair(namedtuple("StationaryPair",
-                                 ["r_lo", "r_hi", "E_min", "E_max"])):
+class StationaryPair(record("StationaryPair",
+                             ["r_lo", "r_hi", "E_min", "E_max"])):
     """The two stationary radii of E(r) and the well/barrier depths.
 
     r_lo is the well and r_hi the barrier: E' < 0 below r_lo and above
@@ -189,8 +189,8 @@ class StationaryPair(namedtuple("StationaryPair",
         return super().__new__(cls, r_lo, r_hi, E_min, E_max)
 
 
-class CriticalSummary(namedtuple("CriticalSummary", ["Z_cr", "rho_cr_over_rho_B",
-                                                     "T_cr_over_T_B", "notes"])):
+class CriticalSummary(record("CriticalSummary", ["Z_cr", "rho_cr_over_rho_B",
+                                                 "T_cr_over_T_B", "notes"])):
     """Critical-point ratios read off the Z(rho) curve; ``notes``, the
     log of the steps, is a dict, so a CriticalSummary is unhashable."""
 
@@ -248,15 +248,14 @@ def alpha_from_first_derivative(potential, B, r):
 
 def alpha_from_second_derivative(potential, B, r):
     """The alpha making r an inflection of E (second derivative
-    condition solved for alpha)."""
+    condition solved for alpha).  Its denominator
+    2 r^2 ((r^2 - 3 B^2/2)^2 + 15 B^4/4) is positive, so no r is singular."""
     _check_B(B)
     if not (potential.r_floor < r < B):
         raise DomainError(f"r = {r} outside ({potential.r_floor}, {B})")
     B2 = B * B
     r2 = r * r
     den = 2.0 * r2 * (6.0 * B2 * B2 - 3.0 * B2 * r2 + r2 * r2)
-    if den == 0.0:
-        raise DomainError(f"singular configuration at r = {r}")
     u, up, upp = potential.derivatives(r)
     num = (2.0 * (B2 * B2 + 3.0 * B2 * r2) * u
            + 4.0 * r * (B2 * B2 - B2 * r2) * up

@@ -17,9 +17,9 @@ import functools
 import math
 import operator
 import sys
-from collections import namedtuple
 
 from .errors import AccuracyError, DivergenceError, DomainError
+from .records import record
 
 __all__ = [
     "BoseIntegralResult",
@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 
-class BoseIntegralResult(namedtuple("BoseIntegralResult", ["value", "evaluations"])):
+class BoseIntegralResult(record("BoseIntegralResult", ["value", "evaluations"])):
     """Value of an improper integral with its cost count: QUADPACK's
     integrand evaluations for ``improper_quad``; for the closed forms, the
     Gamma, zeta and polylogarithm evaluations.  The closed forms are
@@ -303,7 +303,9 @@ def riemann_zeta(s):
 _LOG_TERMS = 18
 # |mu|^k / k! at the largest |mu|, -ln 0.6: the weight of coefficient k
 _INV_FACT = tuple(1.0 / math.factorial(k) for k in range(_LOG_TERMS))
-_LOG_WEIGHTS = tuple((-math.log(0.6)) ** k * f for k, f in enumerate(_INV_FACT))
+# Li_s(e^mu) takes the power series for mu <= ln 0.6, the log series above
+_SERIES_SWITCH = math.log(0.6)
+_LOG_WEIGHTS = tuple((-_SERIES_SWITCH) ** k * f for k, f in enumerate(_INV_FACT))
 
 # At s = n + eps near a positive integer n, Gamma(1 - s) and the k = n - 1
 # coefficient zeta(1 + eps) both have poles at eps = 0 that cancel; that
@@ -366,7 +368,9 @@ def _pole_exponent(n):
     for m in range(2, _PAIR_TOP):
         hurwitz = _hurwitz(m, n)
         a.append((2.0 * zeta(m) - hurwitz if m % 2 == 0 else hurwitz) / m)
-    psi = math.fsum(1.0 / j for j in range(1, n)) - _STIELTJES[0]
+    # psi(n) = H_(n-1) - gamma_E; its n - 1 terms would hang a huge order
+    psi = math.fsum(1.0 / j for j in range(1, n)) - _STIELTJES[0] \
+        if n <= 10_000 else _digamma(float(n))
     series = tuple(a[::-1]) + (-psi,)
     return series, _derivative(series)
 
@@ -429,9 +433,9 @@ def _log_series(s):
     coeffs, dcoeffs = tuple(coeffs[::-1]), tuple(dcoeffs[::-1])
     if pair_k < 0:
         return coeffs, dcoeffs, math.gamma(1.0 - s), _digamma(1.0 - s), None
-    # 1/(n-1)! is 0.0 where (n-1)! leaves the float range
+    # 1/(n-1)! is 0.0 from n ~ 178 on; lgamma(n) overflows past 2.5e305
     inv_fact = _INV_FACT[pair_k] if pair_k < _LOG_TERMS \
-        else math.exp(-math.lgamma(n))
+        else math.exp(-math.lgamma(min(n, 200)))
     b, db = _pole_exponent(n)
     pair = (pair_k, inv_fact, eps,
             _horner(_ZETA_REGULAR, eps), _horner(_ZETA_REGULAR_PRIME, eps),
@@ -480,13 +484,29 @@ def _polylog_log_series_ds(s, mu):
         zeta_regular_prime - db * math.exp(h) - log_b * log_b * ratio_prime)
 
 
-def _check_polylog(s, z):
+def _series(s, z, at_one, power, log_series, name):
+    """The value ``name`` of ``polylog`` or ``polylog_ds`` at (s, z):
+    at_one(s) at z = 1, power(s, z) for mu = ln z <= _SERIES_SWITCH and
+    log_series(s, mu) above.  A series past the float range raises
+    DomainError, as an OverflowError on the way does: k^(-s/2) in the
+    power series of such a value, Gamma(1 - s) in the log series below
+    s = -170.6."""
     if not math.isfinite(s):
         raise DomainError(f"polylog requires a finite order, got s={s}")
     if not (0 < z <= 1):
         raise DomainError(f"polylog requires z in (0, 1], got {z}")
-    if z == 1 and s <= 1:
-        raise DivergenceError(f"Li_s(1) diverges for s <= 1, got s={s}")
+    if z == 1:
+        if s <= 1:
+            raise DivergenceError(f"Li_s(1) diverges for s <= 1, got s={s}")
+        return at_one(s)
+    mu = math.log(z)
+    try:
+        value = power(s, z) if mu <= _SERIES_SWITCH else log_series(s, mu)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"{name} at s={s}, z={z}: its series leaves the float range")
+    return value
 
 
 def polylog(s, z):
@@ -515,21 +535,8 @@ def polylog(s, z):
     DomainError, and so does the log series below s = -170.6, where
     Gamma(1 - s) overflows.
     """
-    _check_polylog(s, z)
-    if z == 1:
-        return riemann_zeta(s)
-    try:
-        if z <= 0.6:
-            value = _power_series(s, z)
-        else:
-            value = _polylog_log_series(s, math.log(z))
-    except OverflowError:
-        # k^(-s/2) overflows in the power series of a value past the float
-        # range, and Gamma(1 - s) in the log series below s = -170.6
-        value = math.inf
-    if not math.isfinite(value):
-        raise DomainError(f"Li_s(z) at s={s}, z={z}: its series leaves the float range")
-    return value
+    return _series(s, z, riemann_zeta, _power_series, _polylog_log_series,
+                   "Li_s(z)")
 
 
 def polylog_ds(s, z):
@@ -545,20 +552,8 @@ def polylog_ds(s, z):
     pair's edge (s = 1.3), where the derivative of the Gamma(1 - s) term
     cancels most of zeta'(s).
     """
-    _check_polylog(s, z)
-    if z == 1:
-        return zeta_prime(s)
-    try:
-        if z <= 0.6:
-            value = _power_series_ds(s, z)
-        else:
-            value = _polylog_log_series_ds(s, math.log(z))
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise DomainError(
-            f"dLi_s(z)/ds at s={s}, z={z}: its series leaves the float range")
-    return value
+    return _series(s, z, zeta_prime, _power_series_ds, _polylog_log_series_ds,
+                   "dLi_s(z)/ds")
 
 
 # the power series stops at k = 10000 whatever its terms
@@ -632,10 +627,6 @@ def _power_series_ds(s, z):
             break
         total -= term
     return total
-
-
-# Li_s(e^mu) takes the power series for mu <= ln 0.6, the log series above
-_SERIES_SWITCH = math.log(0.6)
 
 
 def _li(s, mu):

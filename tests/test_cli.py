@@ -286,6 +286,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "overflows at b_E = -4.8" in err and "level 1.5e+308" in err
 
+    def test_ensemble_weight_sum_underflow(self, capsys):
+        # b_E = 6.9 solves the mean, but L0 ~ e^-6907 underflows
+        assert cli.main(["ensemble", "--levels", "1000,1001", "--E", "1000.001",
+                         "--N-list", "2"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "underflows to 0 at b_E = 6.906" in err and "level 1000.0" in err
+
     @pytest.mark.parametrize("argv", [
         ["partition", "--n", "abc"],
         ["partition", "--n", "1e3"],
@@ -337,6 +344,51 @@ class TestExitCodes:
         monkeypatch.setitem(cli._COMMANDS, "threshold", (boom, ()))
         assert cli.main(["threshold"]) == cli.EXIT_NUMERIC
         assert "synthetic solver failure" in capsys.readouterr().err
+
+
+# extreme flag values of all nine subcommands: each run ends in one of
+# the exit codes, never in an exception
+EXTREME_INVOCATIONS = [line.split() for line in """
+zeno --B-grid 1e51:1e51:1
+zeno --potential buckingham --B-grid 1.0000001:1.0000002:0.0000001
+zeno --B-grid 1e-300:1e-299:1e-300
+compressibility --B 1e51
+compressibility --rho-grid 0:1e6:1e5
+compressibility --B 10 --rho-grid 1e-300:2e-300:1e-300
+critical --B 1e30
+critical --B 1.0000001
+isotherm --gamma0 -0.99
+isotherm --gamma0 1e300
+isotherm --gamma0 1e-300
+isotherm --P-grid 1e-300:2e-300:1e-300
+isotherm --mode imperfect --gamma0 0.999999
+isotherm --mode imperfect --gamma0 1e-300
+jamming --gamma0 1e-300
+jamming --gamma0 1e300
+jamming --anchor-P 1e308
+jamming --variant linear --mu-grid 0:-1e300:-1e299
+partition --n 30000
+partition --n 1
+threshold --n 20001
+threshold --n 1
+ensemble --levels 1e-100,3e-100 --E 1.5e-100 --N-list 2
+ensemble --levels 1000,1001 --E 1000.001 --N-list 2
+ensemble --levels 1,1.0000000001 --E 1.00000000005 --N-list 5
+ensemble --levels 1e300,2e300 --E 1.5e300 --N-list 2
+ensemble --N-list 0
+reference --table nope
+""".strip().splitlines()]
+
+
+@pytest.mark.parametrize("argv", EXTREME_INVOCATIONS, ids=" ".join)
+def test_extreme_flag_values_exit_by_design(argv, capsys):
+    assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERIC,
+                              cli.EXIT_RESOURCE)
+    capsys.readouterr()
+
+
+def test_extreme_invocations_cover_every_subcommand():
+    assert {argv[0] for argv in EXTREME_INVOCATIONS} == set(cli._COMMANDS)
 
 
 class TestPotentialNames:

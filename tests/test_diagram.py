@@ -208,6 +208,12 @@ class TestSolvePhi:
         for grid in (np.geomspace(2.0, 1000.0, 50), [1000.0, 1000.0]):
             with pytest.raises(DomainError, match="above V_cr"):
                 diagram.solve_phi(GAMMA0, grid)
+        # samples that do not trace a deformation: a repeated volume, and
+        # the two smallest, where phi(V)/V is still far from 1
+        with pytest.raises(DomainError, match="phi must be strictly increasing"):
+            diagram.FractalEos(GAMMA0, eos.V[:1] * 2, eos.kappa[:1] * 2)
+        with pytest.raises(DomainError, match="does not reach 1"):
+            diagram.FractalEos(GAMMA0, eos.V[:2], eos.kappa[:2])
 
     def test_empty_grid(self):
         with pytest.raises(DomainError, match="non-empty"):

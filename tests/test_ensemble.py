@@ -311,6 +311,15 @@ class TestConcentration:
             assert entry["empirical_means"] == [t / count for t in totals]
 
 
+    def test_weight_sum_leaves_the_float_range(self):
+        # b_E = 6.9 is right, but L0 ~ e^-6907 underflows: the predicted
+        # occupations N / L0 have no float value
+        spec = ensemble.SpectrumSpec((1000.0, 1001.0))
+        with pytest.raises(DomainError, match=r"^L0 = sum of e\^\(-b_E lambda\) "
+                           r"underflows to 0 at b_E = 6\.906.*, level 1000\.0$"):
+            ensemble.concentration_report(spec, [2], 1000.001)
+
+
 class TestBoltzmann:
     def test_ratio_approaches_one(self):
         out = ensemble.boltzmann_limit_check(1.0, [-2.0, -5.0, -10.0, -20.0])

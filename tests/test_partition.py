@@ -73,6 +73,11 @@ class TestTable:
         for n in (-1, 11):
             with pytest.raises(DomainError):
                 table.row(n)
+        for k in (-1, 11):
+            with pytest.raises(DomainError, match=f"k={k} outside table range"):
+                table.count(4, k)
+        with pytest.raises(DomainError, match="k_max=5 < n=6, row sum incomplete"):
+            partition.build_partition_table(10, 5).total(6)
 
     def test_pk_row_guards(self):
         for n in (0, -3):
@@ -183,6 +188,10 @@ class TestThreshold:
             smallest = next(i + 1 for i, v in enumerate(row) if v == best)
             assert partition.condensate_threshold(n).k0_exact == smallest
 
+    def test_nonpositive_n_rejected(self):
+        with pytest.raises(DomainError, match="n must be >= 1, got 0"):
+            partition.condensate_threshold(0)
+
     def test_streamed_scan_n_cap(self):
         # the scan holds two rows, so only the n cap applies: n = 20000
         # is above the cell cap of a table but still allowed
@@ -213,6 +222,11 @@ class TestMaximizer:
         assert partition.maximize_variants(100, 2) == 2
         assert partition.maximize_variants(5, 5) == 2
         assert partition.maximize_variants(1, 1) == 1
+
+    def test_domain(self):
+        for n, k_bar in ((10, 0), (10, 11)):
+            with pytest.raises(DomainError, match="need 1 <= k_bar <= n"):
+                partition.maximize_variants(n, k_bar)
 
 
 class TestGlobalDistribution:
@@ -245,6 +259,10 @@ class TestGlobalDistribution:
     def test_small_n_rejected(self):
         with pytest.raises(DomainError):
             partition.solve_global_distribution(50, 10)
+        with pytest.raises(DomainError, match="gamma must exceed -1, got -1.0"):
+            partition.solve_global_distribution(1000, 10, gamma=-1.0)
+        with pytest.raises(DomainError, match="k must be >= 2, got 1"):
+            partition.solve_global_distribution(1000, 1)
 
     @pytest.mark.parametrize("gamma", [-0.5, 0.0, 0.5, 1.0])
     def test_k_fit_grid_against_mpmath(self, gamma):
@@ -387,6 +405,8 @@ class TestNcr:
     def test_small_n_rejected(self):
         with pytest.raises(DomainError):
             partition.ncr_dimension1(1)
+        with pytest.raises(DomainError, match="n must be >= 1, got 0"):
+            partition.ncr_dimension1(0)
 
 
 class TestFractalWeight:
@@ -398,6 +418,13 @@ class TestFractalWeight:
     def test_gamma_cross_check(self):
         expect = specfun.gamma_fn(3.4) / (2.0 * specfun.gamma_fn(1.4))
         assert partition.fractal_weight(1.4, 2) == pytest.approx(expect, rel=1e-12)
+
+    def test_domain(self):
+        for d in (0.0, -1.5):
+            with pytest.raises(DomainError, match="d must be positive"):
+                partition.fractal_weight(d, 2)
+        with pytest.raises(DomainError, match="i must be >= 0, got -1"):
+            partition.fractal_weight(1.4, -1)
 
     def test_ratio_recurrence(self):
         # Gamma functional equation: w(d, i+1) / w(d, i) = (d + i) / (i + 1)

@@ -142,6 +142,13 @@ class TestEffectiveEnergy:
         with pytest.raises(PoleError):
             scatter.effective_energy_derivative(self.problem, 10.0)
 
+    def test_domain(self):
+        for r in (0.0, -1.0):
+            with pytest.raises(DomainError, match=f"r must be positive, got {r}"):
+                scatter.effective_energy(self.problem, r)
+            with pytest.raises(DomainError, match=f"r must be positive, got {r}"):
+                scatter.effective_energy_derivative(self.problem, r)
+
     def test_problem_validation(self):
         with pytest.raises(DomainError):
             scatter.ScatterProblem(LJ, 0.9, 0.1)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import zenoline
 
 from zenoline import specfun
-from zenoline.errors import DivergenceError, DomainError, ZenolineError
+from zenoline.errors import AccuracyError, DivergenceError, DomainError, ZenolineError
 
 import oracles
 
@@ -142,9 +142,19 @@ class TestPolylog:
             specfun.polylog(-200.0, 0.5)
 
     def test_large_order_direct_series(self):
-        # k**s overflows after a few terms; the sum is z to rounding
-        for s in (400.0, 1000.0):
+        # k**s overflows after a few terms, at k = 2 for s = 2000; the
+        # sum is z to rounding, and its s-derivative vanishes there
+        for s in (400.0, 1000.0, 2000.0):
             assert specfun.polylog(s, 0.5) == 0.5
+        assert specfun.polylog_ds(2000.0, 0.5) == 0.0
+
+    @pytest.mark.parametrize("s", [1e4 + 1.0, 1e8, 1e300, 1.7e308])
+    def test_large_order_log_series(self, s):
+        # the pole pair at the integer n = s takes psi(n) from its
+        # asymptotic series, not from the n - 1 terms of H_(n-1), and
+        # 1/(n-1)! = 0 without lgamma(n), which overflows past 2.5e305
+        assert specfun.polylog(s, 0.9) == 0.9
+        assert specfun.polylog_ds(s, 0.9) == 0.0
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -245,6 +255,9 @@ class TestPolylogDerivative:
             specfun.polylog_ds(2.0, 0.0)
         with pytest.raises(DomainError, match="leaves the float range"):
             specfun.polylog_ds(-200.0, 0.5)
+        # Gamma(201) overflows in the log series
+        with pytest.raises(DomainError, match=r"^dLi_s\(z\)/ds at s=-200.0, z=0.9: "):
+            specfun.polylog_ds(-200.0, 0.9)
 
 
 class TestPowerSeries:
@@ -463,6 +476,8 @@ class TestFiniteN:
             specfun.finite_n_integral(0.0, 1.0, -0.1, 5)
         with pytest.raises(DomainError):
             specfun.finite_n_integral(0.0, 1.0, 0.0, 0)
+        with pytest.raises(DivergenceError):
+            specfun.finite_n_integral(-1.5, 1.0, 0.1, 10)
 
 
 class TestClosedFormsAgainstMpmath:
@@ -523,6 +538,13 @@ class TestImproperQuad:
             lambda x: math.sqrt(x) * math.exp(-x) / (-math.expm1(-x)), 1e-12)
         expect = specfun.gamma_fn(1.5) * specfun.riemann_zeta(1.5)
         assert res.value == pytest.approx(expect, rel=1e-8)
+
+    def test_no_convergence_carries_the_estimate(self):
+        # x sin(x) has no improper integral; QUADPACK gives up
+        with pytest.raises(AccuracyError, match="did not converge") as info:
+            specfun.improper_quad(lambda x: math.sin(x) * x, 0.0)
+        assert isinstance(info.value.best, specfun.BoseIntegralResult)
+        assert info.value.best.evaluations > 0
 
     def test_removable_singularity_against_trapezoid(self):
         res = specfun.improper_quad(oracles.w_integrand, 0.0)
