@@ -447,6 +447,20 @@ def imperfect_isotherm(P_grid, eos, gamma0=GAMMA0):
     return points
 
 
+# the log of the smallest positive float: below it e^mu is 0, or the
+# smallest subnormal, and holds nothing of mu
+_MU_MIN = math.log(math.ulp(0.0))
+
+
+def _activity(mu):
+    """e^mu, the activity at the chemical potential mu; DomainError,
+    naming mu and the bound, below _MU_MIN."""
+    if mu < _MU_MIN:
+        raise DomainError(f"mu = {mu!r} is below {_MU_MIN:.6g}, where the "
+                          f"activity e^mu underflows")
+    return math.exp(mu)
+
+
 def _gamma_slope(gamma, mu):
     """d(gamma)/d(mu) along the maximal-entropy constraint at T_r = 1: the
     derivative in gamma of Z = Li_{gamma+2}/Li_{gamma+1} at z = e^mu,
@@ -455,7 +469,7 @@ def _gamma_slope(gamma, mu):
     finite for every gamma > 0.  The sign convention makes gamma shrink as
     mu decreases from zero."""
     s1, s2 = gamma + 1.0, gamma + 2.0
-    a = math.exp(mu)
+    a = _activity(mu)
     l1 = polylog(s1, a)
     z = polylog(s2, a) / l1
     return (polylog_ds(s2, a) - z * polylog_ds(s1, a)) / l1
@@ -493,7 +507,10 @@ def jamming_extension(mu_grid, eos, gamma0=GAMMA0, anchor_P=2.5, variant="ode"):
     (P, Z) with the deformation derivative frozen, then appends the
     straight stitch to the anchor point (anchor_P, Z = 1) so the
     emitted tail is linear.  ``variant='linear'`` replaces the
-    integrated gamma(mu) by the unit-slope approximation.
+    integrated gamma(mu) by the unit-slope approximation.  A mu that the
+    run reaches below ``_MU_MIN`` (~ -744.4), where the activity e^mu
+    underflows, is a DomainError naming it; grid points past the jam
+    are never reached.
     """
     mu_grid = list(mu_grid)
     if not mu_grid or mu_grid[0] != 0.0:
@@ -519,7 +536,7 @@ def jamming_extension(mu_grid, eos, gamma0=GAMMA0, anchor_P=2.5, variant="ode"):
             gamma = 0.0
             jammed = True
         # at mu = 0, a = 1 and polylog returns zeta exactly
-        l1, l2 = (polylog(gamma + s, math.exp(mu)) for s in (1.0, 2.0))
+        l1, l2 = (polylog(gamma + s, _activity(mu)) for s in (1.0, 2.0))
         rows.append((l2 / zp2, l2 / l1, mu, gamma))
         if jammed:
             break

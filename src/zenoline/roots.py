@@ -20,10 +20,6 @@ __all__ = ["brentq", "grow_end"]
 _RTOL = 4.0 * 2.0**-52
 
 
-def _signbit(x):
-    return math.copysign(1.0, x) < 0.0
-
-
 def _nan_value(x):
     return ValueError(
         f"The function value at x={x} is NaN; solver cannot continue.")
@@ -49,20 +45,22 @@ def brentq(f, a, b, xtol=2e-12, rtol=_RTOL, maxiter=100, *, fa=None, fb=None):
 
     xpre, xcur = float(a), float(b)
     fpre = float(f(xpre) if fa is None else fa)
-    if math.isnan(fpre):
+    if fpre != fpre:
         raise _nan_value(xpre)
     fcur = float(f(xcur) if fb is None else fb)
-    if math.isnan(fcur):
+    if fcur != fcur:
         raise _nan_value(xcur)
     if fpre == 0:
         return xpre
     if fcur == 0:
         return xcur
-    if _signbit(fpre) == _signbit(fcur):
+    # every value compared by sign below is neither 0 nor NaN, so its sign
+    # is the result of a comparison with 0
+    if (fpre < 0) == (fcur < 0):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
     for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and _signbit(fpre) != _signbit(fcur):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
@@ -103,7 +101,7 @@ def brentq(f, a, b, xtol=2e-12, rtol=_RTOL, maxiter=100, *, fa=None, fb=None):
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = float(f(xcur))
-        if math.isnan(fcur):
+        if fcur != fcur:
             raise _nan_value(xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 

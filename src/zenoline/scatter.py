@@ -10,11 +10,14 @@ E is linear in alpha, so the numerator of E'(r) is
 A(r) = `alpha_from_first_derivative` does not depend on alpha.  Inside
 r < B, E' has the sign of A - alpha: the stationary radii at alpha are
 the roots of A(r) = alpha, and the well and the barrier merge at the
-maximum r* of A, alpha* = A(r*).  Each of these radii is one `brentq`
-on a bracket whose end signs are checked first (`stationary_pair`
-says what that proves).  r* and alpha* depend only on the potential
-and B, so they are solved once per (potential, B) and held in a small
-cache (`_merge`).
+maximum r* of A, alpha* = A(r*).  r* and alpha* depend only on the
+potential and B, so they are solved once per (potential, B) and held
+in a small cache (`_merge`).  So is A at a fixed set of radii on each
+side of r* (`_samples`): the cells between neighbouring samples are
+the brackets of the stationary radii.  Each radius is one `brentq` on
+the first cell outward from r* across which A - alpha changes sign,
+and that sign change proves a true minimum or maximum of E there
+(`stationary_pair` says what it proves and what it does not).
 
 The stationary structure maps onto the Zeno-line analog and the
 compressibility factor Z = 1 - E_min/E_max, from which the
@@ -53,6 +56,10 @@ __all__ = [
 # its iteration cap
 _XTOL, _RTOL = 1e-14, 8.9e-16
 _MAXITER = 100
+
+# geometric steps from r* out to each outer end of the stationary-pair
+# search, (1.0001 r_floor, 0.9999 B); A is sampled at the end of each
+_CELLS = 12
 
 
 def _generalized_lj(r, p):
@@ -314,27 +321,52 @@ def zeno_condition_root(potential, B):
     return brentq(residual, lo, hi, xtol=_XTOL, rtol=_RTOL, fa=f_lo, fb=f_hi)
 
 
+def _key(potential, B):
+    """The cache key of one (potential, B): the params as sorted items,
+    because a PotentialSpec holds a dict and is unhashable."""
+    return potential.family, tuple(sorted(potential.params.items())), B
+
+
 @functools.lru_cache(maxsize=64)
 def _merge(family, params_key, B):
     """The merge context of one (potential, B): (r*, alpha* = A(r*)).
 
     r* comes from `zeno_condition_root`, so its certificate runs on every
     cache miss.  lru_cache stores no exception: a BracketError or
-    DomainError raises again on every call.  The key holds the params as
-    sorted items, because a PotentialSpec holds a dict and is unhashable.
-    A at the outer bracket ends of `stationary_pair` is not held here:
-    for a narrow Morse well (a = 1000, r0 = 1.3) it overflows at r_floor
-    while r* and alpha* are finite, and `trace_zeno_analog` needs only
-    those.
+    DomainError raises again on every call.  A away from r* is held
+    apart, in `_samples`: for a narrow Morse well (a = 1000, r0 = 1.3) it
+    overflows at r_floor while r* and alpha* are finite, and
+    `trace_zeno_analog` needs only those, so it never builds the samples.
     """
     pot = PotentialSpec(family, dict(params_key))
     r_star = zeno_condition_root(pot, B)
     return r_star, _level(pot, B, r_star)
 
 
+@functools.lru_cache(maxsize=64)
+def _samples(family, params_key, B):
+    """A on each side of r*, the cell ends of one (potential, B).
+
+    Two tuples of (r, A(r)), the well side and the barrier side, each
+    ordered outward from (r*, alpha*): r* (end / r*)^(k / _CELLS) for
+    k = 0 .. _CELLS, with end the outer end of the side, 1.0001 r_floor
+    or 0.9999 B, taken exactly at k = _CELLS.  Built on the first
+    `stationary_pair` of a (potential, B) and then reused; like `_merge`
+    it stores no exception.
+    """
+    pot = PotentialSpec(family, dict(params_key))
+    r_star, a_star = _merge(family, params_key, B)
+    sides = []
+    for end in (pot.r_floor * 1.0001, B * 0.9999):
+        radii = [r_star * (end / r_star) ** (k / _CELLS) for k in range(1, _CELLS)]
+        sides.append(((r_star, a_star),)
+                     + tuple((r, _level(pot, B, r)) for r in radii + [end]))
+    return tuple(sides)
+
+
 def _context(potential, B):
     """`_merge` of a PotentialSpec."""
-    return _merge(potential.family, tuple(sorted(potential.params.items())), B)
+    return _merge(*_key(potential, B))
 
 
 def trace_zeno_analog(potential, B_grid):
@@ -359,65 +391,83 @@ def trace_zeno_analog(potential, B_grid):
                       meta={"failures": failures, "family": potential.family})
 
 
+def _cell(side, alpha):
+    """(r_in, r_out, A - alpha at each) of the first cell of one side of
+    `_samples`, walking outward from r*, whose outer sample has
+    A - alpha < 0; None where no sample of the side has."""
+    for (r_in, a_in), (r_out, a_out) in zip(side, side[1:]):
+        if a_out - alpha < 0.0:
+            return r_in, r_out, a_in - alpha, a_out - alpha
+    return None
+
+
 def stationary_pair(problem):
     """Locate the well and barrier radii of E(r) and the flipped depths.
 
     The radii are the roots of A(r) = alpha on either side of the merge
-    radius r* (`zeno_condition_root`): the well by one brentq on
-    (1.0001 r_floor, r*), the barrier by one on (r*, 0.9999 B).  r* and
-    alpha* come from the merge context `_merge`, solved once per
-    (potential, B), and each brentq starts from the end values of
-    A - alpha that the certificate computed, so a pair costs the two
-    radius solves and two evaluations of A.  Raises DegenerateError when
-    alpha >= alpha* = A(r*), so that the two stationary points have
+    radius r* (`zeno_condition_root`).  r* and alpha* come from the merge
+    context `_merge`, and A at _CELLS geometric steps from r* out to
+    1.0001 r_floor and to 0.9999 B from `_samples`; both are built once
+    per (potential, B).  Each radius is one brentq on the first cell,
+    walking outward from r*, whose outer sample has A - alpha < 0, and
+    brentq starts from the two sample values, so a pair costs the two
+    radius solves and no other evaluation of A.  Raises DegenerateError
+    when alpha >= alpha* = A(r*), so that the two stationary points have
     merged or do not exist.
 
-    Certificate: A - alpha is negative at the two outer ends and
-    positive at r*.  So A - alpha, and with it E', changes sign in each
-    bracket, and each radius is a true stationary point: a minimum of E
-    at r_lo, a maximum at r_hi.  If an outer end is not negative,
-    BracketError names the bracket and the values of A - alpha at its
-    ends.  The certificate does not prove that A is unimodal: were A to
-    turn more than once inside a bracket, A = alpha could have three
-    roots there and brentq would return one of them.  For
-    ``generalized_lj`` with m = 3 at B = 10, A has a second extremum, a
-    minimum near r = 8.1 beyond the barrier, where A ~ -4e-5 stays
-    below every alpha >= 0; the certificate holds and the pair is the
-    one an exhaustive root search gives (tested against an mpmath
-    oracle).
+    Certificate: A - alpha is positive at the inner end of each cell
+    (r* itself, or a sample where it is not negative; where it is 0,
+    that sample is the root) and negative at the outer end.  So A - alpha, and with it E', changes sign across
+    the cell, and each radius is a true stationary point: a minimum of E
+    at r_lo, a maximum at r_hi.  If no sample of a side is negative,
+    BracketError names the outer ends and A - alpha there.  The radius
+    returned is the crossing of A = alpha nearest r*, at the resolution
+    of the samples: where A turns more than once, a crossing farther out
+    is never taken for it, but two more crossings inside the same cell
+    as the first would not be seen (brentq then returns one of the
+    three).  For ``generalized_lj`` with m = 3 at B = 10, A has a second
+    extremum, a minimum near r = 8.1 beyond the barrier, where
+    A ~ -4e-5 stays below every alpha >= 0; the pair is the one an
+    exhaustive root search gives (tested against an mpmath oracle).
 
-    For B past ~1e26 the barrier bracket is so wide, and A - alpha so
-    flat across it, that brentq can exhaust its iterations; SolverError
-    then names the brackets, A - alpha at their ends and the cap.
+    The bracket depends only on (potential, B, alpha), never on earlier
+    calls, so a pair is the same float whichever curve asks for it.  The
+    barrier cell next to r* spans a factor of at most ~2e4 in r, at the
+    largest B (~1.7e51, where 8 B^6 overflows), so the radii converge at
+    any B.  Only an alpha within ~1e-15 of alpha*, seen from B ~ 1e26 up,
+    where the barrier root sits ~1e-8 above r* at the inner end of a cell
+    hundreds wide, can take brentq past its cap of _MAXITER iterations;
+    SolverError then names the two cells and the cap.
     """
     pot, B, alpha = problem.potential, problem.B, problem.alpha
-    r_star, a_star = _context(pot, B)
+    key = _key(pot, B)
+    r_star, a_star = _merge(*key)
     if not alpha < a_star:
         raise DegenerateError(
             f"stationary points merged or absent at alpha = {alpha}; "
             f"merge threshold alpha*({B:g}) = {a_star:.6g}")
+    sides = _samples(*key)
+    cells = [_cell(side, alpha) for side in sides]
+    if None in cells:
+        (lo, a_lo), (hi, a_hi) = sides[0][-1], sides[1][-1]
+        raise BracketError(
+            f"stationary pair not certified on ({lo:g}, {r_star!r}, {hi:g}): "
+            f"A - alpha is {a_lo - alpha:.6g}, {a_star - alpha:.6g}, "
+            f"{a_hi - alpha:.6g} there, and negative at no sample between "
+            f"r* and the {'well' if cells[0] is None else 'barrier'} end")
 
     def f(r):
         return _level(pot, B, r) - alpha
 
-    lo, hi = pot.r_floor * 1.0001, B * 0.9999
-    f_lo, f_star, f_hi = f(lo), a_star - alpha, f(hi)
-
-    def diagnosis(what, why):
-        return (f"stationary pair not {what} on ({lo:g}, {r_star!r}, {hi:g}): "
-                f"A - alpha is {f_lo:.6g}, {f_star:.6g}, {f_hi:.6g} "
-                f"there, {why}")
-
-    if not (f_lo < 0.0 and f_hi < 0.0):
-        raise BracketError(diagnosis("certified", "not negative, positive, negative"))
     try:
-        r_lo = brentq(f, lo, r_star, xtol=_XTOL, rtol=_RTOL, maxiter=_MAXITER,
-                      fa=f_lo, fb=f_star)
-        r_hi = brentq(f, r_star, hi, xtol=_XTOL, rtol=_RTOL, maxiter=_MAXITER,
-                      fa=f_star, fb=f_hi)
+        r_lo, r_hi = (brentq(f, r_in, r_out, xtol=_XTOL, rtol=_RTOL,
+                             maxiter=_MAXITER, fa=f_in, fb=f_out)
+                      for r_in, r_out, f_in, f_out in cells)
     except RuntimeError:
-        cap = f"and brentq reached its cap of {_MAXITER} iterations"
-        raise SolverError(diagnosis("converged", cap)) from None
+        raise SolverError(
+            f"stationary pair not converged on the cells "
+            f"{' and '.join(f'({c[0]!r}, {c[1]!r})' for c in cells)}: "
+            f"brentq reached its cap of {_MAXITER} iterations") from None
     # flipped convention: the well at r_lo, the barrier at r_hi
     return StationaryPair(r_lo=r_lo, r_hi=r_hi,
                           E_min=-effective_energy(problem, r_hi),
@@ -463,7 +513,8 @@ def critical_summary(potential, B=100.0):
     change of dZ/dx + 1 on a 35-point grid in x from 0.05 to 0.9, walked
     upward and polished by brentq from the two slopes the walk computed.
     The temperature ratio is the well-to-barrier energy gap at the
-    critical density over its zero-density value.  Every step is logged
+    critical density, from the pair the walk or the polish solved there,
+    over its zero-density value.  Every step is logged
     in ``notes``.
     """
     r_star, alpha_star = _context(potential, B)
@@ -471,8 +522,13 @@ def critical_summary(potential, B=100.0):
     def pair_at(x):
         return stationary_pair(ScatterProblem(potential, B, alpha_star * x))
 
+    # the pair at each x the walk and the polish evaluate; brentq returns
+    # one of those x, so the critical pair is never solved twice
+    pairs = {}
+
     def diag(x):
-        return alpha_star * _z_slope(pair_at(x), B) + 1.0
+        pairs[x] = pair = pair_at(x)
+        return alpha_star * _z_slope(pair, B) + 1.0
 
     grid = linspace(0.05, 0.9, 35)
     f_a = diag(grid[0])
@@ -487,7 +543,7 @@ def critical_summary(potential, B=100.0):
         f_a = f_b
     else:
         raise BracketError("diagonal-derivative crossing dZ/dx = -1 not bracketed")
-    pair_cr = pair_at(x_cr)
+    pair_cr = pairs[x_cr]
     # the gap B^2 (E_max - E_min); its alpha -> 0 value calibrates T
     ord_cr, ord_0 = (B * B * (p.E_max - p.E_min) for p in (pair_cr, pair_at(1e-9)))
     notes = {

@@ -427,7 +427,7 @@ def _pair_potential_mp(family, params, r):
     raise ValueError(family)
 
 
-def level_roots_mpmath(potential, B, alpha, n=200, dps=30):
+def level_roots_mpmath(potential, B, alpha, n=200, dps=30, r_max=None):
     """All roots of A(r) = alpha on (r_floor, B), sorted, where
     A(r) = (-2 B^2 U - B^2 r U' + r^3 U') / (2 r^2 (r^2 - 2 B^2)) is the
     alpha that makes r a stationary point of the effective energy.
@@ -437,7 +437,9 @@ def level_roots_mpmath(potential, B, alpha, n=200, dps=30):
     grid strictly inside (r_floor, B), and each sign change is refined
     by mpmath.findroot's bracketing Anderson-Bjorck solver.  Two roots
     inside one grid cell are missed, so a test that compares counts
-    fails rather than passes on them."""
+    fails rather than passes on them.  With ``r_max`` the grid stops
+    there (if below 0.9999 B), keeping its cells narrow at large B;
+    roots beyond it are not searched."""
     with mpmath.workdps(dps):
         B_, a_ = mpmath.mpf(B), mpmath.mpf(alpha)
 
@@ -450,6 +452,8 @@ def level_roots_mpmath(potential, B, alpha, n=200, dps=30):
             return num / (2 * r**2 * (r**2 - 2 * B_**2)) - a_
 
         lo, hi = mpmath.mpf(potential.r_floor) * 1.0001, B_ * mpmath.mpf(0.9999)
+        if r_max is not None:
+            hi = min(hi, mpmath.mpf(r_max))
         grid = [lo * (hi / lo) ** (mpmath.mpf(i) / (n - 1)) for i in range(n)]
         vals = [f(r) for r in grid]
         return [float(mpmath.findroot(f, (a, b), solver="anderson"))

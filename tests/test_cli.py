@@ -12,6 +12,8 @@ import zenoline
 from zenoline import cli, scatter
 from zenoline.errors import DomainError, SolverError
 
+import oracles
+
 
 def _fresh_interpreter(code):
     """Run `code` in a new interpreter with the package on its path and
@@ -253,12 +255,24 @@ class TestExitCodes:
         assert cli.main(["isotherm", "--gamma0", "400"]) == cli.EXIT_OK
         capsys.readouterr()
 
-    def test_critical_unconverged_radius(self, capsys):
-        # at B = 1e30 brentq cannot close the barrier bracket in its cap
-        for name in ("lj", "morse", "buckingham", "generalized_lj"):
-            assert cli.main(["critical", "--B", "1e30", "--potential", name]) \
-                == cli.EXIT_NUMERIC
-            assert "cap of 100 iterations" in capsys.readouterr().err
+    def test_critical_large_B(self, capsys):
+        # at B = 1e30 each radius is solved on its cell next to r*, and the
+        # critical pair is the crossings of A = alpha nearest r* (mpmath)
+        for family in scatter._FAMILIES:
+            assert cli.main(["critical", "--B", "1e30", "--potential", family]) \
+                == cli.EXIT_OK
+            pot = scatter.PotentialSpec(family)
+            summary = scatter.critical_summary(pot, B=1e30)
+            row = capsys.readouterr().out.splitlines()[1]
+            assert float(row.split(",")[0]) == summary.Z_cr
+            r_star, a_star = summary.notes["r_star"], summary.notes["alpha_star"]
+            alpha = a_star * summary.rho_cr_over_rho_B
+            pair = scatter.stationary_pair(scatter.ScatterProblem(pot, 1e30, alpha))
+            roots = oracles.level_roots_mpmath(pot, 1e30, alpha, r_max=20.0)
+            assert pair.r_lo == pytest.approx(
+                max(r for r in roots if r < r_star), rel=1e-13, abs=0.0)
+            assert pair.r_hi == pytest.approx(
+                min(r for r in roots if r > r_star), rel=1e-13, abs=0.0)
 
     def test_ensemble_wide_spectrum(self, capsys):
         # the Gibbs bracket probe b = -1 weighs level 1000 by e^999
@@ -535,9 +549,9 @@ class TestGoldenOutput:
         (("zeno",),
          "89572bece3b4ab2d81f6a5f31d687be28903da5593c486f1f093554d38eb6a59"),
         (("compressibility",),
-         "cb0e03325f40dc106c1158fd74a6ed42733fdf255b03d406f2c3bb7cd4f0ef59"),
+         "0ccdbfe0a9c4133d36b74de02c983fd49d263f4cbdff8d6ced51aa33e66fb391"),
         (("critical",),
-         "b36ec7913ef8f28a96b3c1d6e5e4b98a42b1540bc8f96b9743a7730fa045bf2d"),
+         "d7ea3a7e15e73b76356f5bab3dfc57e6a335e3be52fd69c55a7bad39fb7dd81d"),
         (("isotherm",),
          "f9c757b4627b2d97a555c734672149247d5bf14504e0ccd489db8e4325bbc74f"),
         (("jamming",),
@@ -563,21 +577,21 @@ class TestGoldenOutput:
         (("zeno", "--potential", "morse"),
          "f7b2d323d270e27751f8095c2414a1e2a3da0eeaf1c8e6a0a0b8d77d8597d5e6"),
         (("compressibility", "--potential", "morse"),
-         "7d0888938b0230b1be17e09bae30f0abc81d7fe9374f2a6650772f1dfcedd078"),
+         "f0140a8ba245fdf19d64012a5a2f748dffc9f18bab2b1c1c89db0a9c346776c6"),
         (("critical", "--potential", "morse"),
-         "d314fe1babad3eadfc2bbb355b105fb8cfbee5c824c59c630c8fe948dc5ac2fa"),
+         "090d97f4452d1092b6c092d08e661d7d6d060e71fb8bde0e2beeca7262a20f75"),
         (("zeno", "--potential", "buckingham"),
          "dac464f991a6de799da9c795a616490f28036582a84216857b8753f7393d0072"),
         (("compressibility", "--potential", "buckingham"),
-         "2c31199746170e4d45cf5fb991972e5d8c0b9c52e4ed6816c48753b2f205e3ef"),
+         "31065be745f6430d0c62c4e065c437adf55d002a0120e2137cf587d62d0c45a2"),
         (("critical", "--potential", "buckingham"),
-         "efac64832c228f68a6482394760ddbcf913665e61b4b990bf802df2d19693c09"),
+         "380329192b392c6147995cc87c0fd1d187c92e209249c383a93c5a0b459fedc8"),
         (("zeno", "--potential", "generalized_lj"),
          "89572bece3b4ab2d81f6a5f31d687be28903da5593c486f1f093554d38eb6a59"),
         (("compressibility", "--potential", "generalized_lj"),
-         "cb0e03325f40dc106c1158fd74a6ed42733fdf255b03d406f2c3bb7cd4f0ef59"),
+         "0ccdbfe0a9c4133d36b74de02c983fd49d263f4cbdff8d6ced51aa33e66fb391"),
         (("critical", "--potential", "generalized_lj"),
-         "b36ec7913ef8f28a96b3c1d6e5e4b98a42b1540bc8f96b9743a7730fa045bf2d"),
+         "d7ea3a7e15e73b76356f5bab3dfc57e6a335e3be52fd69c55a7bad39fb7dd81d"),
     ]
 
     @pytest.mark.parametrize("argv, digest", _DIGESTS,

@@ -718,6 +718,20 @@ class TestJamming:
         with pytest.raises(DomainError):
             diagram.jamming_extension([0.0, -0.1], eos, variant="spline")
 
+    @pytest.mark.parametrize("variant", ["ode", "linear"])
+    def test_activity_underflow(self, variant):
+        # e^mu is 0.0 below mu ~ -745: a mu the run reaches there is named
+        # with the bound; a grid that jams before it still runs
+        eos = diagram.FractalEos.identity(GAMMA0)
+        for gamma0 in (GAMMA0, 1000.0):
+            with pytest.raises(DomainError, match=r"^mu = -800\.0 is below -744\.44, "
+                               r"where the activity e\^mu underflows$"):
+                diagram.jamming_extension([0.0, -800.0], eos, gamma0=gamma0,
+                                          variant=variant)
+        curve = diagram.jamming_extension(cli.parse_grid("0:-1000:-0.5"), eos,
+                                          variant=variant)
+        assert curve.meta["jammed"] and curve.rows[-41][2] > -10.0
+
 
 class TestLinspace:
     """The pure-Python grids equal numpy's linspace float for float."""

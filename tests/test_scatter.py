@@ -272,8 +272,10 @@ class TestMergeContext:
         for x in (1e-6, 0.05, 0.3, 0.7, 0.99):
             prob = scatter.ScatterProblem(pot, 100.0, a_star * x)
             scatter._merge.cache_clear()
+            scatter._samples.cache_clear()
             cold = scatter.stationary_pair(prob)
             assert scatter._merge.cache_info().currsize == 1
+            assert scatter._samples.cache_info().currsize == 1
             warm = scatter.stationary_pair(prob)
             assert scatter._merge.cache_info().hits >= 1
             # repr tells every float bit apart, -0.0 from 0.0 too
@@ -327,8 +329,10 @@ class TestMergeContext:
         # a narrow Morse well: U overflows at r_floor, where the pair
         # brackets start, but r* and alpha* are finite and traced
         pot = scatter.PotentialSpec("morse", {"a": 1000.0, "r0": 1.3})
+        scatter._samples.cache_clear()
         curve = scatter.trace_zeno_analog(pot, [5.0, 50.0])
         assert curve.meta["failures"] == []
+        assert scatter._samples.cache_info().currsize == 0
         assert [row[1] for row in curve.rows] == pytest.approx([1.3007, 1.3007], abs=1e-4)
 
 
@@ -384,13 +388,17 @@ class TestStationaryPair:
             scatter.stationary_pair(scatter.ScatterProblem(LJ, 100.0, 1.2 * a_star))
 
     @pytest.mark.parametrize("pot", FAMILIES, ids=lambda p: p.family)
-    @pytest.mark.parametrize("B", [10.0, 100.0])
+    @pytest.mark.parametrize("B", [10.0, 100.0, 1e30, 1.4e51])
     def test_radii_against_mpmath(self, pot, B):
+        # at the large B the barrier cell next to r* spans a factor ~300
+        # (1e30) to ~2e4 (1.4e51) in r; the oracle searches r < 20 there,
+        # which holds both roots, so its grid stays fine
         a_star = _alpha_star(pot, B)
         for x in (1e-6, 0.01, 0.2, 0.5, 0.8, 0.95):
             pair = scatter.stationary_pair(
                 scatter.ScatterProblem(pot, B, a_star * x))
-            roots = oracles.level_roots_mpmath(pot, B, a_star * x)
+            roots = oracles.level_roots_mpmath(pot, B, a_star * x,
+                                               r_max=20.0 if B > 100.0 else None)
             assert len(roots) == 2
             assert pair.r_lo == pytest.approx(roots[0], rel=1e-13, abs=0.0)
             assert pair.r_hi == pytest.approx(roots[1], rel=1e-13, abs=0.0)
@@ -438,12 +446,15 @@ class TestStationaryPair:
         assert pair.E_min / pair.E_max < 1e-4
 
     def test_unconverged_radius_is_a_solver_error(self):
-        # at B = 1e30 the barrier bracket is 1e30 wide and A - alpha is
-        # flat across it, so brentq runs out of iterations
-        with pytest.raises(SolverError, match=r"not converged on \(0\.50005, "
-                           r"1\.27.*, 9\.999e\+29\): A - alpha is -.*, 0\.189577, "
-                           r"-0\.05 there, .* cap of 100 iterations"):
-            scatter.stationary_pair(scatter.ScatterProblem(LJ, 1e30, 0.05))
+        # within ~1e-15 of alpha* at B = 1e30 the barrier root sits ~2e-8
+        # above r*, at the inner end of a cell 396 wide, and this alpha
+        # takes brentq past its cap
+        r_star, a_star = scatter._context(LJ, 1e30)
+        with pytest.raises(SolverError, match=r"not converged on the cells "
+                           r"\(1\.27.*, 1\.18.*\) and \(1\.27.*, 396\.2.*\): "
+                           r"brentq reached its cap of 100 iterations$"):
+            scatter.stationary_pair(
+                scatter.ScatterProblem(LJ, 1e30, a_star * (1.0 - 1e-15)))
 
 
 class TestCompressibility:
@@ -482,10 +493,36 @@ class TestCompressibility:
         assert a.rows == b.rows
 
     def test_unconverged_point_recorded(self):
-        curve = scatter.compressibility_curve(LJ, 1e30, [0.01])
-        assert curve.rows == []
+        # at B = 1e30, rho = 0.01 converges; the point within 1e-15 of
+        # alpha* takes brentq past its cap (see TestStationaryPair)
+        a_star = scatter._context(LJ, 1e30)[1]
+        near = a_star * (1.0 - 1e-15)
+        curve = scatter.compressibility_curve(LJ, 1e30, [0.01, near])
+        assert curve.column("rho") == [0.01]
         (rho, msg), = curve.meta["failures"]
-        assert rho == 0.01 and msg.startswith("SolverError(")
+        assert rho == near and msg.startswith("SolverError(")
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(family=st.sampled_from([p.family for p in FAMILIES]),
+           log_B=st.floats(1.0, 50.0),
+           xs=st.lists(st.floats(1e-3, 0.95), min_size=1, max_size=3, unique=True))
+    def test_rows_are_pairs_against_mpmath(self, family, log_B, xs):
+        # each row is the fresh pair at its rho, bit for bit, and both
+        # radii are the crossings of A = rho nearest r* (mpmath)
+        pot, B = scatter.PotentialSpec(family), 10.0 ** log_B
+        r_star, a_star = scatter._context(pot, B)
+        grid = sorted(a_star * x for x in xs)
+        curve = scatter.compressibility_curve(pot, B, grid)
+        assert curve.meta["failures"] == [] and curve.column("rho") == grid
+        for rho, row in zip(grid, curve.rows):
+            pair = scatter.stationary_pair(scatter.ScatterProblem(pot, B, rho))
+            z_min = pair.E_min / pair.E_max
+            assert repr(row) == repr((rho, 1.0 - z_min, z_min))
+            roots = oracles.level_roots_mpmath(pot, B, rho, r_max=20.0)
+            assert pair.r_lo == pytest.approx(
+                max(r for r in roots if r < r_star), rel=1e-13, abs=0.0)
+            assert pair.r_hi == pytest.approx(
+                min(r for r in roots if r > r_star), rel=1e-13, abs=0.0)
 
     def test_small_B_rejected(self):
         for B in (5.0, math.nan, math.inf):
