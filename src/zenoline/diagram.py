@@ -231,11 +231,12 @@ def _dopri5(f, x, y, x_end, h, rtol, atol):
 
     Yields (x0, x1, y1, dense) per step, with ``_dense(dense, theta)``
     the order-4 solution at x0 + theta (x1 - x0), 0 <= theta <= 1; the
-    last step lands on x_end.  A step is accepted when its error estimate
-    is within atol + rtol max(|y0|, |y1|); the next h is scaled by
-    0.9 err^(-1/5), clamped to [0.2, 10].  A step below 8 ulp of x, or
-    more than _MAX_STEPS steps, raises SolverError naming x, y, h and the
-    last error estimate.  From x = x_end it yields no step.
+    last step lands on x_end, where its c = 1 stages take f.  A step is
+    accepted when its error estimate is within atol + rtol max(|y0|, |y1|);
+    the next h is scaled by 0.9 err^(-1/5), clamped to [0.2, 10].  A step
+    below 8 ulp of x, or more than _MAX_STEPS steps, raises SolverError
+    naming x, y, h and the last error estimate.  From x = x_end it yields
+    no step.
     """
     if x == x_end:
         return
@@ -247,15 +248,16 @@ def _dopri5(f, x, y, x_end, h, rtol, atol):
         last = abs(h) >= abs(x_end - x)
         if last:
             h = x_end - x
+        x1 = x_end if last else x + h
         ks = [k1]
         for c, row in zip(_DP_C, _DP_A):
-            ks.append(f(x + c * h, y + h * sum(map(operator.mul, row, ks))))
+            ks.append(f(x + c * h if c < 1.0 else x1,
+                        y + h * sum(map(operator.mul, row, ks))))
         y1 = y + h * sum(map(operator.mul, _DP_B, ks))
-        ks.append(f(x + h, y1))
+        ks.append(f(x1, y1))
         err = abs(h * sum(map(operator.mul, _DP_E, ks))) \
             / (atol + rtol * max(abs(y), abs(y1)))
         if err <= 1.0:
-            x1 = x_end if last else x + h
             dy = y1 - y
             bspl = h * k1 - dy
             yield x, x1, y1, (y, dy, bspl, dy - h * ks[6] - bspl,
@@ -413,8 +415,14 @@ def imperfect_isotherm(P_grid, eos, gamma0=GAMMA0):
         y = scale / li1(a)
         return eos.inv_phi(y) if y > y_cr else eos.V_cr
 
-    def f(a):
-        return eos.dphi(v_of(a)) * polylog(gamma0 + 2.0, a)
+    if eos.V[-1] == eos.V_cr:
+        # one sample, as on the undeformed member: phi' = 1 at every V the
+        # solve reaches, so the residual needs no V(a)
+        def f(a):
+            return polylog(gamma0 + 2.0, a)
+    else:
+        def f(a):
+            return eos.dphi(v_of(a)) * polylog(gamma0 + 2.0, a)
 
     points = []
     for P in P_grid:
@@ -467,35 +475,51 @@ def _gamma_slope(gamma, mu):
     (Li'_{gamma+2} - Z Li'_{gamma+1}) / Li_{gamma+1}, with Li' the
     analytic derivative in the order.  At mu = 0 these are zeta and zeta',
     finite for every gamma > 0.  The sign convention makes gamma shrink as
-    mu decreases from zero."""
-    s1, s2 = gamma + 1.0, gamma + 2.0
+    mu decreases from zero.  The second order is s1 + 1, within an ulp of
+    gamma + 2, so that ``specfun._log_series`` keys both orders on one
+    zeta ladder."""
+    s1 = gamma + 1.0
+    s2 = s1 + 1.0
     a = _activity(mu)
     l1 = polylog(s1, a)
     z = polylog(s2, a) / l1
     return (polylog_ds(s2, a) - z * polylog_ds(s1, a)) / l1
 
 
-# tolerances and first step of the gamma(mu) trace; the first step is
-# small because gamma(mu) is not smooth at mu = 0, where
-# Li_{gamma+1}(e^mu) - zeta(gamma+1) ~ Gamma(-gamma) (-mu)^gamma
-_GAMMA_RTOL, _GAMMA_ATOL, _GAMMA_STEP0 = 1e-7, 1e-12, 1e-8
+# tolerances and first step, in u = sqrt(-mu), of the gamma trace
+_GAMMA_RTOL, _GAMMA_ATOL, _GAMMA_STEP0 = 1e-7, 1e-12, 1e-4
 
 
 def _gamma_trace(gamma0, mu_grid):
     """gamma at each mu of the decreasing grid from gamma0 at mu = 0, by
-    ``_dopri5`` on ``_gamma_slope`` and its dense output.  gamma falls as
-    mu does, so once a step ends at gamma <= 0 the next value is 0."""
+    ``_dopri5`` on ``_gamma_slope`` and its dense output.
+
+    The trace runs in u = sqrt(-mu), on dgamma/du = -2u gamma'(-u^2).  In
+    mu, gamma is not smooth at 0, where Li_{gamma+1}(e^mu) - zeta(gamma+1)
+    ~ Gamma(-gamma)(-mu)^gamma; in u, gamma = gamma0 + A u^2 +
+    B u^(2+2gamma) ln u + ..., twice differentiable at the start, so the
+    step control needs no ladder of tiny steps there.  The last step's
+    slopes are taken at the grid's last mu itself, which -u^2 can round
+    past.  gamma falls as mu does, so once a step ends at gamma <= 0 the
+    next value is 0."""
     yield gamma0
+    mu_end = mu_grid[-1]
+    us = [math.sqrt(-mu) for mu in mu_grid]
+    u_end = us[-1]
+
+    def slope(u, g):
+        mu = mu_end if u >= u_end else max(-u * u, mu_end)
+        return -2.0 * u * _gamma_slope(g, mu)
+
     i = 1
-    for mu0, mu1, g1, dense in _dopri5(lambda m, g: _gamma_slope(g, m), 0.0, gamma0,
-                                       mu_grid[-1], -_GAMMA_STEP0, _GAMMA_RTOL,
-                                       _GAMMA_ATOL):
-        while i < len(mu_grid) and mu_grid[i] >= mu1:
-            yield _dense(dense, (mu_grid[i] - mu0) / (mu1 - mu0))
+    for u0, u1, g1, dense in _dopri5(slope, 0.0, gamma0, u_end, _GAMMA_STEP0,
+                                     _GAMMA_RTOL, _GAMMA_ATOL):
+        while i < len(us) and us[i] <= u1:
+            yield _dense(dense, (us[i] - u0) / (u1 - u0))
             i += 1
         if g1 <= 0.0:
             break
-    if i < len(mu_grid):
+    if i < len(us):
         yield 0.0
 
 
@@ -524,7 +548,9 @@ def jamming_extension(mu_grid, eos, gamma0=GAMMA0, anchor_P=2.5, variant="ode"):
         raise DomainError(
             f"need gamma0 + 1 > 1 for zeta(gamma0 + 1), got gamma0={gamma0}")
 
-    zp2 = riemann_zeta(gamma0 + 2.0)
+    # the orders are gamma + 1 and its successor, as in _gamma_slope, so
+    # that the mu = 0 row has P = 1
+    zp2 = riemann_zeta((gamma0 + 1.0) + 1.0)
     if variant == "linear":
         gammas = (gamma0 + mu for mu in mu_grid)
     else:
@@ -536,7 +562,8 @@ def jamming_extension(mu_grid, eos, gamma0=GAMMA0, anchor_P=2.5, variant="ode"):
             gamma = 0.0
             jammed = True
         # at mu = 0, a = 1 and polylog returns zeta exactly
-        l1, l2 = (polylog(gamma + s, _activity(mu)) for s in (1.0, 2.0))
+        a, s1 = _activity(mu), gamma + 1.0
+        l1, l2 = polylog(s1, a), polylog(s1 + 1.0, a)
         rows.append((l2 / zp2, l2 / l1, mu, gamma))
         if jammed:
             break

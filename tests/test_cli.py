@@ -555,7 +555,7 @@ class TestGoldenOutput:
         (("isotherm",),
          "f9c757b4627b2d97a555c734672149247d5bf14504e0ccd489db8e4325bbc74f"),
         (("jamming",),
-         "9f4b4752941f20713820f50d604d87bd197e014b6272930b1492b7b74153e713"),
+         "3127ba1e717a2e74119212abdd6594b5df36fdef84ac782a7a6c055ab0b307dd"),
         (("partition",),
          "f5309cadcdb7e7547b06ae403ee0d984c098389aaad10c572c9dc2d8ee8104e1"),
         (("threshold",),
@@ -573,7 +573,7 @@ class TestGoldenOutput:
         (("isotherm", "--P-grid", "0.001:0.6:0.001"),
          "8bdf860cdbc8327313a46ad5c8677b68a59a41d172ea87145bd4158c1fc270b7"),
         (("jamming", "--variant", "linear"),
-         "d09a2934627ff8ae60fe1f38c71e20c2a274373b5c012211413b22e08656954d"),
+         "2df2d198390ce827d233d7b5c1f7af20908cbfc9c6e93ad7c0e5e604446e49f3"),
         (("zeno", "--potential", "morse"),
          "f7b2d323d270e27751f8095c2414a1e2a3da0eeaf1c8e6a0a0b8d77d8597d5e6"),
         (("compressibility", "--potential", "morse"),

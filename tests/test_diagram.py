@@ -358,6 +358,21 @@ class TestIdealIsotherm:
         with pytest.raises(DomainError):
             diagram.ideal_isotherm([1.5])
 
+    def test_one_volume_per_point(self, monkeypatch):
+        # phi' = 1 on the undeformed member, so the activity solve reads
+        # no V(a), and V is formed once, from the solved a
+        calls = []
+        inv_phi = diagram.FractalEos.inv_phi
+
+        def counted(self, y):
+            calls.append(y)
+            return inv_phi(self, y)
+
+        monkeypatch.setattr(diagram.FractalEos, "inv_phi", counted)
+        grid = cli.parse_grid(cli._DEFAULTS["P_grid"])
+        pts = diagram.ideal_isotherm(grid)
+        assert len(pts) == len(calls) == 20
+
     def test_unit_pressure_needs_positive_gamma0(self):
         # P = 1 gives a = 1 and Z = zeta(gamma0 + 2) / zeta(gamma0 + 1)
         for g0 in (0.0, -0.5):
@@ -576,7 +591,7 @@ class TestJamming:
     def test_default_run_polylog_calls(self, monkeypatch):
         # each row takes Li_{gamma+2} and Li_{gamma+1} once, and each slope
         # evaluation two more: the run of `zenoline jamming` at its
-        # defaults, 51 rows and 145 slope evaluations (24 steps)
+        # defaults, 51 rows and 73 slope evaluations (12 steps in u)
         calls = []
 
         def counted(s, z):
@@ -588,7 +603,28 @@ class TestJamming:
             cli.parse_grid(cli._DEFAULTS["mu_grid"]),
             diagram.FractalEos.identity(GAMMA0))
         assert len(curve.rows) > 41
-        assert len(calls) <= 392
+        assert len(calls) <= 248
+
+    def test_default_run_work(self, monkeypatch):
+        # the trace in u = sqrt(-mu) needs no ladder of tiny steps at
+        # mu = 0, and the orders gamma + 1 and its successor share one
+        # zeta ladder of the log series: each ladder is built once and
+        # read once more
+        slopes = []
+        gamma_slope = diagram._gamma_slope
+
+        def counted(gamma, mu):
+            slopes.append(mu)
+            return gamma_slope(gamma, mu)
+
+        monkeypatch.setattr(diagram, "_gamma_slope", counted)
+        specfun._log_series.cache_clear()
+        specfun._log_ladder.cache_clear()
+        diagram.jamming_extension(cli.parse_grid(cli._DEFAULTS["mu_grid"]),
+                                  diagram.FractalEos.identity(GAMMA0))
+        assert len(slopes) <= 73
+        info = specfun._log_ladder.cache_info()
+        assert info.misses > 0 and info.hits == info.misses
 
     def test_start_and_monotonicity(self):
         eos = diagram.FractalEos.identity(GAMMA0)
@@ -691,7 +727,7 @@ class TestJamming:
 
     def test_default_run_against_ode(self):
         # the library's Dormand-Prince trace against scipy's DOP853 on the
-        # same slope; measured 3.9e-8 in gamma, 1.1e-8 in P, 2.2e-8 in Z
+        # same slope; measured 3.7e-8 in gamma, 1.2e-8 in P, 2.4e-8 in Z
         mu_grid = cli.parse_grid(cli._DEFAULTS["mu_grid"])
         curve = diagram.jamming_extension(mu_grid, diagram.FractalEos.identity(GAMMA0))
         want = oracles.jamming_gamma_ivp(mu_grid, GAMMA0)
@@ -704,6 +740,24 @@ class TestJamming:
             assert g == pytest.approx(g_ode, abs=6e-8)
             assert P == pytest.approx(l2 / zp2, rel=2e-8)
             assert Z == pytest.approx(l2 / l1, rel=4e-8)
+
+    @pytest.mark.parametrize("gamma0, tol", [(0.05, 1.5e-8), (0.6, 1.5e-7),
+                                             (1.5, 1.5e-7)])
+    def test_gamma0_against_ode(self, gamma0, tol):
+        # measured 9.0e-9, 1.0e-7 and 1.1e-7; from gamma0 = 0.05 the run
+        # jams at mu = -0.14, where DOP853's gamma has crossed 0
+        mu_grid = cli.parse_grid(cli._DEFAULTS["mu_grid"])
+        curve = diagram.jamming_extension(mu_grid, diagram.FractalEos.identity(gamma0),
+                                          gamma0=gamma0)
+        want = oracles.jamming_gamma_ivp(mu_grid, gamma0)
+        branch = curve.rows[:-40]
+        assert len(branch) == (15 if gamma0 == 0.05 else len(mu_grid))
+        for (_, _, _, g), g_ode in zip(branch, want):
+            if g > 0.0:
+                assert g == pytest.approx(g_ode, abs=tol)
+            else:
+                assert g_ode < 0.0
+        assert curve.meta["jammed"] == (gamma0 == 0.05)
 
     def test_domain(self):
         eos = diagram.FractalEos.identity(GAMMA0)
