@@ -3,11 +3,16 @@
 Compressibility-factor curves from effective two-body scattering,
 fractal-index Bose-type equations of state, and the number-theoretic
 partition machinery behind condensate thresholds.
+
+The library modules (``diagram``, ``ensemble``, ``partition``,
+``scatter`` and ``specfun``) load on first access, so that a command
+pays only for the modules it computes with.
 """
 
 __version__ = "0.1.0"
 
-from . import diagram, ensemble, partition, scatter, specfun
+import importlib
+
 from .curves import PhaseCurve
 from .errors import (AccuracyError, BracketError, CausticError,
                      DegenerateError, DivergenceError, DomainError,
@@ -32,3 +37,11 @@ __all__ = [
     "diagram",
     "ensemble",
 ]
+
+_SUBMODULES = frozenset({"diagram", "ensemble", "partition", "scatter", "specfun"})
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module("." + name, __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -3,16 +3,17 @@
 Subcommands cover the curve tracers and tables of the library modules;
 outputs are deterministic CSV or JSON files plus a sibling manifest
 recording versions, the configuration hash, and the emitted quantities.
+Each handler imports the one library module it computes with, so a run
+loads no other.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
-from . import __version__, diagram, ensemble, partition, scatter
+from . import __version__
 from .curves import geomspace
 from .errors import DomainError, ResourceError, ZenolineError
 
@@ -60,6 +61,8 @@ def write_csv(path, columns, rows):
 
 
 def write_json(path, columns, rows, meta=None):
+    import json
+
     doc = {"columns": list(columns),
            "rows": [list(r) for r in rows]}
     if meta:
@@ -72,6 +75,7 @@ def write_manifest(out_path, command, config, columns, n_rows):
         return
     # only a run that writes a manifest pays for loading OpenSSL
     import hashlib
+    import json
 
     canonical = json.dumps(config, sort_keys=True, default=str)
     manifest = {
@@ -89,6 +93,8 @@ def write_manifest(out_path, command, config, columns, n_rows):
 
 
 def _potential(name):
+    from . import scatter
+
     try:
         return scatter.PotentialSpec(family=_ALIASES.get(name, name))
     except (DomainError, TypeError):
@@ -96,18 +102,24 @@ def _potential(name):
 
 
 def _cmd_zeno(cfg):
+    from . import scatter
+
     curve = scatter.trace_zeno_analog(_potential(cfg["potential"]),
                                       parse_grid(cfg["B_grid"]))
     return curve.columns, curve.rows, curve.meta
 
 
 def _cmd_compressibility(cfg):
+    from . import scatter
+
     curve = scatter.compressibility_curve(
         _potential(cfg["potential"]), cfg["B"], parse_grid(cfg["rho_grid"]))
     return curve.columns, curve.rows, curve.meta
 
 
 def _cmd_critical(cfg):
+    from . import scatter
+
     cs = scatter.critical_summary(_potential(cfg["potential"]), B=cfg["B"])
     cols = ("Z_cr", "rho_cr_over_rho_B", "T_cr_over_T_B")
     return cols, [(cs.Z_cr, cs.rho_cr_over_rho_B, cs.T_cr_over_T_B)], \
@@ -115,6 +127,8 @@ def _cmd_critical(cfg):
 
 
 def _cmd_isotherm(cfg):
+    from . import diagram
+
     grid, gamma0 = parse_grid(cfg["P_grid"]), cfg["gamma0"]
     if cfg["mode"] == "ideal":
         eos = diagram.FractalEos.identity(gamma0)
@@ -127,6 +141,8 @@ def _cmd_isotherm(cfg):
 
 
 def _cmd_jamming(cfg):
+    from . import diagram
+
     eos = diagram.FractalEos.identity(cfg["gamma0"])
     curve = diagram.jamming_extension(
         parse_grid(cfg["mu_grid"]), eos, gamma0=cfg["gamma0"],
@@ -136,18 +152,24 @@ def _cmd_jamming(cfg):
 
 
 def _cmd_partition(cfg):
+    from . import partition
+
     row = partition.pk_row(cfg["n"])
     return ("k", "p_k"), list(enumerate(row, start=1)), \
         {"n": cfg["n"], "total": str(sum(row))}
 
 
 def _cmd_threshold(cfg):
+    from . import partition
+
     th = partition.condensate_threshold(cfg["n"])
     return ("n", "k0_exact", "k0_leading", "k0_two_term"), \
         [(th.n, th.k0_exact, th.k0_leading, th.k0_two_term)], {}
 
 
 def _cmd_ensemble(cfg):
+    from . import ensemble
+
     rep = ensemble.concentration_report(
         ensemble.SpectrumSpec(cfg["levels"]), cfg["N_list"], cfg["E"])
     rows = [(e["N"], e["states"], e["outside_fraction"], e["band_halfwidth"])
@@ -158,6 +180,8 @@ def _cmd_ensemble(cfg):
 
 
 def _cmd_reference(cfg):
+    from . import diagram
+
     name = cfg["table"]
     if name == "rotation-angles":
         tables = diagram.reference_tables()["rotation_angles"]
@@ -233,7 +257,7 @@ _DEFAULTS = {
     "B_grid": "5:100:5",
     "rho_grid": "0.002:0.18:0.004",
     "P_grid": "0.05:1.0:0.05",
-    "gamma0": diagram.GAMMA0,
+    "gamma0": 0.2,  # diagram.GAMMA0, stated here so as not to load diagram
     "mode": "ideal",
     "mu_grid": "0:-0.5:-0.01",
     "anchor_P": 2.5,
@@ -251,6 +275,8 @@ def merge_config(args):
     """Layer defaults, then the config file, then explicit flags."""
     cfg = dict(_DEFAULTS)
     if args.config:
+        import json
+
         try:
             with open(args.config) as fh:
                 loaded = json.load(fh)
@@ -292,12 +318,19 @@ def main(argv=None):
         print(f"zenoline {args.command}: {exc}", file=sys.stderr)
         return code
     out = cfg.get("out")
-    if cfg["format"] == "json":
-        write_json(out, columns, rows, meta)
-    else:
-        write_csv(out, columns, rows)
-    # the hash covers exactly the settings the handler received, parsed
-    write_manifest(out, args.command, settings, columns, len(rows))
+    try:
+        if cfg["format"] == "json":
+            write_json(out, columns, rows, meta)
+        else:
+            write_csv(out, columns, rows)
+        # the hash covers exactly the settings the handler received, parsed
+        write_manifest(out, args.command, settings, columns, len(rows))
+    except OSError as exc:
+        if out is None:  # standard output, not a path the configuration named
+            raise
+        print(f"zenoline {args.command}: cannot write {exc.filename or out}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -1,4 +1,5 @@
-"""Sampled-curve container and grid shared by all tracers."""
+"""Sampled-curve container and grids shared by all tracers, and the
+reference ratios that both diagram and scatter report."""
 
 from __future__ import annotations
 
@@ -6,7 +7,11 @@ import math
 
 from .errors import DomainError
 
-__all__ = ["PhaseCurve", "linspace", "geomspace"]
+__all__ = ["PhaseCurve", "linspace", "geomspace", "T_CR_OVER_T_B_REFERENCES"]
+
+# the reference critical-temperature ratios T_cr/T_B, which the
+# `reference` table lists and `critical_summary` notes beside its own
+T_CR_OVER_T_B_REFERENCES = (0.39, 2.79)
 
 
 def linspace(start, stop, num):

@@ -12,7 +12,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from types import MappingProxyType
 
-from .curves import PhaseCurve, linspace
+from .curves import T_CR_OVER_T_B_REFERENCES, PhaseCurve, linspace
 from .errors import CausticError, DomainError, SolverError, ZenolineError
 from .records import record
 from .roots import brentq
@@ -612,8 +612,6 @@ _SUBSTANCES = MappingProxyType({
     "CH4": {"epsilon_K": 148.2, "T_cr_quarter_K": 47.0, "E_cr_eps_over_k": 43.0},
     "C2H6": {"epsilon_K": 243.0, "T_cr_quarter_K": 76.0, "E_cr_eps_over_k": 70.0},
 })
-
-T_CR_OVER_T_B_REFERENCES = (0.39, 2.79)
 
 
 def reference_tables():

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 
-from . import specfun
 from .errors import DomainError, ResourceError
 from .records import record
 from .roots import brentq, grow_end
@@ -268,6 +267,8 @@ def boltzmann_limit_check(gamma, kappa_list):
     """
     if any(k > 0 for k in kappa_list):
         raise DomainError("kappa values must be non-positive")
+    from . import specfun
+
     s = gamma + 1.0
     g = specfun.gamma_fn(s)
     rows = []

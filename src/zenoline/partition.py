@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import add
 
-from . import specfun
 from .errors import DomainError, ResourceError, SolverError
 from .records import record
 from .roots import brentq, grow_end
@@ -212,10 +211,6 @@ def maximize_variants(n, k_bar):
     return min(k_bar, condensate_threshold(n).k0_exact)
 
 
-def _moment(gamma, b, kappa, n_cap):
-    return specfun.finite_n_integral(gamma, b, kappa, n_cap).value
-
-
 def solve_global_distribution(n, k=None, gamma=0.0):
     """Fit (b, kappa) of the finite-N distribution to the two moment
     constraints: the gamma-moment equals the summand count k and the
@@ -236,13 +231,18 @@ def solve_global_distribution(n, k=None, gamma=0.0):
         raise DomainError(f"asymptotic regime requires n >= 100, got {n}")
     if gamma <= -1:
         raise DomainError(f"gamma must exceed -1, got {gamma}")
+    # specfun loads with the first fit, not with the partition counts
+    from .specfun import finite_n_integral, gamma_fn, riemann_zeta
+
+    def moment(g, b, kappa, n_cap):
+        return finite_n_integral(g, b, kappa, n_cap).value
 
     if k is None:
-        b = (specfun.gamma_fn(gamma + 2.0) * specfun.riemann_zeta(gamma + 2.0) / n) \
+        b = (gamma_fn(gamma + 2.0) * riemann_zeta(gamma + 2.0) / n) \
             ** (1.0 / (gamma + 2.0))
 
         def fp(kk):
-            return _moment(gamma, b, 0.0, max(int(round(kk)), 2)) - kk
+            return moment(gamma, b, 0.0, max(int(round(kk)), 2)) - kk
 
         # for gamma < 0 the fixed point may lie above the first end tried
         hi, f_hi = grow_end(fp, 4.0 * (math.sqrt(n) / _C * math.log(n) + 10.0), -1.0)
@@ -258,10 +258,10 @@ def solve_global_distribution(n, k=None, gamma=0.0):
         raise DomainError(f"k must be >= 2, got {k}")
 
     def b_of(u):
-        return (_moment(gamma + 1.0, 1.0, u, k) / n) ** (1.0 / (gamma + 2.0))
+        return (moment(gamma + 1.0, 1.0, u, k) / n) ** (1.0 / (gamma + 2.0))
 
     def residual(u):
-        return _moment(gamma, 1.0, u, k) * b_of(u) ** -(gamma + 1.0) - k
+        return moment(gamma, 1.0, u, k) * b_of(u) ** -(gamma + 1.0) - k
 
     r0 = residual(0.0)
     if r0 < 0:
@@ -286,6 +286,8 @@ def ncr_dimension1(n):
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+    from . import specfun
+
     i1 = specfun.bose_integral(0.5, 0.0).value
     i2 = -0.5 * math.sqrt(math.pi) * specfun.zeta(0.5)
     w = (2.0 * n) ** (1.0 / 3.0) * i1 ** (-1.0 / 3.0) * i2

@@ -29,8 +29,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .curves import PhaseCurve, linspace
-from .diagram import T_CR_OVER_T_B_REFERENCES
+from .curves import T_CR_OVER_T_B_REFERENCES, PhaseCurve, linspace
 from .errors import (BracketError, DegenerateError, DomainError, PoleError,
                      SolverError, ZenolineError)
 from .records import record

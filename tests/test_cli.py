@@ -190,6 +190,22 @@ class TestExitCodes:
         assert cli.main(["--config", str(bad), "threshold"]) == cli.EXIT_CONFIG
         capsys.readouterr()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unwritable_out(self, fmt, tmp_path, capsys):
+        # a missing directory, a directory, and a manifest path that is a
+        # directory: a diagnostic and exit 2, not a traceback
+        (tmp_path / "x.csv.manifest.json").mkdir()
+        for out, path, reason in (
+                (tmp_path / "missing" / "x.csv", tmp_path / "missing" / "x.csv",
+                 "No such file or directory"),
+                (tmp_path, tmp_path, "Is a directory"),
+                (tmp_path / "x.csv", tmp_path / "x.csv.manifest.json",
+                 "Is a directory")):
+            argv = ["--out", str(out), "--format", fmt, "threshold"]
+            assert cli.main(argv) == cli.EXIT_CONFIG
+            assert capsys.readouterr().err == \
+                f"zenoline threshold: cannot write {path}: {reason}\n"
+
     def test_resource_error(self, capsys):
         # the partition table cap trips the resource guard
         assert cli.main(["partition", "--n", "30000"]) == cli.EXIT_RESOURCE
@@ -477,43 +493,64 @@ class TestCommandTable:
         keys = {k for _, flags in cli._COMMANDS.values() for k in flags}
         assert keys <= set(cli._DEFAULTS)
 
-    # the numerical packages each run loads: none, since zeta, the
-    # polylogarithms and the geomspace grid are pure Python
+    # what each run loads.  No numerical package: zeta, the
+    # polylogarithms and the geomspace grid are pure Python.  Of
+    # zenoline, the front end and the one library module the command
+    # computes with; dataclasses only for CondensateThreshold in
+    # partition; json only for --format json, --config and a manifest.
+    _FRONT = {"zenoline", "zenoline.cli", "zenoline.curves", "zenoline.errors",
+              "zenoline.records", "zenoline.roots"}
+    _SCATTER = _FRONT | {"zenoline.scatter"}
+    _DIAGRAM = _FRONT | {"zenoline.diagram", "zenoline.specfun"}
+    _PARTITION = _FRONT | {"zenoline.partition"}
+    _ENSEMBLE = _FRONT | {"zenoline.ensemble"}
+    # name: (argv, numerical packages, zenoline modules, dataclasses, json)
     _BUDGET = {
-        "threshold": (["threshold"], []),
-        "partition": (["partition"], []),
-        "ensemble": (["ensemble"], []),
-        "reference": (["reference"], []),
-        "partition-n2000": (["partition", "--n", "2000"], []),
-        "zeno": (["zeno"], []),
-        "compressibility": (["compressibility"], []),
-        "critical": (["critical"], []),
-        "isotherm": (["isotherm"], []),
-        "jamming": (["jamming"], []),
+        "threshold": (["threshold"], [], _PARTITION, True, False),
+        "partition": (["partition"], [], _PARTITION, True, False),
+        "ensemble": (["ensemble"], [], _ENSEMBLE, False, False),
+        "reference": (["reference"], [], _DIAGRAM, False, False),
+        "partition-n2000": (["partition", "--n", "2000"], [], _PARTITION,
+                            True, False),
+        "zeno": (["zeno"], [], _SCATTER, False, False),
+        "compressibility": (["compressibility"], [], _SCATTER, False, False),
+        "critical": (["critical"], [], _SCATTER, False, False),
+        "isotherm": (["isotherm"], [], _DIAGRAM, False, False),
+        "jamming": (["jamming"], [], _DIAGRAM, False, False),
         "isotherm-imperfect": (
-            ["isotherm", "--mode", "imperfect", "--P-grid", "0.1:0.3:0.1"], []),
+            ["isotherm", "--mode", "imperfect", "--P-grid", "0.1:0.3:0.1"], [],
+            _DIAGRAM, False, False),
     }
 
     def test_budget_covers_every_command(self):
-        assert {argv[0] for argv, _ in self._BUDGET.values()} == set(cli._COMMANDS)
+        assert {case[0][0] for case in self._BUDGET.values()} == set(cli._COMMANDS)
 
-    @pytest.mark.parametrize("argv, expected", list(_BUDGET.values()),
-                             ids=list(_BUDGET))
-    def test_scipy_import_budget(self, argv, expected):
-        # a fresh interpreter runs the command; the loaded packages are the
-        # top-level numpy, scipy and mpmath and scipy's public subpackages
-        # (scipy.special brings scipy's private helpers and scipy.version)
-        code = ("import contextlib, io, json, sys; from zenoline import cli\n"
-                "with contextlib.redirect_stdout(io.StringIO()):\n"
-                f"    code = cli.main({argv!r})\n"
-                "print(json.dumps([code, list(sys.modules)]))")
-        code, modules = json.loads(_fresh_interpreter(code))
-        assert code == cli.EXIT_OK
+    @pytest.mark.parametrize("argv, expected, package, dataclasses, json_",
+                             list(_BUDGET.values()), ids=list(_BUDGET))
+    def test_scipy_import_budget(self, argv, expected, package, dataclasses,
+                                 json_):
+        # a fresh interpreter runs the command, with nothing imported
+        # beyond the interpreter's start-up before it; the loaded packages
+        # are the top-level numpy, scipy and mpmath and scipy's public
+        # subpackages (scipy.special brings scipy's private helpers and
+        # scipy.version)
+        code = ("import io, sys\n"
+                "before = set(sys.modules)\n"
+                "from zenoline import cli\n"
+                "sys.stdout = io.StringIO()\n"
+                f"code = cli.main({argv!r})\n"
+                "sys.stdout = sys.__stdout__\n"
+                "print(code, *sorted(set(sys.modules) - before))")
+        code, *modules = _fresh_interpreter(code).split()
+        assert int(code) == cli.EXIT_OK
         parts = [m.split(".") for m in modules]
         loaded = {p[0] for p in parts if p[0] in ("numpy", "scipy", "mpmath")}
         loaded |= {"scipy." + p[1] for p in parts if p[0] == "scipy" and len(p) > 1
                    and not p[1].startswith("_") and p[1] != "version"}
         assert sorted(loaded) == expected
+        assert {m for m in modules if m.split(".")[0] == "zenoline"} == package
+        assert ("dataclasses" in modules) == dataclasses
+        assert ("json" in modules) == json_
 
     @pytest.mark.parametrize("argv", [["threshold"], ["zeno"], ["isotherm"]],
                              ids=["threshold", "zeno", "isotherm"])

@@ -100,3 +100,49 @@ def test_runs_without_site_packages():
     assert set(out["codes"].values()) == {0}, out["codes"]
     alpha = out["alpha"]
     assert len(alpha) == 2 and alpha[0] < alpha[1]
+
+
+def test_submodules_load_on_first_use():
+    """``import zenoline.cli`` loads no library module.  Each one loads on
+    first access, as an attribute, by a ``from`` import or by ``*``; the
+    constants that the front end and ``scatter`` state so as not to load
+    ``diagram`` equal ``diagram``'s."""
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC.parent)!r})\n"
+        "import zenoline.cli as cli\n"
+        "out = {'cli': sorted(m for m in sys.modules if m.startswith('zenoline'))}\n"
+        "import zenoline\n"
+        "out['attribute'] = zenoline.diagram.__name__\n"
+        "from zenoline import scatter\n"
+        "out['from'] = scatter.__name__\n"
+        "ns = {}\n"
+        "exec('from zenoline import *', ns)\n"
+        "out['star'] = sorted(n for n in zenoline.__all__ if n not in ns)\n"
+        "out['modules'] = sorted(ns[n].__name__ for n in "
+        "('diagram', 'ensemble', 'partition', 'scatter', 'specfun'))\n"
+        "try:\n"
+        "    zenoline.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    out['unknown'] = str(exc)\n"
+        "diagram = zenoline.diagram\n"
+        "out['gamma0'] = cli._DEFAULTS['gamma0'] == diagram.GAMMA0\n"
+        "notes = scatter.critical_summary(scatter.PotentialSpec('lennard_jones')).notes\n"
+        "out['ratios'] = notes['reference_T_ratios'] == "
+        "diagram.T_CR_OVER_T_B_REFERENCES == "
+        "diagram.reference_tables()['T_cr_over_T_B']\n"
+        "print(repr(out))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=120)
+    out = ast.literal_eval(proc.stdout)
+    assert out == {
+        "cli": ["zenoline", "zenoline.cli", "zenoline.curves", "zenoline.errors"],
+        "attribute": "zenoline.diagram",
+        "from": "zenoline.scatter",
+        "star": [],
+        "modules": ["zenoline.diagram", "zenoline.ensemble", "zenoline.partition",
+                    "zenoline.scatter", "zenoline.specfun"],
+        "unknown": "module 'zenoline' has no attribute 'no_such_name'",
+        "gamma0": True,
+        "ratios": True,
+    }
