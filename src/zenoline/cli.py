@@ -4,7 +4,7 @@ Subcommands cover the curve tracers and tables of the library modules;
 outputs are deterministic CSV or JSON files plus a sibling manifest
 recording versions, the configuration hash, and the emitted quantities.
 Each handler imports the one library module it computes with, so a run
-loads no other.
+loads no other; `reference` prints constant tables and loads none.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import math
 import sys
 
 from . import __version__
-from .curves import geomspace
+from .curves import (ROTATION_ANGLES, SUBSTANCES, T_CR_OVER_T_B_REFERENCES,
+                     geomspace)
 from .errors import DomainError, ResourceError, ZenolineError
 
 EXIT_OK = 0
@@ -180,20 +181,17 @@ def _cmd_ensemble(cfg):
 
 
 def _cmd_reference(cfg):
-    from . import diagram
-
+    # constant tables, read from curves, so no library module is loaded
     name = cfg["table"]
     if name == "rotation-angles":
-        tables = diagram.reference_tables()["rotation_angles"]
-        return ("V_threshold", "angle_rad"), list(tables), {}
+        return ("V_threshold", "angle_rad"), list(ROTATION_ANGLES), {}
     if name == "substances":
-        subs = diagram.reference_tables()["substances"]
         rows = [(s, d["epsilon_K"], d["T_cr_quarter_K"], d["E_cr_eps_over_k"])
-                for s, d in subs.items()]
+                for s, d in SUBSTANCES.items()]
         return ("substance", "epsilon_K", "T_cr_quarter_K", "E_cr_eps_over_k"), \
             rows, {}
     if name == "t-ratios":
-        return ("T_cr_over_T_B",), [(v,) for v in diagram.T_CR_OVER_T_B_REFERENCES], {}
+        return ("T_cr_over_T_B",), [(v,) for v in T_CR_OVER_T_B_REFERENCES], {}
     raise DomainError(f"unknown reference table {name!r}")
 
 

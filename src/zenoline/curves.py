@@ -1,17 +1,34 @@
 """Sampled-curve container and grids shared by all tracers, and the
-reference ratios that both diagram and scatter report."""
+bundled reference tables: the ratios that both diagram and scatter
+report, the rotation angles and the substance data."""
 
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 
 from .errors import DomainError
 
-__all__ = ["PhaseCurve", "linspace", "geomspace", "T_CR_OVER_T_B_REFERENCES"]
+__all__ = ["PhaseCurve", "linspace", "geomspace", "T_CR_OVER_T_B_REFERENCES",
+           "ROTATION_ANGLES", "SUBSTANCES"]
 
 # the reference critical-temperature ratios T_cr/T_B, which the
 # `reference` table lists and `critical_summary` notes beside its own
 T_CR_OVER_T_B_REFERENCES = (0.39, 2.79)
+
+# rotation angles (radians) applied to the reduced-volume bands
+ROTATION_ANGLES = ((0.30, 0.049), (0.25, 0.052), (0.20, 0.058), (0.17, 0.066))
+
+# per-substance reference data: well depth (K), quarter critical
+# temperature (K), and the critical-energy estimate in the same units
+SUBSTANCES = MappingProxyType({
+    "Ne": {"epsilon_K": 36.3, "T_cr_quarter_K": 11.0, "E_cr_eps_over_k": 10.5},
+    "Ar": {"epsilon_K": 119.3, "T_cr_quarter_K": 37.0, "E_cr_eps_over_k": 35.0},
+    "Kr": {"epsilon_K": 171.0, "T_cr_quarter_K": 52.0, "E_cr_eps_over_k": 50.0},
+    "N2": {"epsilon_K": 95.9, "T_cr_quarter_K": 31.0, "E_cr_eps_over_k": 28.0},
+    "CH4": {"epsilon_K": 148.2, "T_cr_quarter_K": 47.0, "E_cr_eps_over_k": 43.0},
+    "C2H6": {"epsilon_K": 243.0, "T_cr_quarter_K": 76.0, "E_cr_eps_over_k": 70.0},
+})
 
 
 def linspace(start, stop, num):

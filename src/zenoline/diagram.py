@@ -10,9 +10,9 @@ import math
 import operator
 from bisect import bisect_right
 from collections import namedtuple
-from types import MappingProxyType
 
-from .curves import T_CR_OVER_T_B_REFERENCES, PhaseCurve, linspace
+from .curves import (ROTATION_ANGLES, SUBSTANCES, T_CR_OVER_T_B_REFERENCES,
+                     PhaseCurve, linspace)
 from .errors import CausticError, DomainError, SolverError, ZenolineError
 from .records import record
 from .roots import brentq
@@ -599,33 +599,18 @@ def liquid_summary(eos, zeno):
     }
 
 
-# rotation angles (radians) applied to the reduced-volume bands
-_ROTATION_ANGLES = ((0.30, 0.049), (0.25, 0.052), (0.20, 0.058), (0.17, 0.066))
-
-# per-substance reference data: well depth (K), quarter critical
-# temperature (K), and the critical-energy estimate in the same units
-_SUBSTANCES = MappingProxyType({
-    "Ne": {"epsilon_K": 36.3, "T_cr_quarter_K": 11.0, "E_cr_eps_over_k": 10.5},
-    "Ar": {"epsilon_K": 119.3, "T_cr_quarter_K": 37.0, "E_cr_eps_over_k": 35.0},
-    "Kr": {"epsilon_K": 171.0, "T_cr_quarter_K": 52.0, "E_cr_eps_over_k": 50.0},
-    "N2": {"epsilon_K": 95.9, "T_cr_quarter_K": 31.0, "E_cr_eps_over_k": 28.0},
-    "CH4": {"epsilon_K": 148.2, "T_cr_quarter_K": 47.0, "E_cr_eps_over_k": 43.0},
-    "C2H6": {"epsilon_K": 243.0, "T_cr_quarter_K": 76.0, "E_cr_eps_over_k": 70.0},
-})
-
-
 def reference_tables():
     """Bundled immutable reference data."""
     return {
-        "rotation_angles": _ROTATION_ANGLES,
-        "substances": _SUBSTANCES,
+        "rotation_angles": ROTATION_ANGLES,
+        "substances": SUBSTANCES,
         "T_cr_over_T_B": T_CR_OVER_T_B_REFERENCES,
     }
 
 
 def rotation_angle(V):
     """Rotation angle (radians) for the reduced-volume band containing V."""
-    for threshold, angle in _ROTATION_ANGLES:
+    for threshold, angle in ROTATION_ANGLES:
         if V >= threshold:
             return angle
     raise LookupError(f"no rotation angle tabulated below V = 0.17 (got {V})")
@@ -634,6 +619,6 @@ def rotation_angle(V):
 def substance_data(name):
     """Reference constants for one substance."""
     try:
-        return _SUBSTANCES[name]
+        return SUBSTANCES[name]
     except KeyError:
         raise LookupError(f"no reference data for substance {name!r}") from None

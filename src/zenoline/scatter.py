@@ -10,14 +10,22 @@ E is linear in alpha, so the numerator of E'(r) is
 A(r) = `alpha_from_first_derivative` does not depend on alpha.  Inside
 r < B, E' has the sign of A - alpha: the stationary radii at alpha are
 the roots of A(r) = alpha, and the well and the barrier merge at the
-maximum r* of A, alpha* = A(r*).  r* and alpha* depend only on the
-potential and B, so they are solved once per (potential, B) and held
-in a small cache (`_merge`).  So is A at a fixed set of radii on each
-side of r* (`_samples`): the cells between neighbouring samples are
-the brackets of the stationary radii.  Each radius is one `brentq` on
-the first cell outward from r* across which A - alpha changes sign,
-and that sign change proves a true minimum or maximum of E there
-(`stationary_pair` says what it proves and what it does not).
+maximum r* of A, alpha* = A(r*).
+
+Each potential family in `_FAMILIES` is a factory that binds its
+parameters once and returns (U, U', U'') as one function of r
+(`_kernel`).  A and the merge residual are bound the same way to a
+potential and B, so evaluating either at r is two calls: itself and
+the kernel.
+r*, alpha* and the bound A depend only on the potential and B, so they
+are solved once per (potential, B) and held in a small cache
+(`_merge`).  So is A at _CELLS geometric steps on each side of r*
+(`_samples`): the cells between neighbouring samples are the brackets
+of the stationary radii.  Each radius is one `brentq` on the first
+cell outward from r* across which A - alpha changes sign, found by
+bisection on the running minimum of A, and that sign change proves a
+true minimum or maximum of E there (`stationary_pair` says what it
+proves and what it does not).
 
 The stationary structure maps onto the Zeno-line analog and the
 compressibility factor Z = 1 - E_min/E_max, from which the
@@ -28,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 
 from .curves import T_CR_OVER_T_B_REFERENCES, PhaseCurve, linspace
 from .errors import (BracketError, DegenerateError, DomainError, PoleError,
@@ -57,43 +66,75 @@ _XTOL, _RTOL = 1e-14, 8.9e-16
 _MAXITER = 100
 
 # geometric steps from r* out to each outer end of the stationary-pair
-# search, (1.0001 r_floor, 0.9999 B); A is sampled at the end of each
-_CELLS = 12
+# search, (1.0001 r_floor, 0.9999 B); A is sampled at the end of each.
+# 48 steps make the barrier cell next to r* 1.095x wide at B = 100 and
+# at most ~12x wide at the largest B (~1.7e51).  In cells this narrow
+# brentq takes ~6 evaluations of A per radius, and a root within ~1e-8
+# of r* near the fold converges within 95 of its _MAXITER iterations;
+# the 2 x 48 samples are paid once per (potential, B).
+_CELLS = 48
+
+# below this the repulsive core dwarfs everything and no stationary
+# point can occur
+_R_FLOOR = 0.5
 
 
-def _generalized_lj(r, p):
-    m = p.get("m", 6.0)
-    irm = r**-m
-    return (4.0 * (irm * irm - irm),
-            4.0 * (-2.0 * m * r ** (-2 * m - 1) + m * r ** (-m - 1)),
-            4.0 * (2.0 * m * (2 * m + 1) * r ** (-2 * m - 2)
-                   - m * (m + 1) * r ** (-m - 2)))
+# Each family is a factory: it takes the parameters as keyword defaults
+# and returns derivs(r) -> (U, U', U'') with the constant factors
+# precomputed, in the floating-point operations of the closed forms.
 
 
-def _morse(r, p):
-    a, r0 = p.get("a", 6.0), p.get("r0", 2.0 ** (1.0 / 6.0))
-    e = math.exp(-a * (r - r0))
-    return (e * e - 2.0 * e,
-            -2.0 * a * e * e + 2.0 * a * e,
-            4.0 * a * a * e * e - 2.0 * a * a * e)
+def _generalized_lj(m=6.0):
+    c1, c2, c3 = -2.0 * m, 2.0 * m * (2 * m + 1), m * (m + 1)
+    p0, p1, p2, p3, p4 = -m, -2 * m - 1, -m - 1, -2 * m - 2, -m - 2
+
+    def derivs(r):
+        irm = r**p0
+        return (4.0 * (irm * irm - irm),
+                4.0 * (c1 * r**p1 + m * r**p2),
+                4.0 * (c2 * r**p3 - c3 * r**p4))
+    return derivs
 
 
-def _buckingham(r, p):
-    a_, b_, c_ = p.get("A", 5e5), p.get("B", 12.0), p.get("C", 2.0)
-    e = math.exp(-b_ * r)
-    return (a_ * e - c_ * r**-6,
-            -a_ * b_ * e + 6.0 * c_ * r**-7,
-            a_ * b_ * b_ * e - 42.0 * c_ * r**-8)
+def _morse(a=6.0, r0=2.0 ** (1.0 / 6.0)):
+    exp, na = math.exp, -a
+    c1, c2, c3, c4 = -2.0 * a, 2.0 * a, 4.0 * a * a, 2.0 * a * a
+
+    def derivs(r):
+        e = exp(na * (r - r0))
+        return (e * e - 2.0 * e,
+                c1 * e * e + c2 * e,
+                c3 * e * e - c4 * e)
+    return derivs
 
 
-# family -> ((r, params) -> (U, U', U''), its param names); plain
-# Lennard-Jones is the generalized member at m = 6 and takes no params
+def _buckingham(A=5e5, B=12.0, C=2.0):
+    exp, nb = math.exp, -B
+    c1, c2, c3, c4 = -A * B, 6.0 * C, A * B * B, 42.0 * C
+
+    def derivs(r):
+        e = exp(nb * r)
+        return (A * e - C * r**-6,
+                c1 * e + c2 * r**-7,
+                c3 * e - c4 * r**-8)
+    return derivs
+
+
+# family -> (its factory, its param names); plain Lennard-Jones is the
+# generalized member at its default m = 6 and takes no params
 _FAMILIES = {
-    "lennard_jones": (lambda r, p: _generalized_lj(r, {}), ()),
+    "lennard_jones": (_generalized_lj, ()),
     "generalized_lj": (_generalized_lj, ("m",)),
     "morse": (_morse, ("a", "r0")),
     "buckingham": (_buckingham, ("A", "B", "C")),
 }
+
+
+@functools.lru_cache(maxsize=64)
+def _kernel(family, params_key):
+    """derivs(r) -> (U, U', U'') of one potential: its family's factory
+    bound to its params, once per (family, params)."""
+    return _FAMILIES[family][0](**dict(params_key))
 
 
 class PotentialSpec(record("PotentialSpec", ["family", "params"])):
@@ -127,15 +168,13 @@ class PotentialSpec(record("PotentialSpec", ["family", "params"])):
 
     @property
     def r_floor(self):
-        # below this the repulsive core dwarfs everything and no
-        # stationary point can occur
-        return 0.5
+        return _R_FLOOR
 
     def derivatives(self, r):
         """(U, U', U'') at r > 0."""
         if r <= 0:
             raise DomainError(f"r must be positive, got {r}")
-        return _FAMILIES[self.family][0](r, self.params)
+        return _kernel(*_key(self))(r)
 
     def u(self, r):
         return self.derivatives(r)[0]
@@ -210,6 +249,11 @@ class CriticalSummary(record("CriticalSummary", ["Z_cr", "rho_cr_over_rho_B",
                                {} if notes is None else notes)
 
 
+def _energy(u, alpha, B, r):
+    """E(r) from U(r)."""
+    return (-alpha * r**4 + r * r * u) / (B * B - r * r)
+
+
 def effective_energy(problem, r):
     """E(r) = (-alpha r^4 + r^2 U(r)) / (B^2 - r^2)."""
     if r <= 0:
@@ -217,8 +261,7 @@ def effective_energy(problem, r):
     B = problem.B
     if r == B:
         raise PoleError(f"effective energy has a pole at r = B = {B}")
-    u = problem.potential.u(r)
-    return (-problem.alpha * r**4 + r * r * u) / (B * B - r * r)
+    return _energy(problem.potential.u(r), problem.alpha, B, r)
 
 
 def effective_energy_derivative(problem, r):
@@ -235,12 +278,16 @@ def effective_energy_derivative(problem, r):
     return num / (B2 - r * r) ** 2
 
 
-def _level(potential, B, r):
-    """A(r), the alpha at which r is a stationary point of E."""
+def _bind_level(derivs, B):
+    """A(r), the alpha at which r is a stationary point of E, bound to
+    one potential's derivs and one B."""
     B2 = B * B
-    u, up, _ = potential.derivatives(r)
-    return (-2.0 * B2 * u - B2 * r * up + r**3 * up) \
-        / (2.0 * r * r * (r * r - 2.0 * B2))
+    c0, c1 = -2.0 * B2, 2.0 * B2
+
+    def level(r):
+        u, up, _ = derivs(r)
+        return (c0 * u - B2 * r * up + r**3 * up) / (2.0 * r * r * (r * r - c1))
+    return level
 
 
 def alpha_from_first_derivative(potential, B, r):
@@ -249,7 +296,7 @@ def alpha_from_first_derivative(potential, B, r):
     _check_B(B)
     if not (potential.r_floor < r < B):
         raise DomainError(f"r = {r} outside ({potential.r_floor}, {B})")
-    return _level(potential, B, r)
+    return _bind_level(_kernel(*_key(potential)), B)(r)
 
 
 def alpha_from_second_derivative(potential, B, r):
@@ -269,15 +316,24 @@ def alpha_from_second_derivative(potential, B, r):
     return num / den
 
 
-def _zeno_residual(potential, B, r):
-    """Eliminant of the two alpha expressions: vanishes where the well
-    and barrier merge (E' = E'' = 0 at the same r).  It is
+def _bind_residual(derivs, B):
+    """Eliminant of the two alpha expressions, bound to one potential's
+    derivs and one B: it vanishes where the well and barrier merge
+    (E' = E'' = 0 at the same r).  It is
     A'(r) (2 r^2 (r^2 - 2 B^2))^2 / (2 r (B^2 - r^2)), so inside r < B it
     has the sign of A'."""
     B2 = B * B
-    u, up, upp = potential.derivatives(r)
-    return (-8.0 * B2 * u + 2.0 * B2 * r * up + r**3 * up
-            + 2.0 * B2 * r * r * upp - r**4 * upp)
+    c0, c1 = -8.0 * B2, 2.0 * B2
+
+    def residual(r):
+        u, up, upp = derivs(r)
+        return c0 * u + c1 * r * up + r**3 * up + c1 * r * r * upp - r**4 * upp
+    return residual
+
+
+def _zeno_residual(potential, B, r):
+    """The merge residual of `_bind_residual` at one r."""
+    return _bind_residual(_kernel(*_key(potential)), B)(r)
 
 
 def _trace(one, points):
@@ -310,7 +366,7 @@ def zeno_condition_root(potential, B):
     bracket = lo, hi = 1.0, 2.0
     if B < hi:
         raise DomainError(f"bracket {bracket} outside ({potential.r_floor}, {B})")
-    residual = functools.partial(_zeno_residual, potential, B)
+    residual = _bind_residual(_kernel(*_key(potential)), B)
     f_lo, f_hi = residual(lo), residual(hi)
     if not f_lo > 0.0 > f_hi:
         raise BracketError(
@@ -320,15 +376,19 @@ def zeno_condition_root(potential, B):
     return brentq(residual, lo, hi, xtol=_XTOL, rtol=_RTOL, fa=f_lo, fb=f_hi)
 
 
-def _key(potential, B):
-    """The cache key of one (potential, B): the params as sorted items,
+def _key(potential, *B):
+    """The cache key of a potential, (family, params), or of one
+    (potential, B), (family, params, B): the params as sorted items,
     because a PotentialSpec holds a dict and is unhashable."""
-    return potential.family, tuple(sorted(potential.params.items())), B
+    return (potential.family, tuple(sorted(potential.params.items())), *B)
 
 
 @functools.lru_cache(maxsize=64)
 def _merge(family, params_key, B):
-    """The merge context of one (potential, B): (r*, alpha* = A(r*)).
+    """The merge context of one (potential, B): (r*, alpha* = A(r*),
+    derivs, A), with derivs the potential's `_kernel` and A its level
+    function bound to B, which every evaluation for this (potential, B)
+    goes through.
 
     r* comes from `zeno_condition_root`, so its certificate runs on every
     cache miss.  lru_cache stores no exception: a BracketError or
@@ -337,35 +397,49 @@ def _merge(family, params_key, B):
     overflows at r_floor while r* and alpha* are finite, and
     `trace_zeno_analog` needs only those, so it never builds the samples.
     """
-    pot = PotentialSpec(family, dict(params_key))
-    r_star = zeno_condition_root(pot, B)
-    return r_star, _level(pot, B, r_star)
+    r_star = zeno_condition_root(PotentialSpec(family, dict(params_key)), B)
+    derivs = _kernel(family, params_key)
+    level = _bind_level(derivs, B)
+    return r_star, level(r_star), derivs, level
 
 
 @functools.lru_cache(maxsize=64)
 def _samples(family, params_key, B):
     """A on each side of r*, the cell ends of one (potential, B).
 
-    Two tuples of (r, A(r)), the well side and the barrier side, each
-    ordered outward from (r*, alpha*): r* (end / r*)^(k / _CELLS) for
+    Two sides, the well side and the barrier side, each three tuples
+    ordered outward from r*: the radii r* (end / r*)^(k / _CELLS) for
     k = 0 .. _CELLS, with end the outer end of the side, 1.0001 r_floor
-    or 0.9999 B, taken exactly at k = _CELLS.  Built on the first
-    `stationary_pair` of a (potential, B) and then reused; like `_merge`
-    it stores no exception.
+    or 0.9999 B, taken exactly at k = _CELLS; A there, alpha* at r*;
+    and `_side`'s minus running minimum of A, on which `_cell` bisects.
+    Built on the first `stationary_pair` of a (potential, B) and then
+    reused; like `_merge` it stores no exception.
     """
-    pot = PotentialSpec(family, dict(params_key))
-    r_star, a_star = _merge(family, params_key, B)
+    r_star, a_star, _, level = _merge(family, params_key, B)
     sides = []
-    for end in (pot.r_floor * 1.0001, B * 0.9999):
-        radii = [r_star * (end / r_star) ** (k / _CELLS) for k in range(1, _CELLS)]
-        sides.append(((r_star, a_star),)
-                     + tuple((r, _level(pot, B, r)) for r in radii + [end]))
+    for end in (_R_FLOOR * 1.0001, B * 0.9999):
+        radii = [r_star] + [r_star * (end / r_star) ** (k / _CELLS)
+                            for k in range(1, _CELLS)] + [end]
+        sides.append(_side(radii, [a_star] + [level(r) for r in radii[1:]]))
     return tuple(sides)
 
 
+def _side(radii, values):
+    """(radii, values, falls) of one side of `_samples`: falls is minus
+    the running minimum of the values from values[0] = alpha* out, so it
+    does not decrease.  A NaN value fails every comparison: it leaves
+    the running minimum as it is, just as it never stops the outward
+    walk."""
+    lowest, falls = values[0], []
+    for a in values:
+        lowest = min(lowest, a)
+        falls.append(-lowest)
+    return tuple(radii), tuple(values), tuple(falls)
+
+
 def _context(potential, B):
-    """`_merge` of a PotentialSpec."""
-    return _merge(*_key(potential, B))
+    """(r*, alpha*) of a PotentialSpec, from `_merge`."""
+    return _merge(*_key(potential, B))[:2]
 
 
 def trace_zeno_analog(potential, B_grid):
@@ -392,85 +466,92 @@ def trace_zeno_analog(potential, B_grid):
 
 def _cell(side, alpha):
     """(r_in, r_out, A - alpha at each) of the first cell of one side of
-    `_samples`, walking outward from r*, whose outer sample has
-    A - alpha < 0; None where no sample of the side has."""
-    for (r_in, a_in), (r_out, a_out) in zip(side, side[1:]):
-        if a_out - alpha < 0.0:
-            return r_in, r_out, a_in - alpha, a_out - alpha
-    return None
+    `_samples`, outward from r*, whose outer sample has A - alpha < 0;
+    None where no sample of the side has.  alpha < alpha*.
+
+    That outer sample is the first whose running minimum of A is below
+    alpha, that is, whose entry in the side's non-decreasing minus
+    running minimum exceeds -alpha: `bisect_right` finds it in
+    log2(_CELLS) comparisons.  (For floats, A - alpha < 0 is A < alpha,
+    and negation is exact.)"""
+    radii, values, falls = side
+    k = bisect_right(falls, -alpha)
+    if k == len(radii):
+        return None
+    return radii[k - 1], radii[k], values[k - 1] - alpha, values[k] - alpha
 
 
 def stationary_pair(problem):
     """Locate the well and barrier radii of E(r) and the flipped depths.
 
     The radii are the roots of A(r) = alpha on either side of the merge
-    radius r* (`zeno_condition_root`).  r* and alpha* come from the merge
-    context `_merge`, and A at _CELLS geometric steps from r* out to
-    1.0001 r_floor and to 0.9999 B from `_samples`; both are built once
-    per (potential, B).  Each radius is one brentq on the first cell,
-    walking outward from r*, whose outer sample has A - alpha < 0, and
-    brentq starts from the two sample values, so a pair costs the two
-    radius solves and no other evaluation of A.  Raises DegenerateError
-    when alpha >= alpha* = A(r*), so that the two stationary points have
-    merged or do not exist.
+    radius r* (`zeno_condition_root`).  r*, alpha* and A bound to the
+    potential and B come from the merge context `_merge`, and A at
+    _CELLS geometric steps from r* out to 1.0001 r_floor and to 0.9999 B
+    from `_samples`; both are built once per (potential, B).  Each radius
+    is one brentq on the first cell, outward from r*, whose outer sample
+    has A - alpha < 0, and brentq starts from the two sample values, so
+    a pair costs the two radius solves and no other evaluation of A.
+    Raises DegenerateError when alpha >= alpha* = A(r*), so that the two
+    stationary points have merged or do not exist.
 
     Certificate: A - alpha is positive at the inner end of each cell
     (r* itself, or a sample where it is not negative; where it is 0,
-    that sample is the root) and negative at the outer end.  So A - alpha, and with it E', changes sign across
-    the cell, and each radius is a true stationary point: a minimum of E
-    at r_lo, a maximum at r_hi.  If no sample of a side is negative,
-    BracketError names the outer ends and A - alpha there.  The radius
-    returned is the crossing of A = alpha nearest r*, at the resolution
-    of the samples: where A turns more than once, a crossing farther out
-    is never taken for it, but two more crossings inside the same cell
-    as the first would not be seen (brentq then returns one of the
-    three).  For ``generalized_lj`` with m = 3 at B = 10, A has a second
-    extremum, a minimum near r = 8.1 beyond the barrier, where
-    A ~ -4e-5 stays below every alpha >= 0; the pair is the one an
-    exhaustive root search gives (tested against an mpmath oracle).
+    that sample is the root) and negative at the outer end.  So
+    A - alpha, and with it E', changes sign across the cell, and each
+    radius is a true stationary point: a minimum of E at r_lo, a maximum
+    at r_hi.  If no sample of a side is negative, BracketError names the
+    outer ends and A - alpha there.  The radius returned is the crossing
+    of A = alpha nearest r*, at the resolution of the samples: where A
+    turns more than once, a crossing farther out is never taken for it,
+    but two more crossings inside the same cell as the first would not
+    be seen (brentq then returns one of the three).  For
+    ``generalized_lj`` with m = 3 at B = 10, A has a second extremum, a
+    minimum near r = 8.1 beyond the barrier, where A ~ -4e-5 stays below
+    every alpha >= 0; the pair is the one an exhaustive root search
+    gives (tested against an mpmath oracle).
 
     The bracket depends only on (potential, B, alpha), never on earlier
     calls, so a pair is the same float whichever curve asks for it.  The
-    barrier cell next to r* spans a factor of at most ~2e4 in r, at the
+    barrier cell next to r* spans a factor of at most ~12 in r, at the
     largest B (~1.7e51, where 8 B^6 overflows), so the radii converge at
-    any B.  Only an alpha within ~1e-15 of alpha*, seen from B ~ 1e26 up,
-    where the barrier root sits ~1e-8 above r* at the inner end of a cell
-    hundreds wide, can take brentq past its cap of _MAXITER iterations;
-    SolverError then names the two cells and the cap.
+    any B, also for an alpha within ~1e-15 of alpha* at B = 1e26 to 1e50,
+    where the barrier root sits ~1e-8 above r* at the inner end of its
+    cell and takes up to 95 iterations.  brentq is capped at _MAXITER
+    iterations all the same; SolverError then names the two cells and
+    the cap.
     """
     pot, B, alpha = problem.potential, problem.B, problem.alpha
     key = _key(pot, B)
-    r_star, a_star = _merge(*key)
+    r_star, a_star, derivs, level = _merge(*key)
     if not alpha < a_star:
         raise DegenerateError(
             f"stationary points merged or absent at alpha = {alpha}; "
             f"merge threshold alpha*({B:g}) = {a_star:.6g}")
-    sides = _samples(*key)
-    cells = [_cell(side, alpha) for side in sides]
-    if None in cells:
-        (lo, a_lo), (hi, a_hi) = sides[0][-1], sides[1][-1]
+    well, barrier = _samples(*key)
+    lo, hi = _cell(well, alpha), _cell(barrier, alpha)
+    if lo is None or hi is None:
         raise BracketError(
-            f"stationary pair not certified on ({lo:g}, {r_star!r}, {hi:g}): "
-            f"A - alpha is {a_lo - alpha:.6g}, {a_star - alpha:.6g}, "
-            f"{a_hi - alpha:.6g} there, and negative at no sample between "
-            f"r* and the {'well' if cells[0] is None else 'barrier'} end")
+            f"stationary pair not certified on ({well[0][-1]:g}, {r_star!r}, "
+            f"{barrier[0][-1]:g}): A - alpha is {well[1][-1] - alpha:.6g}, "
+            f"{a_star - alpha:.6g}, {barrier[1][-1] - alpha:.6g} there, and "
+            f"negative at no sample between r* and the "
+            f"{'well' if lo is None else 'barrier'} end")
 
     def f(r):
-        return _level(pot, B, r) - alpha
+        return level(r) - alpha
 
     try:
-        r_lo, r_hi = (brentq(f, r_in, r_out, xtol=_XTOL, rtol=_RTOL,
-                             maxiter=_MAXITER, fa=f_in, fb=f_out)
-                      for r_in, r_out, f_in, f_out in cells)
+        r_lo = brentq(f, lo[0], lo[1], _XTOL, _RTOL, _MAXITER, fa=lo[2], fb=lo[3])
+        r_hi = brentq(f, hi[0], hi[1], _XTOL, _RTOL, _MAXITER, fa=hi[2], fb=hi[3])
     except RuntimeError:
         raise SolverError(
-            f"stationary pair not converged on the cells "
-            f"{' and '.join(f'({c[0]!r}, {c[1]!r})' for c in cells)}: "
-            f"brentq reached its cap of {_MAXITER} iterations") from None
+            f"stationary pair not converged on the cells ({lo[0]!r}, {lo[1]!r}) "
+            f"and ({hi[0]!r}, {hi[1]!r}): brentq reached its cap of "
+            f"{_MAXITER} iterations") from None
     # flipped convention: the well at r_lo, the barrier at r_hi
-    return StationaryPair(r_lo=r_lo, r_hi=r_hi,
-                          E_min=-effective_energy(problem, r_hi),
-                          E_max=-effective_energy(problem, r_lo))
+    return StationaryPair(r_lo, r_hi, -_energy(derivs(r_hi)[0], alpha, B, r_hi),
+                          -_energy(derivs(r_lo)[0], alpha, B, r_lo))
 
 
 def compressibility_curve(potential, B, rho_grid):

@@ -427,35 +427,57 @@ def _pair_potential_mp(family, params, r):
     raise ValueError(family)
 
 
-def level_roots_mpmath(potential, B, alpha, n=200, dps=30, r_max=None):
-    """All roots of A(r) = alpha on (r_floor, B), sorted, where
-    A(r) = (-2 B^2 U - B^2 r U' + r^3 U') / (2 r^2 (r^2 - 2 B^2)) is the
-    alpha that makes r a stationary point of the effective energy.
+def level_mpmath(potential, B, r):
+    """A(r) = (-2 B^2 U - B^2 r U' + r^3 U') / (2 r^2 (r^2 - 2 B^2)), the
+    alpha that makes r a stationary point of the effective energy, in
+    mpmath at the working precision, with U' by mpmath's numerical
+    differentiation of U."""
+    B_ = mpmath.mpf(B)
 
-    Evaluated in mpmath at `dps` digits, with U' by mpmath's numerical
-    differentiation of U: A - alpha is sampled on an n-point geometric
-    grid strictly inside (r_floor, B), and each sign change is refined
-    by mpmath.findroot's bracketing Anderson-Bjorck solver.  Two roots
-    inside one grid cell are missed, so a test that compares counts
-    fails rather than passes on them.  With ``r_max`` the grid stops
-    there (if below 0.9999 B), keeping its cells narrow at large B;
-    roots beyond it are not searched."""
+    def u(x):
+        return _pair_potential_mp(potential.family, potential.params, x)
+
+    up = mpmath.diff(u, r)
+    return (-2 * B_**2 * u(r) - B_**2 * r * up + r**3 * up) \
+        / (2 * r**2 * (r**2 - 2 * B_**2))
+
+
+def level_roots_mpmath(potential, B, alpha, n=200, dps=30, r_max=None,
+                       r_min=None):
+    """All roots of A(r) = alpha on (r_floor, B), sorted, with A from
+    `level_mpmath` at `dps` digits: A - alpha is sampled on an n-point
+    geometric grid strictly inside (r_floor, B), and each sign change is
+    refined by mpmath.findroot's bracketing Anderson-Bjorck solver.  Two
+    roots inside one grid cell are missed, so a test that compares
+    counts fails rather than passes on them.  With ``r_max`` the grid
+    stops there (if below 0.9999 B), and with ``r_min`` it starts there
+    (if above 1.0001 r_floor), keeping its cells narrow at large B or
+    apart two roots near each other; roots beyond them are not
+    searched."""
     with mpmath.workdps(dps):
-        B_, a_ = mpmath.mpf(B), mpmath.mpf(alpha)
-
-        def u(r):
-            return _pair_potential_mp(potential.family, potential.params, r)
+        a_ = mpmath.mpf(alpha)
 
         def f(r):
-            up = mpmath.diff(u, r)
-            num = -2 * B_**2 * u(r) - B_**2 * r * up + r**3 * up
-            return num / (2 * r**2 * (r**2 - 2 * B_**2)) - a_
+            return level_mpmath(potential, B, r) - a_
 
-        lo, hi = mpmath.mpf(potential.r_floor) * 1.0001, B_ * mpmath.mpf(0.9999)
+        lo, hi = mpmath.mpf(potential.r_floor) * 1.0001, mpmath.mpf(B) * mpmath.mpf(0.9999)
         if r_max is not None:
             hi = min(hi, mpmath.mpf(r_max))
+        if r_min is not None:
+            lo = max(lo, mpmath.mpf(r_min))
         grid = [lo * (hi / lo) ** (mpmath.mpf(i) / (n - 1)) for i in range(n)]
         vals = [f(r) for r in grid]
         return [float(mpmath.findroot(f, (a, b), solver="anderson"))
                 for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:])
                 if fa * fb < 0]
+
+
+def outward_cell(radii, values, alpha):
+    """(r_in, r_out, A - alpha at each) of the first cell of one side of
+    `scatter._samples`, walking outward from r* (radii[0]), whose outer
+    sample has A - alpha < 0; None where no sample has.  The walk that
+    `scatter._cell`'s bisection replaces."""
+    for k in range(1, len(radii)):
+        if values[k] - alpha < 0.0:
+            return radii[k - 1], radii[k], values[k - 1] - alpha, values[k] - alpha
+    return None

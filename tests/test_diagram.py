@@ -893,3 +893,10 @@ class TestReferenceTables:
 
     def test_t_ratio_references(self):
         assert diagram.T_CR_OVER_T_B_REFERENCES == (0.39, 2.79)
+
+    def test_tables_are_the_constants_of_curves(self):
+        # `zenoline reference` prints curves' tables without loading diagram
+        tables = diagram.reference_tables()
+        assert tables["rotation_angles"] is curves.ROTATION_ANGLES
+        assert tables["substances"] is curves.SUBSTANCES
+        assert tables["T_cr_over_T_B"] is curves.T_CR_OVER_T_B_REFERENCES

@@ -2,9 +2,10 @@ import itertools
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zenoline import cli, scatter
@@ -390,8 +391,8 @@ class TestStationaryPair:
     @pytest.mark.parametrize("pot", FAMILIES, ids=lambda p: p.family)
     @pytest.mark.parametrize("B", [10.0, 100.0, 1e30, 1.4e51])
     def test_radii_against_mpmath(self, pot, B):
-        # at the large B the barrier cell next to r* spans a factor ~300
-        # (1e30) to ~2e4 (1.4e51) in r; the oracle searches r < 20 there,
+        # at the large B the barrier cell next to r* spans a factor ~4
+        # (1e30) to ~12 (1.4e51) in r; the oracle searches r < 20 there,
         # which holds both roots, so its grid stays fine
         a_star = _alpha_star(pot, B)
         for x in (1e-6, 0.01, 0.2, 0.5, 0.8, 0.95):
@@ -445,16 +446,98 @@ class TestStationaryPair:
         pair = scatter.stationary_pair(scatter.ScatterProblem(LJ, 100.0, 1e-10))
         assert pair.E_min / pair.E_max < 1e-4
 
-    def test_unconverged_radius_is_a_solver_error(self):
-        # within ~1e-15 of alpha* at B = 1e30 the barrier root sits ~2e-8
-        # above r*, at the inner end of a cell 396 wide, and this alpha
-        # takes brentq past its cap
+    def test_pair_at_the_fold_converges(self):
+        # within ~1e-15 of alpha* at B = 1e30 the two roots sit ~5e-9 on
+        # either side of r*, and the barrier's at the inner end of the
+        # cell (1.279, 5.37).  Near the fold, A - alpha ~ delta alpha*
+        # with delta = 1e-15, so a rounding of A (a few eps alpha*) moves
+        # a root by ~eps alpha*/|A'|, about 1e-10 relative here: each
+        # radius is held to 16 eps alpha*/|A'| of the mpmath crossing on
+        # its side of r*, and A there to 16 eps alpha* of alpha
+        r_star, a_star = scatter._context(LJ, 1e30)
+        alpha = a_star * (1.0 - 1e-15)
+        pair = scatter.stationary_pair(scatter.ScatterProblem(LJ, 1e30, alpha))
+        (lo,) = oracles.level_roots_mpmath(LJ, 1e30, alpha, r_max=r_star)
+        (hi,) = oracles.level_roots_mpmath(LJ, 1e30, alpha, r_min=r_star, r_max=2.0)
+        assert pair.r_lo < r_star < pair.r_hi
+        bound = 16.0 * 2.0**-52 * a_star
+        with mpmath.workdps(30):
+            for r, root in ((pair.r_lo, lo), (pair.r_hi, hi)):
+                slope = mpmath.diff(
+                    lambda x: oracles.level_mpmath(LJ, 1e30, x), mpmath.mpf(root))
+                assert abs(r - root) <= bound / abs(slope)
+                assert abs(oracles.level_mpmath(LJ, 1e30, mpmath.mpf(r)) - alpha) <= bound
+
+    def test_no_solver_error_near_the_fold(self):
+        # the near-fold probe: alpha = alpha* (1 - k 1e-16), k = 1..29, at
+        # B = 1e26 to 1e50.  Every radius converges; a DomainError
+        # (E_max < E_min, the depths rounding past each other) is still
+        # allowed here
+        for family, B in itertools.product(("lennard_jones", "morse", "buckingham"),
+                                           (1e26, 1e28, 1e30, 1e40, 1e50)):
+            pot = scatter.PotentialSpec(family)
+            a_star = scatter._context(pot, B)[1]
+            for k in range(1, 30):
+                try:
+                    scatter.stationary_pair(
+                        scatter.ScatterProblem(pot, B, a_star * (1.0 - k * 1e-16)))
+                except DomainError as exc:
+                    assert str(exc) == "E_max < E_min in stationary pair"
+
+    def test_unconverged_radius_is_a_solver_error(self, monkeypatch):
+        # the pair at the fold above needs 83 iterations; under a cap of
+        # 20 it is a SolverError naming the two cells
+        monkeypatch.setattr(scatter, "_MAXITER", 20)
         r_star, a_star = scatter._context(LJ, 1e30)
         with pytest.raises(SolverError, match=r"not converged on the cells "
-                           r"\(1\.27.*, 1\.18.*\) and \(1\.27.*, 396\.2.*\): "
-                           r"brentq reached its cap of 100 iterations$"):
+                           r"\(1\.27.*, 1\.25.*\) and \(1\.27.*, 5\.36.*\): "
+                           r"brentq reached its cap of 20 iterations$"):
             scatter.stationary_pair(
                 scatter.ScatterProblem(LJ, 1e30, a_star * (1.0 - 1e-15)))
+
+    # generalized_lj with m = 3 at B = 10, where A has a second extremum
+    M3 = scatter.PotentialSpec("generalized_lj", {"m": 3.0})
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(pot=st.sampled_from(FAMILIES + [M3]), log_B=st.floats(1.0, 50.0),
+           x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           snap=st.sampled_from([None, "sample", "ulp below"]),
+           side=st.sampled_from([0, 1]), k=st.integers(1, scatter._CELLS))
+    @example(pot=M3, log_B=1.0, x=0.5, snap=None, side=0, k=1)
+    @example(pot=M3, log_B=1.0, x=1e-6, snap=None, side=0, k=1)
+    @example(pot=LJ, log_B=2.0, x=0.5, snap="sample", side=1, k=3)
+    @example(pot=LJ, log_B=2.0, x=0.5, snap="ulp below", side=1, k=3)
+    @example(pot=FAMILIES[2], log_B=30.0, x=0.5, snap="sample", side=0, k=1)
+    @example(pot=FAMILIES[2], log_B=30.0, x=0.5, snap="ulp below", side=0, k=1)
+    def test_bisected_cell_is_the_walked_cell(self, pot, log_B, x, snap, side, k):
+        # alpha in (0, alpha*): alpha* x, or a sample value of A, or the
+        # float just below one; the bisection on the running minimum
+        # picks the cell of the outward walk on both sides, bit for bit
+        B = 10.0 ** log_B
+        key = scatter._key(pot, B)
+        a_star = scatter._merge(*key)[1]
+        sides = scatter._samples(*key)
+        alpha = a_star * x
+        if snap is not None:
+            alpha = sides[side][1][k]
+            if snap == "ulp below":
+                alpha = math.nextafter(alpha, -math.inf)
+        assume(0.0 < alpha < a_star)
+        for radii, values, falls in sides:
+            assert repr(scatter._cell((radii, values, falls), alpha)) == \
+                repr(oracles.outward_cell(radii, values, alpha))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(values=st.lists(st.floats(-2.0, 2.0) | st.sampled_from(
+               [math.nan, -math.inf, math.inf, 0.0, -0.0, 0.5]), min_size=1, max_size=60),
+           alpha=st.floats(0.0, 1.0, exclude_max=True) | st.just(0.5))
+    def test_bisected_cell_on_any_samples(self, values, alpha):
+        # A that turns back above alpha, NaN and infinite samples: the
+        # running minimum keeps the bisection on the walk's cell
+        radii = list(range(len(values) + 1))
+        values = [1.0] + values
+        assert repr(scatter._cell(scatter._side(radii, values), alpha)) == \
+            repr(oracles.outward_cell(radii, values, alpha))
 
 
 class TestCompressibility:
@@ -492,11 +575,15 @@ class TestCompressibility:
         b = scatter.compressibility_curve(LJ, 100.0, grid)
         assert a.rows == b.rows
 
-    def test_unconverged_point_recorded(self):
-        # at B = 1e30, rho = 0.01 converges; the point within 1e-15 of
-        # alpha* takes brentq past its cap (see TestStationaryPair)
+    def test_unconverged_point_recorded(self, monkeypatch):
+        # at B = 1e30 the point within 1e-15 of alpha* converges after 83
+        # iterations, and rho = 0.01 after 13; under a cap of 20 the
+        # first is a SolverError failure (see TestStationaryPair)
         a_star = scatter._context(LJ, 1e30)[1]
         near = a_star * (1.0 - 1e-15)
+        assert scatter.compressibility_curve(LJ, 1e30, [0.01, near]).column("rho") \
+            == [0.01, near]
+        monkeypatch.setattr(scatter, "_MAXITER", 20)
         curve = scatter.compressibility_curve(LJ, 1e30, [0.01, near])
         assert curve.column("rho") == [0.01]
         (rho, msg), = curve.meta["failures"]
