@@ -25,9 +25,13 @@ EXIT_RESOURCE = 4
 
 _ALIASES = {"lj": "lennard_jones"}  # any other --potential is a family name
 
+# the most points a --*-grid flag may ask for
+_GRID_CAP = 1_000_000
+
 
 def parse_grid(spec):
-    """Parse 'lo:hi:step' into a strictly monotone list of floats."""
+    """Parse 'lo:hi:step' into a strictly monotone list of floats; a grid
+    of more than _GRID_CAP points raises ResourceError."""
     try:
         lo, hi, step = (float(x) for x in spec.split(":"))
     except ValueError:
@@ -38,6 +42,9 @@ def parse_grid(spec):
     # NaN or infinite bounds and steps, and spans that overflow
     if not all(map(math.isfinite, (lo, hi, step, cells))):
         raise DomainError(f"grid {spec!r} has a non-finite bound, step or size")
+    # checked before the list is built: a tiny step can ask for ~1e17 points
+    if cells + 1e-9 >= _GRID_CAP:
+        raise ResourceError(f"grid {spec!r} has more than {_GRID_CAP} points")
     return [lo + i * step for i in range(int(math.floor(cells + 1e-9)) + 1)]
 
 

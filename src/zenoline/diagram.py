@@ -1,7 +1,7 @@
-"""Phase-diagram assembly: Zeno line, Bachinskii parabola, the
-fractal-index Bose-type equation of state with its volume deformation
-phi(V), reduced isotherms, the jamming extension gamma(mu), and bundled
-reference tables.
+"""Phase-diagram numerics: the Bachinskii parabola, the fractal-index
+Bose-type equation of state with its volume deformation phi(V), reduced
+isotherms and the jamming extension gamma(mu).  ``reference_tables``
+hands back the constant tables of ``curves``.
 """
 
 from __future__ import annotations
@@ -14,47 +14,21 @@ from collections import namedtuple
 from .curves import (ROTATION_ANGLES, SUBSTANCES, T_CR_OVER_T_B_REFERENCES,
                      PhaseCurve, linspace)
 from .errors import CausticError, DomainError, SolverError, ZenolineError
-from .records import record
 from .roots import brentq
 from .specfun import polylog, polylog_ds, riemann_zeta
 
 __all__ = [
-    "ZenoLine",
     "FractalEos",
     "IsothermPoint",
-    "CriticalGamma",
-    "zeno_density",
     "bachinskii_density",
     "solve_phi",
-    "critical_gamma",
     "ideal_isotherm",
     "imperfect_isotherm",
     "jamming_extension",
-    "liquid_summary",
     "reference_tables",
-    "rotation_angle",
-    "substance_data",
 ]
 
 GAMMA0 = 0.2
-
-
-class ZenoLine(record("ZenoLine", ["rho_B", "T_B"])):
-    """Straight Zeno line rho = rho_B (1 - T/T_B), rho_B and T_B finite."""
-
-    __slots__ = ()
-
-    def __new__(cls, rho_B=1.0, T_B=1.0):
-        if not (0.0 < rho_B < math.inf and 0.0 < T_B < math.inf):
-            raise DomainError("rho_B and T_B must be positive")
-        return super().__new__(cls, rho_B, T_B)
-
-
-def zeno_density(line, T):
-    """Density on the Zeno line at temperature T < T_B."""
-    if not (0.0 <= T < line.T_B):
-        raise DomainError(f"T = {T} outside [0, T_B = {line.T_B})")
-    return line.rho_B * (1.0 - T / line.T_B)
 
 
 def bachinskii_density(b, c, P):
@@ -184,7 +158,6 @@ class FractalEos:
 
 
 IsothermPoint = namedtuple("IsothermPoint", ["P_r", "Z", "a", "T_r"])
-CriticalGamma = namedtuple("CriticalGamma", ["d", "gamma"])
 
 
 def _w_prime(gamma, V, w):
@@ -334,25 +307,6 @@ def solve_phi(gamma, V_grid):
     else:
         raise DomainError(f"V grid ends at {out_V[-1]}, above V_cr where kappa = -1e-6")
     return FractalEos(gamma, out_V[::-1], [-(w ** (1.0 / gamma)) for w in out_w[::-1]])
-
-
-def critical_gamma(target_Z):
-    """Fractal dimension d with zeta(d+1)/zeta(d) equal to the target
-    compressibility (geometric factor taken as 1), and the associated
-    index gamma = d - 1."""
-    if not (0.0 < target_Z < 1.0):
-        raise DomainError(f"target must be in (0, 1), got {target_Z}")
-
-    def res(d):
-        return riemann_zeta(d + 1.0) / riemann_zeta(d) - target_Z
-
-    lo, hi = 1.0 + 1e-6, 6.0
-    f_lo, f_hi = res(lo), res(hi)
-    if f_lo > 0 or f_hi < 0:
-        raise DomainError(
-            f"target {target_Z} outside the attainable ratio range on d in {(lo, hi)}")
-    d = brentq(res, lo, hi, xtol=1e-12, fa=f_lo, fb=f_hi)
-    return CriticalGamma(d=d, gamma=d - 1.0)
 
 
 def _solve_activity(f, target):
@@ -579,26 +533,6 @@ def jamming_extension(mu_grid, eos, gamma0=GAMMA0, anchor_P=2.5, variant="ode"):
               "variant": variant, "geometric_factor": 1.0, "V_cr": eos.V_cr})
 
 
-def liquid_summary(eos, zeno):
-    """Liquid-branch reference assembly: the constant-density rays, the
-    connecting hyperbola Z = c/rho through the critical point
-    (Z_cr = 0.29, rho_cr = 0.273 rho_B), and triple-point constants."""
-    rho_cr = 0.273 * zeno.rho_B
-    c = 0.29 * rho_cr
-    hyperbola = [(r, c / r) for r in linspace(rho_cr, zeno.rho_B * 0.999, 25)]
-    t_rays = [0.9, 0.8, 0.7, 0.6]
-    rays = [(t * zeno.T_B, zeno_density(zeno, t * zeno.T_B)) for t in t_rays]
-    return {
-        "hyperbola_constant": c,
-        "hyperbola": hyperbola,
-        "rays": rays,
-        "focal_Z": 0.17,
-        "triple_point": {"Z": 0.3e-3, "T_over_T_cr": 0.55, "rho_g_cm3": 0.7},
-        "V_cr": eos.V_cr,
-        "gamma": eos.gamma,
-    }
-
-
 def reference_tables():
     """Bundled immutable reference data."""
     return {
@@ -606,19 +540,3 @@ def reference_tables():
         "substances": SUBSTANCES,
         "T_cr_over_T_B": T_CR_OVER_T_B_REFERENCES,
     }
-
-
-def rotation_angle(V):
-    """Rotation angle (radians) for the reduced-volume band containing V."""
-    for threshold, angle in ROTATION_ANGLES:
-        if V >= threshold:
-            return angle
-    raise LookupError(f"no rotation angle tabulated below V = 0.17 (got {V})")
-
-
-def substance_data(name):
-    """Reference constants for one substance."""
-    try:
-        return SUBSTANCES[name]
-    except KeyError:
-        raise LookupError(f"no reference data for substance {name!r}") from None

@@ -2,7 +2,7 @@
 
 Exhaustive enumeration of occupation-number vectors under a particle
 count and an energy budget, the Gibbs parameter fit, and the
-Maxwell-Boltzmann limit of the Bose integrals.
+concentration report built on them.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "enumerate_states",
     "gibbs_parameter",
     "concentration_report",
-    "boltzmann_limit_check",
     "default_psi",
 ]
 
@@ -254,37 +253,3 @@ def concentration_report(spectrum, N_list, E):
         "entries": entries,
         "trend_non_increasing": all(b <= a + 1e-15 for a, b in zip(fracs, fracs[1:])),
     }
-
-
-def boltzmann_limit_check(gamma, kappa_list):
-    """Ratio of the Bose integral to its Maxwell-Boltzmann limit
-    Gamma(gamma+1) e^kappa, for a sequence of kappa going to -infinity.
-
-    The deficit ratio - 1 = sum_{j>=2} e^((j-1) kappa) / j^(gamma+1)
-    decays like e^kappa / 2^(gamma+1).  Where e^kappa <= 0.6 it is summed
-    as that series, which keeps its digits and never divides by an
-    e^kappa that has underflowed to 0.
-    """
-    if any(k > 0 for k in kappa_list):
-        raise DomainError("kappa values must be non-positive")
-    from . import specfun
-
-    s = gamma + 1.0
-    g = specfun.gamma_fn(s)
-    rows = []
-    for kappa in kappa_list:
-        z = math.exp(kappa)
-        if kappa <= specfun._SERIES_SWITCH:
-            # the tail after a term is at most 1.5 times that term
-            deficit, z_j, j = 0.0, z, 2
-            while True:
-                term = z_j / j**s
-                deficit += term
-                if term <= 1e-17 * deficit:
-                    break
-                z_j *= z
-                j += 1
-        else:
-            deficit = specfun.bose_integral(gamma, kappa).value / (g * z) - 1.0
-        rows.append({"kappa": kappa, "ratio": 1.0 + deficit, "deficit": deficit})
-    return {"gamma": gamma, "rows": rows}

@@ -1,8 +1,8 @@
 """Restricted-partition counts and condensate-threshold asymptotics.
 
-Exact p_k(n) tables by dynamic programming over big integers, Hartley
-entropy, the summand-count threshold k0 beyond which the number of
-partition variants stops growing, the one-dimensional threshold N_cr,
+Exact p_k(n) tables by dynamic programming over big integers, the
+summand-count threshold k0 beyond which the number of partition
+variants stops growing, the one-dimensional threshold N_cr,
 and the finite-N global-distribution solver built on the Bose-type
 integrals of the specfun module.
 """
@@ -24,12 +24,9 @@ __all__ = [
     "CondensateThreshold",
     "build_partition_table",
     "pk_row",
-    "hartley_entropy",
     "condensate_threshold",
-    "maximize_variants",
     "solve_global_distribution",
     "ncr_dimension1",
-    "fractal_weight",
 ]
 
 # the constant of the two-term threshold asymptotics
@@ -158,22 +155,6 @@ def pk_row(n):
     return [row[n] for row in _pk_rows(n, n)]
 
 
-def hartley_entropy(n, k, table):
-    """Binary logarithm of the number of partition variants, log2 p_k(n)."""
-    c = table.count(n, k)
-    if c == 0:
-        raise DomainError(f"p_{k}({n}) = 0, entropy undefined")
-    return _log2_bigint(c)
-
-
-def _log2_bigint(x):
-    """log2 of a positive big integer without float overflow."""
-    e = x.bit_length() - 53
-    if e <= 0:
-        return math.log2(x)
-    return e + math.log2(x >> e)
-
-
 def condensate_threshold(n):
     """Threshold summand count k0: the smallest argmax of p_k(n) over k,
     with its one- and two-term asymptotic approximations.
@@ -198,17 +179,6 @@ def condensate_threshold(n):
     leading = rt / _C * math.log(n)
     return CondensateThreshold(n=n, k0_exact=k0, k0_leading=leading,
                                k0_two_term=leading + _ALPHA * rt)
-
-
-def maximize_variants(n, k_bar):
-    """The k <= k_bar maximizing the variant count p_k(n).
-
-    Below the threshold the count is still growing, so the cap itself
-    wins; above it the threshold wins.
-    """
-    if not (1 <= k_bar <= n):
-        raise DomainError(f"need 1 <= k_bar <= n, got k_bar={k_bar}, n={n}")
-    return min(k_bar, condensate_threshold(n).k0_exact)
 
 
 def solve_global_distribution(n, k=None, gamma=0.0):
@@ -296,13 +266,3 @@ def ncr_dimension1(n):
             f"W = {w:.6g} < 4 at n = {n}: no real root (below the asymptotic regime)"
         )
     return (w * w / 4.0) * (1.0 + math.sqrt(1.0 - 4.0 / w)) ** 2
-
-
-def fractal_weight(d, i):
-    """Degeneracy weight Gamma(d+i) / (Gamma(i+1) Gamma(d)) for
-    non-integer dimension d; reduces to i+1 at d = 2 and to 1 at d = 1."""
-    if d <= 0:
-        raise DomainError(f"d must be positive, got {d}")
-    if i < 0:
-        raise DomainError(f"i must be >= 0, got {i}")
-    return math.exp(math.lgamma(d + i) - math.lgamma(i + 1.0) - math.lgamma(d))

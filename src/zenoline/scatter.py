@@ -50,7 +50,6 @@ __all__ = [
     "StationaryPair",
     "CriticalSummary",
     "effective_energy",
-    "effective_energy_derivative",
     "alpha_from_first_derivative",
     "alpha_from_second_derivative",
     "zeno_condition_root",
@@ -179,12 +178,6 @@ class PotentialSpec(record("PotentialSpec", ["family", "params"])):
     def u(self, r):
         return self.derivatives(r)[0]
 
-    def du(self, r):
-        return self.derivatives(r)[1]
-
-    def d2u(self, r):
-        return self.derivatives(r)[2]
-
 
 def _check_B(B):
     """B must be finite and exceed 1, and 8 B^6 must be finite too: the
@@ -262,20 +255,6 @@ def effective_energy(problem, r):
     if r == B:
         raise PoleError(f"effective energy has a pole at r = B = {B}")
     return _energy(problem.potential.u(r), problem.alpha, B, r)
-
-
-def effective_energy_derivative(problem, r):
-    """Analytic dE/dr."""
-    if r <= 0:
-        raise DomainError(f"r must be positive, got {r}")
-    B2 = problem.B * problem.B
-    if r == problem.B:
-        raise PoleError(f"derivative has a pole at r = B = {problem.B}")
-    u, up, _ = problem.potential.derivatives(r)
-    num = (2.0 * B2 * r * u
-           + 2.0 * problem.alpha * r**3 * (r * r - 2.0 * B2)
-           + r * r * (B2 - r * r) * up)
-    return num / (B2 - r * r) ** 2
 
 
 def _bind_level(derivs, B):

@@ -644,7 +644,7 @@ def improper_quad(f, a):
     to 1e-12 absolute or 1e-10 relative in at most 60 subdivisions.
 
     The one function of the package that needs scipy; it stays only
-    until ROADMAP item 4 unbinds it from perfbench.  Integrands
+    until ROADMAP item 5 unbinds it from perfbench.  Integrands
     must already be finite at the left endpoint (removable singularities
     handled by the caller's series branch).  Failure to converge raises
     AccuracyError carrying the best estimate.

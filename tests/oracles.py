@@ -10,9 +10,10 @@ parts-at-most-k recurrence for restricted counts, truncated power
 series and mpmath at raised precision for polylogarithms and the Bose
 integrals, trapezoid sums and QUADPACK for
 integrals, central differences for derivatives, an adaptive
-DOP853 solve in kappa for the phi(V) trace, and an mpmath sign scan
-refined by findroot for the stationary radii of the scattering
-energy.  mpmath is a
+DOP853 solve in kappa for the phi(V) trace, the quotient-rule dE/dr
+of the scattering energy, which does not go through the level function
+A(r), and an mpmath sign scan refined by findroot for the stationary
+radii of the scattering energy.  mpmath is a
 test-only dependency (the ``test`` extra); the library itself does not
 import it.  scipy's C brentq is the oracle for the library's
 step-for-step port of Brent's method (``zenoline.roots``); the library
@@ -406,6 +407,18 @@ def phi_isotherm_ivp(gamma, P_list, V_max=1000.0):
         V = brentq_scipy(lambda v: pressure(v) - P, V_cr, V_max, xtol=1e-14, rtol=1e-15)
         Z.append(P * V)
     return PhiIsotherm(V_cr=V_cr, P_max=pressure(V_cr), Z=Z)
+
+
+def effective_energy_derivative(problem, r):
+    """dE/dr of E(r) = (-alpha r^4 + r^2 U(r)) / (B^2 - r^2) by the
+    quotient rule, from U and U' at r; it vanishes at the stationary
+    radii, which the library finds as roots of A(r) = alpha instead."""
+    B2 = problem.B * problem.B
+    u, up, _ = problem.potential.derivatives(r)
+    num = (2.0 * B2 * r * u
+           + 2.0 * problem.alpha * r**3 * (r * r - 2.0 * B2)
+           + r * r * (B2 - r * r) * up)
+    return num / (B2 - r * r) ** 2
 
 
 def _pair_potential_mp(family, params, r):

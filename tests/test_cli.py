@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 import zenoline
 from zenoline import cli, scatter
-from zenoline.errors import DomainError, SolverError
+from zenoline.errors import DomainError, ResourceError, SolverError
 
 import oracles
 
@@ -40,6 +41,14 @@ class TestParseGrid:
                     "2:1e300:1e-300", "-1e308:1e308:1"):
             with pytest.raises(DomainError):
                 cli.parse_grid(bad)
+
+    def test_size_cap(self):
+        # the cap is checked on the cell count, before a list is built
+        assert len(cli.parse_grid(f"0:{cli._GRID_CAP - 1}:1")) == cli._GRID_CAP
+        for spec in ("5:100:1e-300", "5:1e15:5", f"0:{cli._GRID_CAP}:1"):
+            with pytest.raises(ResourceError, match=re.escape(
+                    f"grid {spec!r} has more than {cli._GRID_CAP} points")):
+                cli.parse_grid(spec)
 
 
 class TestWriters:
@@ -210,6 +219,17 @@ class TestExitCodes:
         # the partition table cap trips the resource guard
         assert cli.main(["partition", "--n", "30000"]) == cli.EXIT_RESOURCE
         assert "resource guard" in capsys.readouterr().err
+
+    def test_grid_cap_resource_error(self, capsys):
+        # every --*-grid flag is held to the point cap
+        for argv in (["zeno", "--B-grid", "5:1e15:5"],
+                     ["compressibility", "--rho-grid", "0.002:0.18:1e-300"],
+                     ["isotherm", "--P-grid", "1e-300:1:1e-300"],
+                     ["jamming", "--mu-grid", "0:-1:-1e-12"]):
+            assert cli.main(argv) == cli.EXIT_RESOURCE
+            assert capsys.readouterr().err == (
+                f"zenoline {argv[0]}: resource guard: grid {argv[2]!r} has "
+                f"more than {cli._GRID_CAP} points\n")
 
     def test_cell_cap_resource_error(self, capsys):
         # 7001^2 cells pass the n cap but not the cell cap

@@ -29,35 +29,6 @@ def ivp():
     return oracles.phi_isotherm_ivp(GAMMA0, [0.05, 0.5, 0.8, 0.95])
 
 
-class TestZenoLine:
-    def test_linearity(self):
-        line = diagram.ZenoLine(rho_B=2.0, T_B=4.0)
-        for t in (0.0, 1.0, 2.0, 3.9):
-            assert diagram.zeno_density(line, t) == \
-                pytest.approx(2.0 * (1.0 - t / 4.0), rel=1e-14)
-
-    def test_domain(self):
-        line = diagram.ZenoLine()
-        with pytest.raises(DomainError):
-            diagram.zeno_density(line, 1.0)
-        with pytest.raises(DomainError):
-            diagram.zeno_density(line, -0.1)
-
-    @pytest.mark.parametrize("bad", [
-        {"rho_B": 0.0}, {"rho_B": -1.0}, {"rho_B": math.nan}, {"rho_B": math.inf},
-        {"T_B": 0.0}, {"T_B": math.nan}, {"T_B": math.inf}])
-    def test_record(self, bad):
-        # a validating namedtuple; NaN and infinity are not positive and
-        # finite, so they cannot reach liquid_summary as a NaN hyperbola
-        line = diagram.ZenoLine(2.0, 4.0)
-        assert line == diagram.ZenoLine(rho_B=2.0, T_B=4.0)
-        assert diagram.ZenoLine() == diagram.ZenoLine(1.0, 1.0)
-        with pytest.raises(AttributeError):
-            line.rho_B = 3.0
-        with pytest.raises(DomainError, match=r"^rho_B and T_B must be positive$"):
-            diagram.ZenoLine(**{"rho_B": 2.0, "T_B": 4.0, **bad})
-
-
 class TestBachinskii:
     def test_roots_satisfy_parabola(self):
         b, c = 1.3, 0.9
@@ -275,31 +246,6 @@ class TestSolvePhi:
         dev = [diagram._w_prime(GAMMA0, 1.4, w) / limit - 1.0 for w in (3e-2, 1e-2)]
         assert abs(dev[0]) < 0.1
         assert dev[1] == pytest.approx(dev[0] / 3.0, rel=0.05)
-
-
-class TestCriticalGamma:
-    def test_residual(self):
-        cg = diagram.critical_gamma(0.29)
-        z = specfun.riemann_zeta
-        assert z(cg.d + 1.0) / z(cg.d) == pytest.approx(0.29, abs=1e-10)
-        assert cg.gamma == cg.d - 1.0
-        assert cg.d == pytest.approx(1.22228, abs=1e-4)
-
-    def test_bracketing_oracle(self):
-        z = oracles.zeta_euler_maclaurin
-        assert z(2.1) / z(1.1) < 0.29 < z(2.3) / z(1.3)
-        cg = diagram.critical_gamma(0.29)
-        assert 1.1 < cg.d < 1.3
-
-    def test_ratio_monotone_in_target(self):
-        ds = [diagram.critical_gamma(t).d for t in (0.15, 0.29, 0.5, 0.8)]
-        assert all(a < b for a, b in zip(ds, ds[1:]))
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            diagram.critical_gamma(1.2)
-        with pytest.raises(DomainError):
-            diagram.critical_gamma(0.9999)
 
 
 class TestActivitySolver:
@@ -805,13 +751,6 @@ class TestLinspace:
                   for t in np.linspace(0.0, 1.0, 41)[1:].tolist()]
         assert [row[:2] for row in curve.rows[-40:]] == stitch
 
-    def test_liquid_hyperbola(self, eos):
-        line = diagram.ZenoLine()
-        summary = diagram.liquid_summary(eos, line)
-        c = summary["hyperbola_constant"]
-        rhos = np.linspace(0.273 * line.rho_B, 0.999 * line.rho_B, 25).tolist()
-        assert summary["hyperbola"] == [(r, c / r) for r in rhos]
-
 
 GEOM_GRIDS = [(1.02, 1000.0, 400), (2.0, 1000.0, 50), (1e-3, 1e3, 100),
               (0.5, 0.001, 37)]
@@ -860,36 +799,17 @@ class TestGeomspace:
                 curves.geomspace(start, stop, 5)
 
 
-class TestLiquidSummary:
-    def test_hyperbola_constant(self, eos):
-        summary = diagram.liquid_summary(eos, diagram.ZenoLine())
-        c = summary["hyperbola_constant"]
-        for rho, z in summary["hyperbola"]:
-            assert rho * z == pytest.approx(c, rel=1e-12)
-        assert summary["V_cr"] == eos.V_cr
-
-    def test_rays_on_zeno_line(self, eos):
-        line = diagram.ZenoLine()
-        summary = diagram.liquid_summary(eos, line)
-        for t, rho in summary["rays"]:
-            assert rho == pytest.approx(1.0 - t, rel=1e-12)
-
-
 class TestReferenceTables:
     def test_rotation_angles(self):
-        assert diagram.rotation_angle(0.30) == 0.049
-        assert diagram.rotation_angle(0.26) == 0.052
-        assert diagram.rotation_angle(0.17) == 0.066
-        with pytest.raises(LookupError):
-            diagram.rotation_angle(0.1)
+        # (lowest reduced volume of the band, angle), bands descending
+        assert curves.ROTATION_ANGLES == ((0.30, 0.049), (0.25, 0.052),
+                                          (0.20, 0.058), (0.17, 0.066))
 
     def test_substances(self):
-        ar = diagram.substance_data("Ar")
-        assert ar["epsilon_K"] == 119.3
-        assert set(diagram.reference_tables()["substances"]) == \
-            {"Ne", "Ar", "Kr", "N2", "CH4", "C2H6"}
-        with pytest.raises(LookupError):
-            diagram.substance_data("He")
+        assert curves.SUBSTANCES["Ar"]["epsilon_K"] == 119.3
+        assert set(curves.SUBSTANCES) == {"Ne", "Ar", "Kr", "N2", "CH4", "C2H6"}
+        with pytest.raises(TypeError):
+            curves.SUBSTANCES["He"] = {}
 
     def test_t_ratio_references(self):
         assert diagram.T_CR_OVER_T_B_REFERENCES == (0.39, 2.79)

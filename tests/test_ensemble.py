@@ -1,7 +1,6 @@
 import math
 import re
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -318,45 +317,3 @@ class TestConcentration:
         with pytest.raises(DomainError, match=r"^L0 = sum of e\^\(-b_E lambda\) "
                            r"underflows to 0 at b_E = 6\.906.*, level 1000\.0$"):
             ensemble.concentration_report(spec, [2], 1000.001)
-
-
-class TestBoltzmann:
-    def test_ratio_approaches_one(self):
-        out = ensemble.boltzmann_limit_check(1.0, [-2.0, -5.0, -10.0, -20.0])
-        deficits = [abs(r["deficit"]) for r in out["rows"]]
-        assert all(a > b for a, b in zip(deficits, deficits[1:]))
-        assert out["rows"][-1]["ratio"] == pytest.approx(1.0, abs=1e-6)
-
-    def test_deficit_decay_rate(self):
-        # leading correction is e^kappa / 2^(gamma+1), so successive
-        # unit steps in kappa shrink the deficit by e
-        out = ensemble.boltzmann_limit_check(1.0, [-8.0, -9.0, -10.0])
-        d = [r["deficit"] for r in out["rows"]]
-        assert d[1] / d[0] == pytest.approx(math.exp(-1.0), rel=1e-3)
-        assert d[2] / d[1] == pytest.approx(math.exp(-1.0), rel=1e-3)
-
-    def test_deficit_below_exp_underflow(self):
-        # e^kappa underflows to 0 below kappa ~ -745; the deficit
-        # e^kappa / 2^(gamma+1) + ... is summed without dividing by it
-        out = ensemble.boltzmann_limit_check(1.0, [-700.0, -746.0, -800.0, -1e4])
-        top, *deep = out["rows"]
-        assert top["deficit"] == pytest.approx(math.exp(-700.0) / 4.0, rel=1e-14)
-        for row in deep:
-            assert (row["ratio"], row["deficit"]) == (1.0, 0.0)
-
-    @pytest.mark.parametrize("gamma", [-0.5, 0.0, 1.0, 2.5])
-    def test_deficit_near_unit_activity(self, gamma):
-        # e^kappa > 0.6 takes the Bose integral, not the series; e^kappa
-        # is taken in mpmath, as a float it would move 1 - e^-1e-9 by 1e-7
-        kappas = [-0.5, -0.1, -1e-3, -1e-9]
-        out = ensemble.boltzmann_limit_check(gamma, kappas)
-        for kappa, row in zip(kappas, out["rows"]):
-            with mpmath.workdps(40):
-                z = mpmath.exp(mpmath.mpf(kappa))
-                want = float(mpmath.polylog(mpmath.mpf(gamma) + 1, z) / z - 1)
-            assert row["deficit"] == pytest.approx(want, rel=1e-13, abs=0.0)
-            assert row["ratio"] == 1.0 + row["deficit"]
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            ensemble.boltzmann_limit_check(1.0, [-1.0, 0.5])

@@ -150,23 +150,6 @@ class TestBoundedOracle:
         assert [sys.getsizeof(row) for row in table._rows] == [size] * 301
 
 
-class TestEntropy:
-    def test_values(self, table200):
-        assert partition.hartley_entropy(4, 2, table200) == pytest.approx(1.0)
-        assert partition.hartley_entropy(5, 5, table200) == 0.0
-        expect = math.log2(table200.count(100, 10))
-        assert partition.hartley_entropy(100, 10, table200) == pytest.approx(expect)
-
-    def test_zero_count_rejected(self, table200):
-        with pytest.raises(DomainError):
-            partition.hartley_entropy(3, 5, table200)
-
-    def test_huge_counts(self):
-        # exercise the big-integer mantissa path beyond float precision
-        big = 1 << 1200 | 12345
-        assert partition._log2_bigint(big) == pytest.approx(1200.0, abs=1e-9)
-
-
 def _smallest_argmax(row):
     return max(range(len(row)), key=lambda i: (row[i], -i)) + 1
 
@@ -204,29 +187,6 @@ class TestThreshold:
         alpha = -2.0 * math.log(c / 2.0)
         assert th.k0_leading == pytest.approx(10.0 / c * math.log(100.0))
         assert th.k0_two_term == pytest.approx(th.k0_leading + alpha * 10.0)
-
-
-class TestMaximizer:
-    def test_brute_force_equivalence(self, table200):
-        for n in range(1, 121):
-            row = table200.row(n)
-            prefix_best = 0
-            arg = 1
-            for k_bar in range(1, n + 1):
-                if row[k_bar - 1] > prefix_best:
-                    prefix_best = row[k_bar - 1]
-                    arg = k_bar
-                assert partition.maximize_variants(n, k_bar) == arg
-
-    def test_examples(self):
-        assert partition.maximize_variants(100, 2) == 2
-        assert partition.maximize_variants(5, 5) == 2
-        assert partition.maximize_variants(1, 1) == 1
-
-    def test_domain(self):
-        for n, k_bar in ((10, 0), (10, 11)):
-            with pytest.raises(DomainError, match="need 1 <= k_bar <= n"):
-                partition.maximize_variants(n, k_bar)
 
 
 class TestGlobalDistribution:
@@ -407,29 +367,3 @@ class TestNcr:
             partition.ncr_dimension1(1)
         with pytest.raises(DomainError, match="n must be >= 1, got 0"):
             partition.ncr_dimension1(0)
-
-
-class TestFractalWeight:
-    def test_integer_dimensions(self):
-        for i in range(6):
-            assert partition.fractal_weight(2.0, i) == pytest.approx(i + 1.0)
-            assert partition.fractal_weight(1.0, i) == pytest.approx(1.0)
-
-    def test_gamma_cross_check(self):
-        expect = specfun.gamma_fn(3.4) / (2.0 * specfun.gamma_fn(1.4))
-        assert partition.fractal_weight(1.4, 2) == pytest.approx(expect, rel=1e-12)
-
-    def test_domain(self):
-        for d in (0.0, -1.5):
-            with pytest.raises(DomainError, match="d must be positive"):
-                partition.fractal_weight(d, 2)
-        with pytest.raises(DomainError, match="i must be >= 0, got -1"):
-            partition.fractal_weight(1.4, -1)
-
-    def test_ratio_recurrence(self):
-        # Gamma functional equation: w(d, i+1) / w(d, i) = (d + i) / (i + 1)
-        for d in (0.5, 1.4, 2.7):
-            for i in range(0, 12):
-                ratio = partition.fractal_weight(d, i + 1) / \
-                    partition.fractal_weight(d, i)
-                assert ratio == pytest.approx((d + i) / (i + 1.0), rel=1e-12)

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from zenoline import diagram, ensemble, partition, scatter, specfun
+from zenoline import ensemble, partition, scatter, specfun
 from zenoline.errors import DomainError
 
 LJ = scatter.PotentialSpec()
@@ -14,8 +14,6 @@ LJ = scatter.PotentialSpec()
 # (record, constructor arguments, a valid replacement, an invalid one,
 # the constructor's message for it)
 RECORDS = [
-    (diagram.ZenoLine, (2.0, 4.0), {"T_B": 3.0}, {"rho_B": math.nan},
-     "rho_B and T_B must be positive"),
     (specfun.BoseIntegralResult, (1.5, 7), {"value": 2.5}, {"value": math.inf},
      "integral value is not finite"),
     (partition.GlobalDistribution, (0.01, 2.0, 0.0, 50), {"kappa": 3.0},
