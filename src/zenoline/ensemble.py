@@ -176,32 +176,32 @@ def enumerate_states(spectrum, N, E_max, band=None):
 def gibbs_parameter(spectrum, E):
     """Inverse-temperature analog b_E with mean level energy E.
 
-    The weighted mean sum(lambda e^(-b lambda)) / sum(e^(-b lambda)) is
-    strictly decreasing in b: ``grow_end`` doubles the ends (-1, 1) until
-    they bracket b_E, and ``brentq`` solves for it.  The weights are taken
-    relative to the lowest level, e^(-b (lambda - lambda_0)).  Where those
-    overflow (b < 0 on a wide spectrum), they are taken relative to the
-    highest level instead, so that every weight is <= 1.
+    Solved scale-free: with x_i = (lambda_i - lambda_0) / (lambda_max -
+    lambda_0) on [0, 1] and t = (E - lambda_0) / (lambda_max - lambda_0),
+    the weighted mean of x under e^(-beta x) is strictly decreasing in
+    beta.  ``grow_end`` doubles the ends (-1, 1) until they bracket the
+    beta with mean t, ``brentq`` solves for it, and b_E = beta /
+    (lambda_max - lambda_0).  The weights are taken relative to the lowest
+    level for beta >= 0 and to the highest for beta < 0, so every weight
+    is <= 1 and none overflows.
     """
     levels = spectrum.levels
     if not (levels[0] < E < levels[-1]):
         raise DomainError(f"E = {E} outside the attainable range "
                           f"({levels[0]}, {levels[-1]})")
+    width = levels[-1] - levels[0]
+    xs = [(lam - levels[0]) / width for lam in levels]
+    t = (E - levels[0]) / width
 
-    def weighted(b, shift):
-        w = [math.exp(-b * (lam - shift)) for lam in levels]
-        return sum(lam * wi for lam, wi in zip(levels, w)) / sum(w)
-
-    def residual(b):
-        try:
-            m = weighted(b, levels[0])
-        except OverflowError:
-            m = math.inf
-        return (m if m < math.inf else weighted(b, levels[-1])) - E
+    def residual(beta):
+        shift = 0.0 if beta >= 0.0 else 1.0
+        w = [math.exp(-beta * (x - shift)) for x in xs]
+        return sum(x * wi for x, wi in zip(xs, w)) / sum(w) - t
 
     lo, f_lo = grow_end(residual, -1.0, 1.0)
     hi, f_hi = grow_end(residual, 1.0, -1.0)
-    return brentq(residual, lo, hi, xtol=1e-14, rtol=8.9e-16, fa=f_lo, fb=f_hi)
+    return brentq(residual, lo, hi, xtol=1e-14, rtol=8.9e-16,
+                  fa=f_lo, fb=f_hi) / width
 
 
 def default_psi(x):

@@ -33,10 +33,10 @@ __all__ = [
 _C = 2.0 * math.pi / math.sqrt(6.0)
 _ALPHA = -2.0 * math.log(_C / 2.0)
 
+# the Hardy-Ramanujan bound of condensate_threshold is tested up to here;
+# a higher cap needs that test extended, or a proven explicit bound
 _N_CAP = 20000
 _CELL_CAP = 40_000_000
-# the streamed threshold scan stops after this many declines of p_k(n)
-_PATIENCE = 60
 
 
 # a dataclass while perfbench's tests call dataclasses.replace on it
@@ -107,7 +107,7 @@ def _check_table_size(n_max, k_max):
     """Reject a p_k(n) table outside 1 <= k_max <= n_max or past the
     size guards.  `pk_row` is held to the same guards as the table of
     its n; the streamed threshold scan, which keeps only two rows, is
-    held to the n cap alone."""
+    held to the n cap alone, the range on which its stop is proven."""
     if not (1 <= k_max <= n_max):
         raise DomainError(f"need 1 <= k_max <= n_max, got k_max={k_max}, n_max={n_max}")
     if n_max > _N_CAP:
@@ -159,22 +159,22 @@ def condensate_threshold(n):
     """Threshold summand count k0: the smallest argmax of p_k(n) over k,
     with its one- and two-term asymptotic approximations.
 
-    k0 is found by streaming one k-row of the recurrence at a time.
-    p_k(n) is unimodal in k, so the scan stops after _PATIENCE
-    consecutive declines.  Only two rows are held, so the scan is held
-    to the n cap but not to the cell cap."""
+    k0 streams the recurrence one k-row at a time, holding two rows.  For
+    j > k, p_j(n) <= p(n - j) <= p(m), m = n - k - 1 (take one from each
+    part; p is non-decreasing), and p(m) is below the Hardy-Ramanujan term
+    H(m) = e^(pi sqrt(2m/3)) / (4 sqrt(3) m) by >= 0.003 in ln for every
+    1 <= m <= _N_CAP.  So the scan stops once m < 1 or the best reaches H(m)."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if n > _N_CAP:
         raise ResourceError(f"n={n} exceeds cap {_N_CAP}")
-    k0, best, declines = 1, 0, 0
+    k0, best = 1, 0
     for k, row in enumerate(_pk_rows(n, n), start=1):
         if row[n] > best:
-            best, k0, declines = row[n], k, 0
-        else:
-            declines += 1
-            if declines >= _PATIENCE:
-                break
+            best, k0, ln_best = row[n], k, math.log(row[n])
+        m = n - k - 1
+        if m < 1 or ln_best >= math.pi * math.sqrt(2 * m / 3) - math.log(4 * math.sqrt(3) * m):
+            break
     rt = math.sqrt(n)
     leading = rt / _C * math.log(n)
     return CondensateThreshold(n=n, k0_exact=k0, k0_leading=leading,

@@ -472,7 +472,9 @@ def stationary_pair(problem):
     has A - alpha < 0, and brentq starts from the two sample values, so
     a pair costs the two radius solves and no other evaluation of A.
     Raises DegenerateError when alpha >= alpha* = A(r*), so that the two
-    stationary points have merged or do not exist.
+    stationary points have merged or do not exist, and when the depths
+    come out with E_max < E_min, as rounding makes them within ~1e-13
+    of alpha*, where they agree to the last bits.
 
     Certificate: A - alpha is positive at the inner end of each cell
     (r* itself, or a sample where it is not negative; where it is 0,
@@ -529,8 +531,13 @@ def stationary_pair(problem):
             f"and ({hi[0]!r}, {hi[1]!r}): brentq reached its cap of "
             f"{_MAXITER} iterations") from None
     # flipped convention: the well at r_lo, the barrier at r_hi
-    return StationaryPair(r_lo, r_hi, -_energy(derivs(r_hi)[0], alpha, B, r_hi),
-                          -_energy(derivs(r_lo)[0], alpha, B, r_lo))
+    E_min = -_energy(derivs(r_hi)[0], alpha, B, r_hi)
+    E_max = -_energy(derivs(r_lo)[0], alpha, B, r_lo)
+    if E_max < E_min:
+        raise DegenerateError(
+            f"well and barrier depths cross in rounding at alpha = {alpha!r}, "
+            f"alpha* = {a_star!r}: E_max = {E_max!r} < E_min = {E_min!r}")
+    return StationaryPair(r_lo, r_hi, E_min, E_max)
 
 
 def compressibility_curve(potential, B, rho_grid):

@@ -62,8 +62,9 @@ def test_criterion_03_threshold_trend():
 
 def test_criterion_04_maximizer_rules():
     # below the threshold k0 the variant count still grows, so the cap
-    # k-bar itself maximizes it; above k0 the count falls and k0 wins.
-    # That is the unimodality the streamed threshold scan stops on.
+    # k-bar itself maximizes it; above k0 no count reaches the one at k0.
+    # The streamed threshold scan does not assume this: its stop is the
+    # Hardy-Ramanujan bound on p(n - k - 1).
     n_max = 300
     table = partition.build_partition_table(n_max, n_max)
     for n in range(1, n_max + 1):

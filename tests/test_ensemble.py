@@ -252,6 +252,30 @@ class TestGibbs:
         assert b == pytest.approx(math.log((1000.0 - e) / (e - 1.0)) / 999.0,
                                   rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-100, 1e-10, 1.0, 1e10, 1e100,
+                                       1e300])
+    @pytest.mark.parametrize("t", [1e-6, 0.1, 0.5, 0.75, 1.0 - 1e-6])
+    def test_two_level_closed_form_at_every_scale(self, scale, t):
+        # two levels l0 < l1: the mean is E where beta = b_E (l1 - l0)
+        # = ln((1 - t)/t), t = (E - l0)/(l1 - l0), at any scale of the
+        # levels.  A mean near 1 is rounded to eps absolute, which moves
+        # beta by ~eps/(1 - t); brentq stops at 1e-14 in beta
+        l0, l1 = scale, 3.0 * scale
+        E = l0 + t * (l1 - l0)
+        t = (E - l0) / (l1 - l0)
+        b = ensemble.gibbs_parameter(ensemble.SpectrumSpec((l0, l1)), E)
+        assert b * (l1 - l0) == pytest.approx(
+            math.log((1.0 - t) / t), rel=1e-12, abs=1e-14 + 16 * 2.0**-52 / (1.0 - t))
+
+    def test_mean_equation_at_the_top_of_the_float_range(self):
+        # b_E = -ln 2 / 1.5e308 is subnormal; the mean is taken in units
+        # of the top level, since lambda e^(-b_E lambda) overflows
+        levels, E = (1.0, 1e308, 1.5e308), 1e308
+        b = ensemble.gibbs_parameter(ensemble.SpectrumSpec(levels), E)
+        w = [math.exp(-b * lam) for lam in levels]
+        mean = sum(lam / levels[-1] * wi for lam, wi in zip(levels, w)) / sum(w)
+        assert mean == pytest.approx(E / levels[-1], rel=1e-12, abs=0.0)
+
     def test_domain(self):
         spec = ensemble.SpectrumSpec((1.0, 2.0))
         with pytest.raises(DomainError):

@@ -171,6 +171,38 @@ class TestThreshold:
             smallest = next(i + 1 for i, v in enumerate(row) if v == best)
             assert partition.condensate_threshold(n).k0_exact == smallest
 
+    def test_hardy_ramanujan_term_bounds_p(self):
+        # the scan's stop: ln H(m) - ln p(m) > 0 for every m up to the cap,
+        # by a margin (0.0031 at m = 20000) that dwarfs a float log's
+        # rounding, so ln(best) >= ln H(m) in floats proves best > p(m)
+        totals = oracles.pentagonal_partition_totals(partition._N_CAP)
+        for m in range(1, partition._N_CAP + 1):
+            ln_h = math.pi * math.sqrt(2 * m / 3) - math.log(4 * math.sqrt(3) * m)
+            assert ln_h - math.log(totals[m]) > 1e-3, m
+
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_full_row_argmax(self, n):
+        assert partition.condensate_threshold(n).k0_exact == \
+            _smallest_argmax(partition.pk_row(n))
+
+    @pytest.mark.parametrize("n, rows, k0", [(100, 23, 18), (2000, 155, 126),
+                                             (5000, 272, 223), (20000, 622, 520)])
+    def test_rows_read(self, n, rows, k0, monkeypatch):
+        # the scan reads rows up to the first k whose bound falls below
+        # the best count, past k0 by 5 at n = 100 and by 102 at the cap
+        read = 0
+        pk_rows = partition._pk_rows
+
+        def counted(n_max, k_max):
+            nonlocal read
+            for row in pk_rows(n_max, k_max):
+                read += 1
+                yield row
+
+        monkeypatch.setattr(partition, "_pk_rows", counted)
+        assert partition.condensate_threshold(n).k0_exact == k0
+        assert read == rows
+
     def test_nonpositive_n_rejected(self):
         with pytest.raises(DomainError, match="n must be >= 1, got 0"):
             partition.condensate_threshold(0)

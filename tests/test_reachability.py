@@ -43,12 +43,18 @@ jamming --gamma0 0.9
 jamming --mu-grid 0:-2:-0.05
 reference --table substances
 reference --table t-ratios
+threshold --n 1
+threshold --n 2
+threshold --n 20000
+ensemble --levels 1e-100,3e-100 --E 1.5e-100 --N-list 2
 ensemble --levels 1000,1001 --E 1000.001 --N-list 2
+ensemble --levels 1000,1001 --E 1000.9 --N-list 2
 zeno --B-grid 5:1e15:5
 """.strip().splitlines()]
 # the exit codes CI checks for; every other invocation exits 0
 CI_EXIT_CODES = {
     "ensemble --levels 1000,1001 --E 1000.001 --N-list 2": cli.EXIT_CONFIG,
+    "ensemble --levels 1000,1001 --E 1000.9 --N-list 2": cli.EXIT_CONFIG,
     "zeno --B-grid 5:1e15:5": cli.EXIT_RESOURCE,
 }
 

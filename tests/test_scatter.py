@@ -467,7 +467,7 @@ class TestStationaryPair:
 
     def test_no_solver_error_near_the_fold(self):
         # the near-fold probe: alpha = alpha* (1 - k 1e-16), k = 1..29, at
-        # B = 1e26 to 1e50.  Every radius converges; a DomainError
+        # B = 1e26 to 1e50.  Every radius converges; a DegenerateError
         # (E_max < E_min, the depths rounding past each other) is still
         # allowed here
         for family, B in itertools.product(("lennard_jones", "morse", "buckingham"),
@@ -478,8 +478,38 @@ class TestStationaryPair:
                 try:
                     scatter.stationary_pair(
                         scatter.ScatterProblem(pot, B, a_star * (1.0 - k * 1e-16)))
-                except DomainError as exc:
-                    assert str(exc) == "E_max < E_min in stationary pair"
+                except DegenerateError as exc:
+                    assert "depths cross in rounding" in str(exc)
+
+    def test_depths_crossed_in_rounding_are_degenerate(self):
+        # alpha = alpha* (1 - k 1e-15), k = 1..59: the two depths agree to
+        # the last bits, and rounding orders about a third of them E_max <
+        # E_min.  Each such pair is a DegenerateError naming alpha, alpha*
+        # and both depths, so a compressibility point there is a
+        # degenerate failure
+        crossed = 0
+        for family, B in itertools.product(("lennard_jones", "morse", "buckingham"),
+                                           (10.0, 100.0, 1000.0)):
+            pot = scatter.PotentialSpec(family)
+            a_star = scatter._context(pot, B)[1]
+            grid = [a_star * (1.0 - k * 1e-15) for k in range(59, 0, -1)]
+            for alpha in grid:
+                try:
+                    pair = scatter.stationary_pair(scatter.ScatterProblem(pot, B, alpha))
+                except DegenerateError as exc:
+                    crossed += 1
+                    assert re.fullmatch(
+                        rf"well and barrier depths cross in rounding at alpha = "
+                        rf"{re.escape(repr(alpha))}, alpha\* = "
+                        rf"{re.escape(repr(a_star))}: E_max = \S+ < E_min = \S+",
+                        str(exc))
+                else:
+                    assert pair.E_max >= pair.E_min
+            curve = scatter.compressibility_curve(pot, B, grid)
+            assert len(curve.rows) + len(curve.meta["failures"]) == len(grid)
+            assert all(msg.startswith("DegenerateError(")
+                       for _, msg in curve.meta["failures"])
+        assert crossed > 0
 
     def test_unconverged_radius_is_a_solver_error(self, monkeypatch):
         # the pair at the fold above needs 83 iterations; under a cap of
@@ -669,6 +699,26 @@ class TestCriticalSummary:
 
         slope = oracles.central_difference(z, x, 1e-5)
         assert slope == pytest.approx(-1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("family", ["lennard_jones", "morse", "buckingham"])
+    def test_ordinate_zero_density_against_mpmath(self, family):
+        # the gap B^2 (E_max - E_min) at alpha = 1e-9 alpha*, from the
+        # mpmath crossings of A = alpha nearest r* and E in mpmath; the
+        # depths are stationary values, so a root error enters squared
+        pot, B = scatter.PotentialSpec(family), 100.0
+        r_star, a_star = scatter._context(pot, B)
+        alpha = a_star * 1e-9
+        roots = oracles.level_roots_mpmath(pot, B, alpha)
+        with mpmath.workdps(30):
+            def energy(r):
+                r = mpmath.mpf(r)
+                u = oracles._pair_potential_mp(pot.family, pot.params, r)
+                return (-alpha * r**4 + r * r * u) / (B * B - r * r)
+
+            gap = B * B * (energy(min(r for r in roots if r > r_star))
+                           - energy(max(r for r in roots if r < r_star)))
+        ord_0 = scatter.critical_summary(pot, B).notes["ordinate_zero_density"]
+        assert ord_0 == pytest.approx(float(gap), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("pot", FAMILIES, ids=lambda p: p.family)
     def test_envelope_slope_matches_central_difference(self, pot):
