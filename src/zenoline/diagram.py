@@ -166,9 +166,14 @@ def _w_prime(gamma, V, w):
     kappa' = -(Li_{g+1}^2 / Li_g) (1/(V Li_{g+2}) + (g+1) T' / (T Li_{g+1}))
     at z = e^kappa.  As kappa -> 0-, (-kappa)^(g-1) / Li_g -> 1/Gamma(1-g),
     so w' stays finite there; trial stages at w <= 0 take that limit.
+    A trial stage where e^kappa = e^(-w^(1/gamma)) underflows to 0, as
+    for gamma <= 3e-9 from the CLI's grid, raises SolverError.
     """
     mk = w ** (1.0 / gamma) if w > 0 else 0.0
     z = math.exp(-mk)
+    if z == 0.0:
+        raise SolverError(f"trial stage at gamma = {gamma!r}, w = {w!r}: "
+                          f"kappa = {-mk!r}, where e^kappa underflows to 0")
     l1 = polylog(gamma + 1.0, z)
     l2 = polylog(gamma + 2.0, z)
     if z == 1.0:
@@ -313,19 +318,13 @@ def _solve_activity(f, target):
     """Activity a in [0, 1] with f(a) = target, by `brentq` on [0, 1].
 
     f(0) is taken as 0, as for the polylogs, so a target > 0 with
-    f(1) >= target is bracketed.  The stop is relative, within 4 ulp of
-    a, even for subnormal a.  An unbracketed target or a failed solve
-    raises SolverError naming the bracket and the residual at both ends.
+    f(1) >= target is bracketed, and f is never called at 0.  The stop
+    is relative, within 4 ulp of a, even for subnormal a.  An
+    unbracketed target is brentq's BracketError, naming the residual
+    at both ends.
     """
-    def resid(a):
-        return f(a) - target if a else -target
-
-    try:
-        return brentq(resid, 0.0, 1.0, xtol=5e-324)
-    except (ValueError, RuntimeError) as exc:
-        raise SolverError(
-            f"activity solve on [0, 1] failed: resid(0) = {-target:.3g}, "
-            f"resid(1) = {resid(1.0):.3g}: {exc}") from exc
+    return brentq(lambda a: f(a) - target if a else -target, 0.0, 1.0,
+                  xtol=5e-324, fa=-target)
 
 
 def ideal_isotherm(P_grid, gamma0=GAMMA0):

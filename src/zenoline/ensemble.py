@@ -183,7 +183,10 @@ def gibbs_parameter(spectrum, E):
     beta with mean t, ``brentq`` solves for it, and b_E = beta /
     (lambda_max - lambda_0).  The weights are taken relative to the lowest
     level for beta >= 0 and to the highest for beta < 0, so every weight
-    is <= 1 and none overflows.
+    is <= 1 and none overflows.  For beta < 0 the residual is
+    (1 - t) - mean(1 - x), with 1 - x and 1 - t formed from the highest
+    level, (lambda_max - lambda) / (lambda_max - lambda_0): near the top,
+    where the mean of x rounds to eps absolute, those keep full precision.
     """
     levels = spectrum.levels
     if not (levels[0] < E < levels[-1]):
@@ -191,12 +194,15 @@ def gibbs_parameter(spectrum, E):
                           f"({levels[0]}, {levels[-1]})")
     width = levels[-1] - levels[0]
     xs = [(lam - levels[0]) / width for lam in levels]
-    t = (E - levels[0]) / width
+    ys = [(levels[-1] - lam) / width for lam in levels]
+    t, u = (E - levels[0]) / width, (levels[-1] - E) / width
 
     def residual(beta):
-        shift = 0.0 if beta >= 0.0 else 1.0
-        w = [math.exp(-beta * (x - shift)) for x in xs]
-        return sum(x * wi for x, wi in zip(xs, w)) / sum(w) - t
+        if beta >= 0.0:
+            w = [math.exp(-beta * x) for x in xs]
+            return sum(x * wi for x, wi in zip(xs, w)) / sum(w) - t
+        w = [math.exp(beta * y) for y in ys]
+        return u - sum(y * wi for y, wi in zip(ys, w)) / sum(w)
 
     lo, f_lo = grow_end(residual, -1.0, 1.0)
     hi, f_hi = grow_end(residual, 1.0, -1.0)
@@ -236,7 +242,11 @@ def concentration_report(spectrum, N_list, E):
         B = N / L0
         half = B * math.sqrt(L0 * ln_L0) * default_psi(L0)
         predicted = [B * math.exp(-b_E * lam) for lam in levels]
-        census = enumerate_states(spectrum, N, N * E, band=(predicted, half))
+        budget = N * E
+        if budget == math.inf:
+            raise DomainError(f"energy budget N*E overflows: N = {N}, "
+                              f"E = {E!r}, N*E = inf")
+        census = enumerate_states(spectrum, N, budget, band=(predicted, half))
         means = [t / census.states for t in census.level_totals]
         entries.append({
             "N": N,

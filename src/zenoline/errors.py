@@ -37,7 +37,7 @@ class BracketError(ZenolineError, ValueError):
     """Root bracket does not contain a sign change."""
 
 
-class SolverError(ZenolineError):
+class SolverError(ZenolineError, RuntimeError):
     """Iterative solver failed to converge; diagnostics in the message."""
 
 

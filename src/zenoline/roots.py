@@ -6,13 +6,17 @@ extrapolation, secant interpolation or bisection on a sign-change
 bracket.  The port keeps scipy's iterate arithmetic, sign tests, swaps
 and argument checks step for step, so it returns the same float as
 ``scipy.optimize.brentq`` on the same problem without loading scipy.
+Its failures are the package's own: BracketError (a ValueError) and
+SolverError (a RuntimeError), each opening with scipy's wording and
+then naming the bracket, f at its ends and the iteration reached, so
+no caller has to translate them.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import SolverError
+from .errors import BracketError, SolverError
 
 __all__ = ["brentq", "grow_end"]
 
@@ -20,18 +24,28 @@ __all__ = ["brentq", "grow_end"]
 _RTOL = 4.0 * 2.0**-52
 
 
-def _nan_value(x):
-    return ValueError(
-        f"The function value at x={x} is NaN; solver cannot continue.")
+def _failure(cls, head, a, b, fa, fb, k, tail=""):
+    """cls with scipy's wording ``head``, then [a, b], f at the ends
+    (fb None where f(b) was not reached) and the iteration k."""
+    ends = f"f(a) = {fa!r}" + ("" if fb is None else f", f(b) = {fb!r}")
+    return cls(f"{head} On [a, b] = [{a!r}, {b!r}], {ends}; iteration {k}{tail}.")
+
+
+def _nan_value(x, a, b, fa, fb, k):
+    return _failure(BracketError, f"The function value at x={x} is NaN; "
+                    "solver cannot continue.", a, b, fa, fb, k)
 
 
 def brentq(f, a, b, xtol=2e-12, rtol=_RTOL, maxiter=100, *, fa=None, fb=None):
     """Root of f in [a, b], where f(a) and f(b) differ in sign.
 
     Stops when the bracket is narrower than xtol + rtol |x| or f is
-    exactly 0, and returns a float.  Raises ValueError for xtol <= 0,
-    rtol < 4 eps, a bracket without a sign change or a NaN value of f,
-    and RuntimeError after maxiter iterations.
+    exactly 0, and returns a float.  Raises ValueError for xtol <= 0 or
+    rtol < 4 eps, BracketError for a bracket without a sign change or a
+    NaN value of f, and SolverError after maxiter iterations.  Each opens
+    with scipy's message, then names [a, b], f at its ends and the
+    iteration; the SolverError also the x that iteration ended at and f
+    there.
 
     ``fa`` and ``fb`` are f(a) and f(b) where the caller already has
     them; f is then not called there.  They pass the same NaN and sign
@@ -43,13 +57,14 @@ def brentq(f, a, b, xtol=2e-12, rtol=_RTOL, maxiter=100, *, fa=None, fb=None):
     if rtol < _RTOL:
         raise ValueError(f"rtol too small ({rtol:g} < {_RTOL:g})")
 
-    xpre, xcur = float(a), float(b)
-    fpre = float(f(xpre) if fa is None else fa)
+    a = xpre = float(a)
+    b = xcur = float(b)
+    fa = fpre = float(f(xpre) if fa is None else fa)
     if fpre != fpre:
-        raise _nan_value(xpre)
-    fcur = float(f(xcur) if fb is None else fb)
+        raise _nan_value(xpre, a, b, fa, None, 0)
+    fb = fcur = float(f(xcur) if fb is None else fb)
     if fcur != fcur:
-        raise _nan_value(xcur)
+        raise _nan_value(xcur, a, b, fa, fb, 0)
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -57,9 +72,10 @@ def brentq(f, a, b, xtol=2e-12, rtol=_RTOL, maxiter=100, *, fa=None, fb=None):
     # every value compared by sign below is neither 0 nor NaN, so its sign
     # is the result of a comparison with 0
     if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
+        raise _failure(BracketError, "f(a) and f(b) must have different signs.",
+                       a, b, fa, fb, 0)
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for k in range(1, maxiter + 1):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -102,8 +118,10 @@ def brentq(f, a, b, xtol=2e-12, rtol=_RTOL, maxiter=100, *, fa=None, fb=None):
             xcur += delta if sbis > 0 else -delta
         fcur = float(f(xcur))
         if fcur != fcur:
-            raise _nan_value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+            raise _nan_value(xcur, a, b, fa, fb, k)
+    raise _failure(SolverError, f"Failed to converge after {maxiter} iterations.",
+                   a, b, fa, fb, maxiter,
+                   f" ended at x = {xcur!r}, f(x) = {fcur!r}")
 
 
 def grow_end(f, x, sign):

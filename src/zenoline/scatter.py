@@ -22,10 +22,9 @@ are solved once per (potential, B) and held in a small cache
 (`_merge`).  So is A at _CELLS geometric steps on each side of r*
 (`_samples`): the cells between neighbouring samples are the brackets
 of the stationary radii.  Each radius is one `brentq` on the first
-cell outward from r* across which A - alpha changes sign, found by
-bisection on the running minimum of A, and that sign change proves a
-true minimum or maximum of E there (`stationary_pair` says what it
-proves and what it does not).
+cell outward from r* across which A - alpha changes sign, and that
+sign change proves a true minimum or maximum of E there
+(`stationary_pair` says what it proves and what it does not).
 
 The stationary structure maps onto the Zeno-line analog and the
 compressibility factor Z = 1 - E_min/E_max, from which the
@@ -36,11 +35,10 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_right
 
 from .curves import T_CR_OVER_T_B_REFERENCES, PhaseCurve, linspace
 from .errors import (BracketError, DegenerateError, DomainError, PoleError,
-                     SolverError, ZenolineError)
+                     ZenolineError)
 from .records import record
 from .roots import brentq
 
@@ -386,34 +384,29 @@ def _merge(family, params_key, B):
 def _samples(family, params_key, B):
     """A on each side of r*, the cell ends of one (potential, B).
 
-    Two sides, the well side and the barrier side, each three tuples
+    Two sides, the well side and the barrier side, each two tuples
     ordered outward from r*: the radii r* (end / r*)^(k / _CELLS) for
     k = 0 .. _CELLS, with end the outer end of the side, 1.0001 r_floor
-    or 0.9999 B, taken exactly at k = _CELLS; A there, alpha* at r*;
-    and `_side`'s minus running minimum of A, on which `_cell` bisects.
-    Built on the first `stationary_pair` of a (potential, B) and then
-    reused; like `_merge` it stores no exception.
+    or 0.9999 B, taken exactly at k = _CELLS; and A there, alpha* at r*.
+    A sample whose kernel overflows, as a steep Morse well's exp does
+    toward r_floor, is NaN, which `_cell`'s walk steps over.  Built on
+    the first `stationary_pair` of a (potential, B) and then reused;
+    like `_merge` it stores no exception.
     """
     r_star, a_star, _, level = _merge(family, params_key, B)
+
+    def sample(r):
+        try:
+            return level(r)
+        except OverflowError:
+            return math.nan
+
     sides = []
     for end in (_R_FLOOR * 1.0001, B * 0.9999):
         radii = [r_star] + [r_star * (end / r_star) ** (k / _CELLS)
                             for k in range(1, _CELLS)] + [end]
-        sides.append(_side(radii, [a_star] + [level(r) for r in radii[1:]]))
+        sides.append((tuple(radii), (a_star, *map(sample, radii[1:]))))
     return tuple(sides)
-
-
-def _side(radii, values):
-    """(radii, values, falls) of one side of `_samples`: falls is minus
-    the running minimum of the values from values[0] = alpha* out, so it
-    does not decrease.  A NaN value fails every comparison: it leaves
-    the running minimum as it is, just as it never stops the outward
-    walk."""
-    lowest, falls = values[0], []
-    for a in values:
-        lowest = min(lowest, a)
-        falls.append(-lowest)
-    return tuple(radii), tuple(values), tuple(falls)
 
 
 def _context(potential, B):
@@ -445,19 +438,14 @@ def trace_zeno_analog(potential, B_grid):
 
 def _cell(side, alpha):
     """(r_in, r_out, A - alpha at each) of the first cell of one side of
-    `_samples`, outward from r*, whose outer sample has A - alpha < 0;
-    None where no sample of the side has.  alpha < alpha*.
-
-    That outer sample is the first whose running minimum of A is below
-    alpha, that is, whose entry in the side's non-decreasing minus
-    running minimum exceeds -alpha: `bisect_right` finds it in
-    log2(_CELLS) comparisons.  (For floats, A - alpha < 0 is A < alpha,
-    and negation is exact.)"""
-    radii, values, falls = side
-    k = bisect_right(falls, -alpha)
-    if k == len(radii):
-        return None
-    return radii[k - 1], radii[k], values[k - 1] - alpha, values[k] - alpha
+    `_samples`, walking outward from r*, whose outer sample has
+    A - alpha < 0; None where no sample of the side has.  A NaN sample
+    fails the test and is stepped over."""
+    radii, values = side
+    for k in range(1, len(radii)):
+        if values[k] - alpha < 0.0:
+            return radii[k - 1], radii[k], values[k - 1] - alpha, values[k] - alpha
+    return None
 
 
 def stationary_pair(problem):
@@ -499,8 +487,8 @@ def stationary_pair(problem):
     any B, also for an alpha within ~1e-15 of alpha* at B = 1e26 to 1e50,
     where the barrier root sits ~1e-8 above r* at the inner end of its
     cell and takes up to 95 iterations.  brentq is capped at _MAXITER
-    iterations all the same; SolverError then names the two cells and
-    the cap.
+    iterations all the same; its SolverError then names the cell,
+    A - alpha at its ends and the cap.
     """
     pot, B, alpha = problem.potential, problem.B, problem.alpha
     key = _key(pot, B)
@@ -522,14 +510,8 @@ def stationary_pair(problem):
     def f(r):
         return level(r) - alpha
 
-    try:
-        r_lo = brentq(f, lo[0], lo[1], _XTOL, _RTOL, _MAXITER, fa=lo[2], fb=lo[3])
-        r_hi = brentq(f, hi[0], hi[1], _XTOL, _RTOL, _MAXITER, fa=hi[2], fb=hi[3])
-    except RuntimeError:
-        raise SolverError(
-            f"stationary pair not converged on the cells ({lo[0]!r}, {lo[1]!r}) "
-            f"and ({hi[0]!r}, {hi[1]!r}): brentq reached its cap of "
-            f"{_MAXITER} iterations") from None
+    r_lo = brentq(f, lo[0], lo[1], _XTOL, _RTOL, _MAXITER, fa=lo[2], fb=lo[3])
+    r_hi = brentq(f, hi[0], hi[1], _XTOL, _RTOL, _MAXITER, fa=hi[2], fb=hi[3])
     # flipped convention: the well at r_lo, the barrier at r_hi
     E_min = -_energy(derivs(r_hi)[0], alpha, B, r_hi)
     E_max = -_energy(derivs(r_lo)[0], alpha, B, r_lo)

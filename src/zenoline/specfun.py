@@ -664,7 +664,8 @@ def bose_integral(gamma, kappa):
 
     Equals Gamma(gamma+1) * Li_{gamma+1}(e^kappa), and
     Gamma(gamma+1) * zeta(gamma+1) at kappa = 0 (where gamma > 0);
-    within 1e-13 relative of mpmath.
+    within 1e-13 relative of mpmath.  A Gamma(gamma+1) past the float
+    range is a DomainError naming the arguments.
     """
     if kappa > 0:
         raise DomainError(f"bose_integral requires kappa <= 0, got {kappa}")
@@ -683,7 +684,11 @@ def bose_integral(gamma, kappa):
         li = 1.0 / gamma + _horner(_ZETA_REGULAR, gamma)
     else:
         li = riemann_zeta(s)
-    value = math.gamma(s) * li
+    try:
+        value = math.gamma(s) * li
+    except OverflowError:
+        raise DomainError(
+            f"bose_integral({gamma!r}, {kappa!r}) overflows a float") from None
     return BoseIntegralResult(value, 2)
 
 
@@ -716,7 +721,8 @@ def finite_n_integral(gamma, b, kappa, n_cap):
     = Gamma(gamma+1) b^(-gamma-1) [Li_{gamma+1}(e^(-b kappa)) - N^-gamma Li_{gamma+1}(e^(-bN kappa))],
     which is Gamma(gamma+1) zeta(gamma+1)(1 - N^-gamma)/b^(gamma+1) at
     kappa = 0, and ln(N)/b at gamma = kappa = 0; within 1e-13 relative
-    of mpmath.
+    of mpmath.  A Gamma(gamma+1) or b^-(gamma+1) past the float range is
+    a DomainError naming the arguments.
     """
     if b <= 0:
         raise DomainError(f"finite_n_integral requires b > 0, got {b}")
@@ -734,5 +740,9 @@ def finite_n_integral(gamma, b, kappa, n_cap):
         bracket = _finite_n_log_series(gamma, mu, n_cap)
     else:
         bracket = _li(s, mu) - n_cap**-gamma * _li(s, n_cap * mu)
-    value = math.gamma(s) * b**-s * bracket
+    try:
+        value = math.gamma(s) * b**-s * bracket
+    except OverflowError:
+        raise DomainError(f"finite_n_integral({gamma!r}, {b!r}, {kappa!r}, "
+                          f"{n_cap!r}) overflows a float") from None
     return BoseIntegralResult(value, 3)

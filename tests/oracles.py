@@ -488,8 +488,8 @@ def level_roots_mpmath(potential, B, alpha, n=200, dps=30, r_max=None,
 def outward_cell(radii, values, alpha):
     """(r_in, r_out, A - alpha at each) of the first cell of one side of
     `scatter._samples`, walking outward from r* (radii[0]), whose outer
-    sample has A - alpha < 0; None where no sample has.  The walk that
-    `scatter._cell`'s bisection replaces."""
+    sample has A - alpha < 0; None where no sample has.  Written apart
+    from `scatter._cell`, which walks the same way."""
     for k in range(1, len(radii)):
         if values[k] - alpha < 0.0:
             return radii[k - 1], radii[k], values[k - 1] - alpha, values[k] - alpha

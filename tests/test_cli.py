@@ -338,6 +338,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "overflows at b_E = -2.197" in err and "level 1001.0" in err
 
+    def test_ensemble_budget_overflow(self, capsys):
+        # the Gibbs solve and L0 succeed, but the budget N*E of N = 2
+        # overflows, and the error names N, E and the product
+        assert cli.main(["ensemble", "--levels", "1,1e308,1.5e308", "--E", "1e308",
+                         "--N-list", "1,2,8"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == ("zenoline ensemble: energy budget N*E "
+                                           "overflows: N = 2, E = 1e+308, N*E = inf\n")
+
     def test_ensemble_weight_sum_underflow(self, capsys):
         # b_E = 6.9 solves the mean, but L0 ~ e^-6907 underflows
         assert cli.main(["ensemble", "--levels", "1000,1001", "--E", "1000.001",

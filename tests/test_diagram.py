@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zenoline import cli, curves, diagram, specfun
-from zenoline.errors import CausticError, DomainError, SolverError
+from zenoline.errors import BracketError, CausticError, DomainError, SolverError
 
 import oracles
 
@@ -247,10 +247,24 @@ class TestSolvePhi:
         assert abs(dev[0]) < 0.1
         assert dev[1] == pytest.approx(dev[0] / 3.0, rel=0.05)
 
+    @pytest.mark.parametrize("gamma", [3e-9, 1e-9])
+    def test_tiny_gamma_is_a_solver_error(self, gamma):
+        # a trial stage's -kappa = w^(1/gamma) exceeds ~745, so e^kappa
+        # underflows to 0: a SolverError naming gamma, w and kappa, not
+        # polylog's complaint about a z the caller never gave
+        with pytest.raises(SolverError, match=rf"^trial stage at gamma = {gamma!r}, "
+                           r"w = 1\.0000000\d+: kappa = -1\d\d\d\.\d+, where "
+                           r"e\^kappa underflows to 0$"):
+            diagram.solve_phi(gamma, curves.geomspace(1.02, 1000.0, 400))
+        # 5e-9 still traces
+        assert diagram.solve_phi(5e-9, curves.geomspace(1.02, 1000.0, 400)).V_cr > 1.0
+
 
 class TestActivitySolver:
     def test_unbracketed_raises(self):
-        with pytest.raises(SolverError, match=r"resid\(0\) = -2, resid\(1\) = -1"):
+        with pytest.raises(BracketError, match=r"^f\(a\) and f\(b\) must have "
+                           r"different signs\. On \[a, b\] = \[0\.0, 1\.0\], "
+                           r"f\(a\) = -2\.0, f\(b\) = -1\.0; iteration 0\.$"):
             diagram._solve_activity(lambda a: a, 2.0)
 
     def test_upper_endpoint_of_smooth_root(self):

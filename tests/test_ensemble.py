@@ -258,14 +258,14 @@ class TestGibbs:
     def test_two_level_closed_form_at_every_scale(self, scale, t):
         # two levels l0 < l1: the mean is E where beta = b_E (l1 - l0)
         # = ln((1 - t)/t), t = (E - l0)/(l1 - l0), at any scale of the
-        # levels.  A mean near 1 is rounded to eps absolute, which moves
-        # beta by ~eps/(1 - t); brentq stops at 1e-14 in beta
+        # levels.  1 - t is formed as (l1 - E)/(l1 - l0), since 1.0 - t
+        # would lose ~eps/(1 - t) near the top, where the solve keeps it;
+        # brentq stops at 1e-14 in beta
         l0, l1 = scale, 3.0 * scale
         E = l0 + t * (l1 - l0)
-        t = (E - l0) / (l1 - l0)
         b = ensemble.gibbs_parameter(ensemble.SpectrumSpec((l0, l1)), E)
         assert b * (l1 - l0) == pytest.approx(
-            math.log((1.0 - t) / t), rel=1e-12, abs=1e-14 + 16 * 2.0**-52 / (1.0 - t))
+            math.log((l1 - E) / (E - l0)), rel=1e-12, abs=1e-14)
 
     def test_mean_equation_at_the_top_of_the_float_range(self):
         # b_E = -ln 2 / 1.5e308 is subnormal; the mean is taken in units

@@ -49,12 +49,17 @@ threshold --n 20000
 ensemble --levels 1e-100,3e-100 --E 1.5e-100 --N-list 2
 ensemble --levels 1000,1001 --E 1000.001 --N-list 2
 ensemble --levels 1000,1001 --E 1000.9 --N-list 2
+ensemble --levels 1,1e308,1.5e308 --E 1e308 --N-list 1,2,8
+isotherm --mode imperfect --gamma0 1e-9 --P-grid 0.05:0.5:0.05
 zeno --B-grid 5:1e15:5
 """.strip().splitlines()]
 # the exit codes CI checks for; every other invocation exits 0
 CI_EXIT_CODES = {
     "ensemble --levels 1000,1001 --E 1000.001 --N-list 2": cli.EXIT_CONFIG,
     "ensemble --levels 1000,1001 --E 1000.9 --N-list 2": cli.EXIT_CONFIG,
+    "ensemble --levels 1,1e308,1.5e308 --E 1e308 --N-list 1,2,8": cli.EXIT_CONFIG,
+    "isotherm --mode imperfect --gamma0 1e-9 --P-grid 0.05:0.5:0.05":
+        cli.EXIT_NUMERIC,
     "zeno --B-grid 5:1e15:5": cli.EXIT_RESOURCE,
 }
 

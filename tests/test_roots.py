@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zenoline.errors import SolverError
+from zenoline.errors import BracketError, SolverError, ZenolineError
 from zenoline.roots import brentq, grow_end
 
 import oracles
@@ -27,10 +27,13 @@ FAMILIES = (
 
 
 def _outcome(solver, f, a, b, **kw):
+    # the root, or the first of ValueError and RuntimeError that the
+    # exception is: scipy raises those two bare, the port BracketError
+    # and SolverError, which subclass them
     try:
         return solver(f, a, b, **kw)
     except (ValueError, RuntimeError) as exc:
-        return type(exc)
+        return ValueError if isinstance(exc, ValueError) else RuntimeError
 
 
 def _problems(seed, count):
@@ -80,6 +83,66 @@ def _f_nan_midway(x):
 def test_edge_cases_match_scipy(f, a, b, kw, want):
     assert _outcome(oracles.brentq_scipy, f, a, b, **kw) == want
     assert _outcome(brentq, f, a, b, **kw) == want
+
+
+class TestFailures:
+    """Each failure is a ZenolineError that opens with scipy's message and
+    names [a, b], f at the ends (or the NaN point) and the iteration."""
+
+    def test_same_sign_ends(self):
+        with pytest.raises(BracketError) as info:
+            brentq(lambda x: x * x + 1.0, -1.0, 2.0)
+        assert str(info.value) == (
+            "f(a) and f(b) must have different signs. On [a, b] = [-1.0, 2.0], "
+            "f(a) = 2.0, f(b) = 5.0; iteration 0.")
+
+    def test_nan_at_a_names_no_f_b(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.nan
+        with pytest.raises(BracketError) as info:
+            brentq(f, 0.25, 1.0)
+        assert calls == [0.25]
+        assert str(info.value) == (
+            "The function value at x=0.25 is NaN; solver cannot continue. "
+            "On [a, b] = [0.25, 1.0], f(a) = nan; iteration 0.")
+
+    def test_nan_at_b(self):
+        with pytest.raises(BracketError) as info:
+            brentq(lambda x: math.nan, 0.0, 1.0, fa=-1.0)
+        assert str(info.value) == (
+            "The function value at x=1.0 is NaN; solver cannot continue. "
+            "On [a, b] = [0.0, 1.0], f(a) = -1.0, f(b) = nan; iteration 0.")
+
+    def test_nan_midway_names_the_iteration(self):
+        # the first iterate is the secant point 0.5 of x - 0.5 on [0, 1]
+        with pytest.raises(BracketError) as info:
+            brentq(_f_nan_midway, 0.0, 1.0)
+        assert str(info.value) == (
+            "The function value at x=0.5 is NaN; solver cannot continue. "
+            "On [a, b] = [0.0, 1.0], f(a) = -0.5, f(b) = 0.5; iteration 1.")
+
+    def test_iteration_cap(self):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return x**3 - 2.0
+        with pytest.raises(SolverError) as info:
+            brentq(f, 0.0, 5.0, maxiter=3)
+        assert len(seen) == 2 + 3
+        x = seen[-1]
+        assert str(info.value) == (
+            "Failed to converge after 3 iterations. On [a, b] = [0.0, 5.0], "
+            f"f(a) = -2.0, f(b) = 123.0; iteration 3 ended at x = {x!r}, "
+            f"f(x) = {x**3 - 2.0!r}.")
+
+    @pytest.mark.parametrize("cls, base", [(BracketError, ValueError),
+                                           (SolverError, RuntimeError)])
+    def test_classes_are_the_packages_and_scipys(self, cls, base):
+        assert issubclass(cls, ZenolineError) and issubclass(cls, base)
 
 
 def test_zero_extrapolation_denominator_bisects():

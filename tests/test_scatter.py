@@ -333,6 +333,28 @@ class TestMergeContext:
         assert scatter._samples.cache_info().currsize == 0
         assert [row[1] for row in curve.rows] == pytest.approx([1.3007, 1.3007], abs=1e-4)
 
+    def test_steep_morse_well_solves(self):
+        # the same well at B = 50: the kernel's exp overflows on the well
+        # side toward r_floor, where the samples are NaN and the walk
+        # steps over them; the pairs are the mpmath roots on either side
+        # of r*, the curve has no failure and the critical point solves
+        pot = scatter.PotentialSpec("morse", {"a": 1000.0, "r0": 1.3})
+        r_star, a_star = scatter._context(pot, 50.0)
+        well, _ = scatter._samples(*scatter._key(pot, 50.0))
+        assert math.isnan(well[1][-1]) and not math.isnan(well[1][1])
+        for x in (0.01, 0.3, 0.9):
+            pair = scatter.stationary_pair(scatter.ScatterProblem(pot, 50.0, a_star * x))
+            (lo,) = oracles.level_roots_mpmath(pot, 50.0, a_star * x, r_min=1.29,
+                                               r_max=r_star)
+            (hi,) = oracles.level_roots_mpmath(pot, 50.0, a_star * x, r_min=r_star,
+                                               r_max=1.4)
+            assert (pair.r_lo, pair.r_hi) == pytest.approx((lo, hi), rel=1e-13, abs=0.0)
+        curve = scatter.compressibility_curve(pot, 50.0, [a_star * k / 6 for k in range(1, 6)])
+        assert len(curve.rows) == 5 and curve.meta["failures"] == []
+        summary = scatter.critical_summary(pot, 50.0)
+        assert (summary.Z_cr, summary.rho_cr_over_rho_B, summary.T_cr_over_T_B) == \
+            pytest.approx((0.0653, 0.0714, 0.821), abs=5e-4)
+
 
 class TestTrace:
     def test_curve_consistency(self):
@@ -513,12 +535,14 @@ class TestStationaryPair:
 
     def test_unconverged_radius_is_a_solver_error(self, monkeypatch):
         # the pair at the fold above needs 83 iterations; under a cap of
-        # 20 it is a SolverError naming the two cells
+        # 20 it is brentq's SolverError naming the well's cell, A - alpha
+        # at its ends and the cap
         monkeypatch.setattr(scatter, "_MAXITER", 20)
         r_star, a_star = scatter._context(LJ, 1e30)
-        with pytest.raises(SolverError, match=r"not converged on the cells "
-                           r"\(1\.27.*, 1\.25.*\) and \(1\.27.*, 5\.36.*\): "
-                           r"brentq reached its cap of 20 iterations$"):
+        with pytest.raises(SolverError, match=r"^Failed to converge after 20 "
+                           r"iterations\. On \[a, b\] = \[1\.27.*, 1\.25.*\], "
+                           r"f\(a\) = .*, f\(b\) = -.*; iteration 20 ended at "
+                           r"x = 1\.2.*, f\(x\) = .*\.$"):
             scatter.stationary_pair(
                 scatter.ScatterProblem(LJ, 1e30, a_star * (1.0 - 1e-15)))
 
@@ -536,10 +560,10 @@ class TestStationaryPair:
     @example(pot=LJ, log_B=2.0, x=0.5, snap="ulp below", side=1, k=3)
     @example(pot=FAMILIES[2], log_B=30.0, x=0.5, snap="sample", side=0, k=1)
     @example(pot=FAMILIES[2], log_B=30.0, x=0.5, snap="ulp below", side=0, k=1)
-    def test_bisected_cell_is_the_walked_cell(self, pot, log_B, x, snap, side, k):
+    def test_walked_cell_is_the_oracle_cell(self, pot, log_B, x, snap, side, k):
         # alpha in (0, alpha*): alpha* x, or a sample value of A, or the
-        # float just below one; the bisection on the running minimum
-        # picks the cell of the outward walk on both sides, bit for bit
+        # float just below one; the walk picks the cell of the oracle's
+        # outward walk on both sides, bit for bit
         B = 10.0 ** log_B
         key = scatter._key(pot, B)
         a_star = scatter._merge(*key)[1]
@@ -550,20 +574,20 @@ class TestStationaryPair:
             if snap == "ulp below":
                 alpha = math.nextafter(alpha, -math.inf)
         assume(0.0 < alpha < a_star)
-        for radii, values, falls in sides:
-            assert repr(scatter._cell((radii, values, falls), alpha)) == \
+        for radii, values in sides:
+            assert repr(scatter._cell((radii, values), alpha)) == \
                 repr(oracles.outward_cell(radii, values, alpha))
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(values=st.lists(st.floats(-2.0, 2.0) | st.sampled_from(
                [math.nan, -math.inf, math.inf, 0.0, -0.0, 0.5]), min_size=1, max_size=60),
            alpha=st.floats(0.0, 1.0, exclude_max=True) | st.just(0.5))
-    def test_bisected_cell_on_any_samples(self, values, alpha):
+    def test_walked_cell_on_any_samples(self, values, alpha):
         # A that turns back above alpha, NaN and infinite samples: the
-        # running minimum keeps the bisection on the walk's cell
+        # walk steps over NaN and stops at the oracle's cell
         radii = list(range(len(values) + 1))
         values = [1.0] + values
-        assert repr(scatter._cell(scatter._side(radii, values), alpha)) == \
+        assert repr(scatter._cell((tuple(radii), tuple(values)), alpha)) == \
             repr(oracles.outward_cell(radii, values, alpha))
 
 

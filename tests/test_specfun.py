@@ -439,6 +439,12 @@ class TestBoseIntegral:
         with pytest.raises(DivergenceError):
             specfun.bose_integral(-0.5, 0.0)
 
+    def test_overflow_names_the_arguments(self):
+        # Gamma(201) overflows a float
+        with pytest.raises(DomainError, match=r"^bose_integral\(200\.0, -1\.0\) "
+                           r"overflows a float$"):
+            specfun.bose_integral(200.0, -1.0)
+
 
 class TestFiniteN:
     def test_log_closed_form(self):
@@ -477,6 +483,12 @@ class TestFiniteN:
             specfun.finite_n_integral(0.0, 1.0, 0.0, 0)
         with pytest.raises(DivergenceError):
             specfun.finite_n_integral(-1.5, 1.0, 0.1, 10)
+
+    def test_overflow_names_the_arguments(self):
+        # b^-1.5 overflows a float at b = 1e-300
+        with pytest.raises(DomainError, match=r"^finite_n_integral\(0\.5, 1e-300, "
+                           r"1\.0, 10\) overflows a float$"):
+            specfun.finite_n_integral(0.5, 1e-300, 1.0, 10)
 
 
 class TestClosedFormsAgainstMpmath:
